@@ -56,7 +56,6 @@ from .states import (
 from .tensor_model import (
     ModelParams,
     TensorEmbedding,
-    embed_generators,
     marked_cycle_value,
     model_from_state,
     okounkov_check,

@@ -129,7 +129,8 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         for pos, orig in enumerate(perm):
             x[orig] = w[pos]
         value = m.quadratic_form(x)
-        assert value < 0, "internal error: witness is not negative"
+        if value >= 0:
+            raise RuntimeError(f"internal error: witness has quadratic form {value} >= 0")
         return PsdCertificate(NOT_PSD, witness=tuple(x))
 
     for k in range(n):

@@ -9,11 +9,12 @@ Two independent evaluation routes are provided:
 
 * :func:`phi_closed_form` multiplies per-part traces over the quasi-cycle
   decomposition -- exact rationals throughout;
-* :func:`phi_model` materializes the generator embedding on the N-fold
-  tensor power (a swap with a sign twist over the negative spectral block
-  for each adjacent transposition, the rank-1 projection onto v for e{1}),
-  multiplies matrices along a generator word, and traces against the
-  product state.
+* :func:`phi_model` applies the generator embedding on the N-fold tensor
+  power along a generator word (an axis swap with a sign twist over the
+  negative spectral block for each adjacent transposition, the rank-1
+  projection onto v in slot 1 for e{1}) and traces against the product
+  state.  Each letter is a row operation on the ``(d,)*N`` tensor, so no
+  dense ``d^N x d^N`` product is formed and no element image is cached.
 
 At finite truncation a genuinely infinite regular block is unavailable, so
 slot k recycles regular coordinate k mod #regular.  Plain cycles whose slots
@@ -254,11 +255,16 @@ def _max_dim() -> int:
 
 
 class TensorEmbedding:
-    """Dense generator images on the N-fold tensor power and the product state.
+    """Generator images on the N-fold tensor power and the product state.
 
-    ``matrix(r)`` multiplies the generator images along a word for r; ``psi``
-    traces against the product state whose k-th slot density is
-    |A| + (1 - Tr|A|) e_jj on the k-th recycled regular coordinate j.
+    ``apply(r, X)`` returns T(r) @ X by walking a word for r and applying
+    each generator image as a row operation: T(s_k) swaps tensor axes k and
+    k+1 under a (d, d) sign mask, T(e{1}) contracts slot 1 against v.  Work
+    per letter is O(dim * cols) and nothing is cached per element, so the
+    embedding itself holds only O(d^2 + dim) floats.  ``psi`` traces against
+    the product state whose k-th slot density is |A| + (1 - Tr|A|) e_jj on
+    the k-th recycled regular coordinate j.  ``generator_s`` and
+    ``generator_eps1`` build the dense images as a reference.
     """
 
     def __init__(self, params: ModelParams, *, twist: bool = True):
@@ -275,16 +281,8 @@ class TensorEmbedding:
         a = np.array([float(x) for x in params.a_diag])
         self._a = a
         self._v = np.sqrt([float(q) for q in params.v_sq])
-        self._q = np.outer(self._v, self._v)
-
-        d = self.d
-        pair = np.zeros((d * d, d * d))
         neg = a < 0
-        for i in range(d):
-            for j in range(d):
-                sign = -1.0 if (twist and neg[i] and neg[j]) else 1.0
-                pair[j * d + i, i * d + j] = sign
-        self._pair_swap = pair
+        self._swap_sign = np.where(twist & np.outer(neg, neg), -1.0, 1.0)
 
         leftover = 1.0 - float(params.spectral_mass)
         slot_rhos = []
@@ -295,38 +293,43 @@ class TensorEmbedding:
                 rho[j - 1] += leftover
             slot_rhos.append(rho)
         self.rho_vec = reduce(np.kron, slot_rhos)
-        self._letters: dict[int, np.ndarray] = {}
-        self._elements: dict[PartialBijection, np.ndarray] = {}
 
     def generator_s(self, k: int) -> np.ndarray:
-        """The image of the adjacent transposition (k k+1)."""
+        """The dense image of the adjacent transposition (k k+1)."""
         if not 1 <= k < self.slots:
             raise ValueError(f"slot index {k} out of range for N={self.slots}")
-        if k not in self._letters:
-            left = np.eye(self.d ** (k - 1))
-            right = np.eye(self.d ** (self.slots - k - 1))
-            self._letters[k] = np.kron(np.kron(left, self._pair_swap), right)
-        return self._letters[k]
+        d = self.d
+        pair = np.zeros((d * d, d * d))
+        for i in range(d):
+            for j in range(d):
+                pair[j * d + i, i * d + j] = self._swap_sign[i, j]
+        left = np.eye(d ** (k - 1))
+        right = np.eye(d ** (self.slots - k - 1))
+        return np.kron(np.kron(left, pair), right)
 
     def generator_eps1(self) -> np.ndarray:
-        """The image of e{1}: the rank-1 projection onto v in the first slot."""
-        if EPS1 not in self._letters:
-            self._letters[EPS1] = np.kron(self._q, np.eye(self.d ** (self.slots - 1)))
-        return self._letters[EPS1]
+        """The dense image of e{1}: the rank-1 projection onto v in the first slot."""
+        return np.kron(np.outer(self._v, self._v), np.eye(self.d ** (self.slots - 1)))
 
-    def matrix(self, r: PartialBijection) -> np.ndarray:
+    def apply(self, r: PartialBijection, x: np.ndarray) -> np.ndarray:
+        """T(r) @ x for a (dim, cols) array x, by row operations only."""
         if r.bound > self.slots:
             raise ValueError(
                 f"support of {r.literal()} exceeds the {self.slots} tensor slots"
             )
-        cached = self._elements.get(r)
-        if cached is None:
-            cached = np.eye(self.dim)
-            for letter in element_to_word(r):
-                gen = self.generator_eps1() if letter == EPS1 else self.generator_s(letter)
-                cached = cached @ gen
-            self._elements[r] = cached
-        return cached
+        d, n = self.d, self.slots
+        t = x.reshape((d,) * n + (-1,))
+        # The rightmost letter of a word acts first.
+        for letter in reversed(element_to_word(r)):
+            if letter == EPS1:
+                t = np.multiply.outer(self._v, self._v @ t.reshape(d, -1)).reshape(t.shape)
+            else:
+                sign = self._swap_sign.reshape((d, d) + (1,) * (n - letter))
+                t = t.swapaxes(letter - 1, letter) * sign
+        return t.reshape(x.shape)
+
+    def matrix(self, r: PartialBijection) -> np.ndarray:
+        return self.apply(r, np.eye(self.dim))
 
     def slot_diag(self, k: int, values: np.ndarray) -> np.ndarray:
         """The diagonal (as a vector) of diag(values) acting in slot k."""
@@ -340,17 +343,22 @@ class TensorEmbedding:
     def state_value(self, r: PartialBijection) -> float:
         return self.psi(self.matrix(r))
 
-    def pair_value(self, mid: np.ndarray, x: PartialBijection, y: PartialBijection) -> float:
-        """<pi(mid) x xi, y xi> = psi(T(y)^T mid T(x))."""
-        return self.psi(self.matrix(y).T @ mid @ self.matrix(x))
+    def pair_value(
+        self, mids: Sequence[PartialBijection], tx: np.ndarray, ty: np.ndarray
+    ) -> float:
+        """<pi(m_1 ... m_j) x xi, y xi> = psi(T(y)^T T(m_1) ... T(m_j) T(x)).
 
-    def pair_value_diag(self, diag: np.ndarray, x: PartialBijection, y: PartialBijection) -> float:
-        return self.psi(self.matrix(y).T @ (diag[:, None] * self.matrix(x)))
+        ``tx`` and ``ty`` are the images T(x) and T(y); the middle elements
+        are applied to T(x) one at a time, rightmost first.
+        """
+        z = tx
+        for m in reversed(mids):
+            z = self.apply(m, z)
+        return float(self.rho_vec @ np.einsum("ij,ij->j", ty, z))
 
-
-def embed_generators(p: ModelParams, *, twist: bool = True) -> TensorEmbedding:
-    """Materialize the generator images T(s_k), T(e{1}) and the product state."""
-    return TensorEmbedding(p, twist=twist)
+    def pair_value_diag(self, diag: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> float:
+        """psi(T(y)^T diag(diag) T(x)) from the images ``tx`` and ``ty``."""
+        return float(self.rho_vec @ np.einsum("ij,ij->j", ty, diag[:, None] * tx))
 
 
 def phi_model(
@@ -411,10 +419,10 @@ def okounkov_check(
     report's deviation is expected to be ~1e-16.
     """
     emb = embedding if embedding is not None else TensorEmbedding(p)
-    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), x, y)
-    values = []
-    for n in _admissible(emb, k, x, y):
-        values.append((n, emb.pair_value(emb.matrix(transposition(k, n)), x, y)))
+    admissible = _admissible(emb, k, x, y)
+    tx, ty = emb.matrix(x), emb.matrix(y)
+    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    values = [(n, emb.pair_value((transposition(k, n),), tx, ty)) for n in admissible]
     max_dev = max((abs(v - target) for _, v in values), default=0.0)
     return OkounkovReport(k, x.literal(), y.literal(), target, tuple(values), max_dev)
 
@@ -435,15 +443,16 @@ def okounkov_projection_check(
     if any(a not in (0, 1) for a in p.a_diag):
         raise ValueError("projection law requires eigenvalues in {0, 1}")
     emb = embedding if embedding is not None else TensorEmbedding(p)
-    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), x, y)
-    devs = [0.0]
     admissible = _admissible(emb, k, x, y)
+    tx, ty = emb.matrix(x), emb.matrix(y)
+    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    devs = [0.0]
     for n in admissible:
         for m in admissible:
             if n == m:
                 continue
-            mid = emb.matrix(transposition(k, n)) @ emb.matrix(transposition(k, m))
-            devs.append(abs(emb.pair_value(mid, x, y) - target))
+            mids = (transposition(k, n), transposition(k, m))
+            devs.append(abs(emb.pair_value(mids, tx, ty) - target))
     return max(devs)
 
 

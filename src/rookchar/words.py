@@ -4,9 +4,9 @@ A word is a tuple of letters; the letter ``i >= 1`` stands for the adjacent
 transposition s_i and ``EPS1 == 0`` stands for e{1}.  Words multiply left to
 right, with the rightmost letter applied first (semigroup product order).
 
-The encoder is not length-minimizing: it factors r = s * e{A}, writes s by
-bubble-sorting its one-line form into adjacent transpositions, and writes
-each e{k} as the conjugate (1 k) e{1} (1 k).
+The encoder factors r = s * e{A}, writes s by bubble-sorting its one-line
+form into adjacent transpositions, and writes each e{k} as the conjugate
+c e{1} c^-1 with c = s_{k-1} ... s_1, a word of length 2k - 1.
 """
 
 from __future__ import annotations
@@ -55,13 +55,6 @@ def _permutation_word(images: list[int]) -> list[int]:
     return swaps[::-1]
 
 
-def _transposition_word(k: int) -> list[int]:
-    # (1 k) = s_1 s_2 ... s_{k-2} s_{k-1} s_{k-2} ... s_1
-    if k == 1:
-        return []
-    return list(range(1, k - 1)) + [k - 1] + list(range(k - 2, 0, -1))
-
-
 def element_to_word(r: PartialBijection) -> Word:
     """A word evaluating back to r (word_to_element round-trips exactly).
 
@@ -74,8 +67,8 @@ def element_to_word(r: PartialBijection) -> Word:
     one_line = [r.images[x - 1] if r.images[x - 1] is not None else next(free) for x in range(1, n + 1)]
     word = _permutation_word(one_line)  # type: ignore[arg-type]
     for k in kills:
-        conj = _transposition_word(k)
-        word += conj + [EPS1] + conj
+        # c = s_{k-1} ... s_1 carries 1 to k, so c e{1} c^-1 = e{k}.
+        word += list(range(k - 1, 0, -1)) + [EPS1] + list(range(1, k))
     return tuple(word)
 
 

@@ -1,12 +1,17 @@
 """Exact PSD certification and the dense float kernels."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rookchar
 from rookchar.linalg import (
     NOT_PSD,
     PSD,
@@ -52,6 +57,24 @@ class TestPsdCertificate:
         assert cert.verdict == NOT_PSD
         assert cert.witness == (1, -1)
         assert m.quadratic_form(cert.witness) == -2
+
+    def test_witness_checked_under_optimize(self):
+        # The witness self-check must survive python -O, which strips asserts.
+        script = (
+            "from rookchar.linalg import NOT_PSD, RationalMatrix, psd_certificate\n"
+            "m = RationalMatrix.from_rows([[1, 2, 0], [2, 1, 0], [0, 0, 3]])\n"
+            "cert = psd_certificate(m)\n"
+            "assert False, 'asserts must be stripped'\n"
+            "print(cert.verdict, m.quadratic_form(cert.witness))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        verdict, value = proc.stdout.split()
+        assert verdict == NOT_PSD
+        assert Fraction(value) < 0
 
     def test_schur_complement_pivots(self):
         m = RationalMatrix.from_rows([[1, Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]])

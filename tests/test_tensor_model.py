@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rookchar.elements import (
 )
 from rookchar.errors import ResourceGuardError
 from rookchar.states import evaluate
+from rookchar.words import EPS1, element_to_word
 from rookchar.tensor_model import (
     ModelParams,
     TensorEmbedding,
@@ -148,6 +150,31 @@ class TestEmbedding:
                 np.kron(np.eye(d ** (k - 1)), qmat), np.eye(d ** (n - k))
             )
             assert np.allclose(emb.matrix(idempotent([k])), direct, atol=1e-12)
+
+    @pytest.mark.parametrize("twist", [True, False])
+    def test_structured_images_match_dense_products(self, twist):
+        # Reference: the left-to-right product of the dense generator images.
+        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"], twist=twist)
+        x = np.random.default_rng(7).standard_normal((emb.dim, 3))
+        for r in enumerate_rn(3):
+            images = [
+                emb.generator_eps1() if letter == EPS1 else emb.generator_s(letter)
+                for letter in element_to_word(r)
+            ]
+            dense = reduce(np.matmul, images, np.eye(emb.dim))
+            assert np.allclose(emb.matrix(r), dense, rtol=0, atol=1e-12), r.literal()
+            assert np.allclose(emb.apply(r, x), dense @ x, rtol=0, atol=1e-12), r.literal()
+
+    def test_pair_value_applies_middles_in_order(self):
+        emb = TensorEmbedding(ORACLE_PARAMS["t1_beta"])
+        x, y = parse_element("(1 2)e{1}"), parse_element("[2,_]")
+        tx, ty = emb.matrix(x), emb.matrix(y)
+        mids = (parse_element("(1 3)"), parse_element("(1 2 3)e{2}"))
+        dense = ty.T @ emb.matrix(mids[0]) @ emb.matrix(mids[1]) @ tx
+        assert emb.pair_value(mids, tx, ty) == pytest.approx(emb.psi(dense), abs=1e-14)
+        diag = emb.slot_diag(2, emb._a)
+        expected = emb.psi(ty.T @ np.diag(diag) @ tx)
+        assert emb.pair_value_diag(diag, tx, ty) == pytest.approx(expected, abs=1e-14)
 
     def test_guard(self):
         p = ModelParams.of(["1", "0", "0", "0"], ["1", "0", "0", "0"], [], 12)

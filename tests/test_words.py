@@ -42,6 +42,17 @@ def test_encoder_examples():
     assert word_to_element(w) == parse_element("[2,_]")
 
 
+@pytest.mark.parametrize("k", range(1, 7))
+def test_kill_word_length(k):
+    # e{k} = c e{1} c^-1 with c = s_{k-1} ... s_1.
+    assert len(element_to_word(idempotent([k]))) == 2 * k - 1
+
+
+@pytest.mark.parametrize("n, longest", [(3, 10), (4, 18)])
+def test_max_word_length(n, longest):
+    assert max(len(element_to_word(r)) for r in enumerate_rn(n)) == longest
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_roundtrip_exhaustive(n):
     for r in enumerate_rn(n):
