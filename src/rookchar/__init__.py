@@ -37,7 +37,7 @@ from .words import (
     verify_popova_relations,
     word_to_element,
 )
-from .linalg import PsdCertificate, RationalMatrix, psd_certificate
+from .linalg import PsdCertificate, RationalMatrix, psd_certificate, verify_certificate
 from .states import (
     GramReport,
     State,

@@ -57,7 +57,8 @@ def _float(value: float) -> str:
     return format(value, ".12g")
 
 
-def _load_state(args) -> states.State:
+def _load_state(args):
+    """The state; with ``--unchecked``, the unvalidated value function instead."""
     if getattr(args, "state", None):
         with open(args.state, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -66,21 +67,8 @@ def _load_state(args) -> states.State:
     if getattr(args, "unchecked", False):
         # Testing aid: bypass the mass bound so non-states can be fed to the
         # Gram certifier and produce genuine NotPSD witnesses.
-        return _unchecked_state(data)
+        return states.unchecked_value_fn(data)
     return states.State.from_json(data)
-
-
-def _unchecked_state(data: dict) -> states.State:
-    st = object.__new__(states.State)
-    thoma = object.__new__(states.ThomaParams)
-    object.__setattr__(thoma, "alpha", tuple(Fraction(a) for a in data.get("alpha", ())))
-    object.__setattr__(thoma, "beta", tuple(Fraction(b) for b in data.get("beta", ())))
-    mark = data.get("mark")
-    object.__setattr__(st, "thoma", thoma)
-    object.__setattr__(
-        st, "mark", None if mark is None else (int(mark["i"]), Fraction(mark["t"]))
-    )
-    return st
 
 
 def _elements_arg(args) -> list[PartialBijection]:

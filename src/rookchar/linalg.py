@@ -1,19 +1,19 @@
-"""Exact rational symmetric factorization and small dense kernels.
+"""Exact PSD certificates for symmetric rational matrices.
 
-The PSD certificate is the load-bearing piece: a pivoted LDL^T elimination
-over exact rationals that either produces a nonnegative pivot sequence
-reproducing the matrix, or an exact rational witness vector v with
-v^T M v < 0.  Dense float helpers for the tensor oracles are thin wrappers
-over numpy with explicit shape checks.
+``psd_certificate`` is the load-bearing piece: a pivoted symmetric
+elimination, done fraction-free on the denominator-cleared integer matrix,
+that either produces a nonnegative pivot sequence reproducing the matrix as
+P^T M P = L diag(pivots) L^T, or an exact rational witness vector v with
+v^T M v < 0.  ``verify_certificate`` rechecks either outcome independently.
+Everything here is exact; the float oracles live in ``tensor_model``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
-
-import numpy as np
 
 PSD = "PSD"
 NOT_PSD = "NotPSD"
@@ -93,16 +93,26 @@ class PsdCertificate:
 def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     """Certify positive semidefiniteness of a symmetric rational matrix.
 
+    The elimination runs fraction-free on integers (Bareiss): M is scaled by
+    the lcm of its denominators, and step k replaces each remaining entry by
+    ``(d a[i][j] - a[i][k] a[k][j]) / prev``, with d the current pivot entry
+    and prev the previous one.  By Sylvester's identity the division is exact
+    and every remaining entry is the rational Schur complement times a
+    positive leading minor, so signs and the pivot order are those of the
+    rational elimination, and ``pivots[k] = d / (prev * scale)``.
+
     Pivot rule: take the largest positive diagonal entry of the remaining
-    block; when none is positive the block must vanish identically, and any
-    surviving entry yields a witness (a negative diagonal gives a coordinate
-    vector, a nonzero off-diagonal over a zero diagonal gives e_i -/+ e_j),
-    back-substituted through the recorded factors to a witness for M itself.
+    block (ties go to the first index); when none is positive the block must
+    vanish identically, and any surviving entry yields a witness (a negative
+    diagonal gives a coordinate vector, a nonzero off-diagonal over a zero
+    diagonal gives e_i -/+ e_j), back-substituted through the recorded
+    factors to a witness for M itself.
     """
     if not m.is_symmetric():
         raise ValueError("psd_certificate requires a symmetric matrix")
     n = m.n
-    a = [list(row) for row in m.entries]
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
     lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     perm = list(range(n))
     pivots: list[Fraction] = []
@@ -133,6 +143,7 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
             raise RuntimeError(f"internal error: witness has quadratic form {value} >= 0")
         return PsdCertificate(NOT_PSD, witness=tuple(x))
 
+    prev = 1
     for k in range(n):
         best = None
         for j in range(k, n):
@@ -150,15 +161,19 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
             pivots.extend([Fraction(0)] * (n - k))
             break
         swap(best, k)
-        d = a[k][k]
-        pivots.append(d)
+        ak = a[k]
+        d = ak[k]
+        pivots.append(Fraction(d, prev * scale))
         for i in range(k + 1, n):
-            lower[i][k] = a[i][k] / d
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] -= lower[i][k] * d * lower[j][k]
-        for i in range(k + 1, n):
-            a[i][k] = a[k][i] = Fraction(0)
+            ai = a[i]
+            aik = ai[k]
+            lower[i][k] = Fraction(aik, d)
+            for j in range(i, n):
+                q, r = divmod(d * ai[j] - aik * ak[j], prev)
+                if r:
+                    raise RuntimeError(f"internal error: inexact division by pivot entry {prev}")
+                ai[j] = a[j][i] = q
+        prev = d
 
     return PsdCertificate(
         PSD,
@@ -168,29 +183,34 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     )
 
 
-# --- dense float kernels ------------------------------------------------------
+def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
+    """Check a certificate against its matrix independently, in exact arithmetic.
 
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul shape mismatch {a.shape} x {b.shape}")
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
-def trace(a: np.ndarray) -> float:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace needs a square matrix, got {a.shape}")
-    return float(np.trace(a))
-
-
-def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    a, v = np.asarray(a, dtype=float), np.asarray(v, dtype=float)
-    if a.ndim != 2 or v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise ValueError(f"apply shape mismatch {a.shape} x {v.shape}")
-    return a @ v
+    PSD: the pivots are nonnegative, the permutation is one, ``lower`` is unit
+    lower triangular, and (P^T M P)[i][j] == (L diag(pivots) L^T)[i][j] for
+    every entry.  NotPSD: the witness has a negative quadratic form.  The PSD
+    check is O(n^3) in Fractions, so it belongs in tests, not on a hot path.
+    """
+    n = m.n
+    if cert.verdict == NOT_PSD:
+        w = cert.witness
+        return w is not None and len(w) == n and m.quadratic_form(w) < 0
+    if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
+        return False
+    if not m.is_symmetric():
+        return False
+    perm, d, low = cert.permutation, cert.pivots, cert.lower
+    if sorted(perm) != list(range(n)) or len(d) != n or any(p < 0 for p in d):
+        return False
+    if len(low) != n or any(
+        len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
+    ):
+        return False
+    nonzero = [k for k in range(n) if d[k]]
+    scaled = [[low[i][k] * d[k] for k in nonzero] for i in range(n)]
+    return all(
+        m.entries[perm[i]][perm[j]]
+        == sum((s * low[j][k] for s, k in zip(scaled[i], nonzero)), Fraction(0))
+        for i in range(n)
+        for j in range(i + 1)
+    )

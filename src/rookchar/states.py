@@ -64,9 +64,13 @@ def thoma_character(p: ThomaParams, n: int) -> Fraction:
     """Value of the character on a plain cycle of length n >= 2."""
     if n < 2:
         raise ValueError("cycle length must be >= 2")
+    return _cycle_value(p.alpha, p.beta, n)
+
+
+def _cycle_value(alpha: Sequence[Fraction], beta: Sequence[Fraction], n: int) -> Fraction:
     return (
-        sum((a**n for a in p.alpha), Fraction(0))
-        + (-1) ** (n - 1) * sum((b**n for b in p.beta), Fraction(0))
+        sum((a**n for a in alpha), Fraction(0))
+        + (-1) ** (n - 1) * sum((b**n for b in beta), Fraction(0))
     )
 
 
@@ -137,11 +141,34 @@ def load_state(path: str) -> State:
 
 def evaluate(state: State, r: PartialBijection) -> Fraction:
     """The state value, multiplicative over the decomposition; f(e) = 1."""
+    return _product_value(state.thoma.alpha, state.thoma.beta, state.weight, state.quasi_base, r)
+
+
+def unchecked_value_fn(data: dict) -> Callable[[PartialBijection], Fraction]:
+    """The family's value formula on JSON parameters, with no validation.
+
+    A testing aid: parameters outside the state conditions (say mass > 1)
+    define no state, but their Gram matrices still get certified, and the
+    certifier answers with a genuine NotPSD witness.  A mark must still name
+    an alpha entry, since the formula reads it.
+    """
+    alpha = tuple(Fraction(a) for a in data.get("alpha", ()))
+    beta = tuple(Fraction(b) for b in data.get("beta", ()))
+    mark = data.get("mark")
+    t, base = Fraction(0), Fraction(0)
+    if mark is not None:
+        i = int(mark["i"])
+        if not 1 <= i <= len(alpha):
+            raise ValueError(f"marked index {i} out of range")
+        t, base = Fraction(mark["t"]), alpha[i - 1]
+    return lambda r: _product_value(alpha, beta, t, base, r)
+
+
+def _product_value(alpha, beta, t: Fraction, base: Fraction, r: PartialBijection) -> Fraction:
     value = Fraction(1)
-    t, base = state.weight, state.quasi_base
     for part in decompose(r):
         if part.kind == CYCLE:
-            value *= thoma_character(state.thoma, part.length)
+            value *= _cycle_value(alpha, beta, part.length)
         else:
             if not t:
                 return Fraction(0)
@@ -193,11 +220,15 @@ class GramReport:
 
 
 def gram_matrix(
-    state: State,
+    state,
     elements: Sequence[PartialBijection],
     ordering: str = STAR_JI,
 ) -> GramReport:
-    """The Gram matrix of the chosen ordering with its exact PSD certificate."""
+    """The Gram matrix of the chosen ordering with its exact PSD certificate.
+
+    ``state`` is a ``State`` or any value function, as for the sweeps.
+    """
+    f = _value_fn(state)
     elems = tuple(elements)
     if len(set(elems)) != len(elems):
         raise ValueError("Gram elements must be distinct")
@@ -208,9 +239,9 @@ def gram_matrix(
         row = []
         for rj in elems:
             if ordering == STAR_JI:
-                row.append(state.value(compose(star(rj), ri)))
+                row.append(f(compose(star(rj), ri)))
             else:
-                row.append(state.value(compose(ri, star(rj))))
+                row.append(f(compose(ri, star(rj))))
         rows.append(row)
     matrix = RationalMatrix.from_rows(rows)
     return GramReport(elems, ordering, matrix, psd_certificate(matrix))

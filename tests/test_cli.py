@@ -118,6 +118,13 @@ class TestGram:
         assert data["certificate"]["verdict"] == "NotPSD"
         assert data["certificate"]["witness"] is not None
 
+    def test_unchecked_mark_out_of_range_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad_mark.json"
+        path.write_text(json.dumps({"alpha": ["3/4"], "beta": [], "mark": {"i": 3, "t": "1"}}))
+        code, _, err = run(capsys, "gram", "--state", str(path), "--n", "2", "--unchecked")
+        assert code == EXIT_USAGE
+        assert "marked index 3" in err
+
 
 class TestVerify:
     def test_popova(self, capsys):

@@ -1,5 +1,6 @@
 """The central state family: values, classification, Gram matrices, sweeps."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,9 @@ from rookchar.states import (
     gram_matrix,
     make_state,
     thoma_character,
+    unchecked_value_fn,
 )
+from rookchar.linalg import NOT_PSD, verify_certificate
 from conftest import SUITE_STATES
 
 
@@ -202,6 +205,60 @@ class TestGram:
     def test_unknown_ordering(self):
         with pytest.raises(ValueError):
             gram_matrix(SUITE_STATES["running"], [identity()], "colMajor")
+
+    def test_value_function_accepted(self, suite_state):
+        elems = list(enumerate_rn(2))
+        report = gram_matrix(lambda r: evaluate(suite_state, r), elems)
+        assert report == gram_matrix(suite_state, elems)
+
+    def test_unchecked_value_fn(self, suite_state):
+        f = unchecked_value_fn(suite_state.to_json())
+        assert all(f(r) == evaluate(suite_state, r) for r in enumerate_rn(3))
+        overweight = {"alpha": ["3/4", "3/4"], "beta": [], "mark": {"i": 1, "t": "1"}}
+        with pytest.raises(ValueError):
+            State.from_json(overweight)
+        m = gram_matrix(unchecked_value_fn(overweight), list(enumerate_rn(2)))
+        assert m.certificate.verdict == NOT_PSD
+        assert verify_certificate(m.matrix, m.certificate)
+
+    # The 72 elements of R_4 whose domain holds 1, 2 and at least one of 3, 4.
+    # The running state gives a full-rank Gram with ~300-bit pivots; the
+    # markless zero extension vanishes off the 24 permutations, so rank 24.
+    # The product of the nonzero pivots does not depend on the element order.
+    R4_GRAM_DET = {
+        "running": (
+            72,
+            Fraction(
+                "3163533042399017307240237921109636166244237442822542641958390522472783054257484375/"
+                "188394925735594199605160269812340973028926619151656175891670565891349859923934692"
+                "3354628819035336577412801193722478890986766336"
+            ),
+        ),
+        "zero_extension": (
+            24,
+            Fraction(
+                "411044587746357653228759696400063569106143094734624065921/"
+                "6277101735386680763835789423207666416102355444464034512896"
+            ),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(R4_GRAM_DET))
+    def test_r4_gram_rank_and_pivot_product(self, name):
+        elems = [
+            r
+            for r in enumerate_rn(4)
+            if not {1, 2} & set(r.domain_gaps()) and not {3, 4} <= set(r.domain_gaps())
+        ]
+        assert len(elems) == 72
+        report = gram_matrix(SUITE_STATES[name], elems)
+        cert = report.certificate
+        assert cert.is_psd
+        nonzero = [p for p in cert.pivots if p]
+        rank, det = self.R4_GRAM_DET[name]
+        assert len(nonzero) == rank
+        assert math.prod(nonzero) == det
+        assert verify_certificate(report.matrix, cert)
 
 
 class _Corrupted:
