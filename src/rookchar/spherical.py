@@ -19,6 +19,7 @@ infinite value -- empirically the squared rate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,27 +60,42 @@ def _split(r: PartialBijection, n: int) -> tuple[list[int], tuple[int, ...]]:
     return line, kills
 
 
+@functools.lru_cache(maxsize=4)
+def _subset_basis(n: int, l: int) -> frozenset[tuple[int, ...]]:
+    """The basis labels of pi^(n,l): the sorted l-point subsets of 1..n."""
+    return frozenset(itertools.combinations(range(1, n + 1), l))
+
+
 def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     """Exact matrix coefficient of pi^(n,l)(r) at the spherical vector.
 
-    Built by explicitly acting on the subset basis; equals the closed-form
-    falling-factorial ratio.
+    The coefficient is (1/C(n,l)) times the number of pairs (A, B) of basis
+    subsets with <pi(r) e_A, e_B> = 1.  pi(r) kills e_A unless A contains
+    every killed point of r, and otherwise sends it to e_line(A), where line
+    is the one-line extension of r.  So only the subsets A = kills + S, with
+    S an (l-b)-subset of the remaining points, are acted on; each image is
+    looked up in the subset basis and the hits are counted.  This stays an
+    explicit action on the basis, hence a check of the closed form, with
+    O(C(n,l)) memory per model and C(n-b, l-b) images per call.
+
+    >>> from rookchar.elements import idempotent
+    >>> spherical_coeff(SphericalModel(4, 2), idempotent([1]))
+    Fraction(1, 2)
     """
     n, l = model.n, model.l
     size = math.comb(n, l)
     if size > MAX_BASIS:
         raise ResourceGuardError(f"basis of size C({n},{l}) = {size} exceeds the guard")
     line, kills = _split(r, n)
-    kill_set = set(kills)
-    basis = list(itertools.combinations(range(1, n + 1), l))
-    index = {a: i for i, a in enumerate(basis)}
-    matrix = np.zeros((size, size), dtype=np.int64)
-    for col, a in enumerate(basis):
-        if not kill_set <= set(a):
-            continue
-        image = tuple(sorted(line[x - 1] for x in a))
-        matrix[index[image], col] = 1
-    return Fraction(int(matrix.sum()), size)
+    if len(kills) > l:
+        return Fraction(0)
+    basis = _subset_basis(n, l)
+    rest = [x for x in range(1, n + 1) if x not in kills]
+    hits = 0
+    for extra in itertools.combinations(rest, l - len(kills)):
+        image = tuple(sorted(line[x - 1] for x in (*kills, *extra)))
+        hits += image in basis
+    return Fraction(hits, size)
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:
@@ -99,17 +115,8 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
     still hold u; permuting slots leaves the per-slot overlaps with u as a
     multiset, and each projected slot contributes (u, w)^2 = kappa^2.
     """
-    m = max(r.bound, 1)
-    line, kills = _split(r, m)
-    tags = ["pw" if x in set(kills) else "u" for x in range(1, m + 1)]
-    inverse = [0] * m
-    for x, y in enumerate(line, start=1):
-        inverse[y - 1] = x
-    permuted = [tags[inverse[j - 1] - 1] for j in range(1, m + 1)]
-    value = Fraction(1)
-    for tag in permuted:
-        value *= kappa**2 if tag == "pw" else Fraction(1)
-    return value
+    _, kills = _split(r, max(r.bound, 1))
+    return Fraction(kappa**2) ** len(kills)
 
 
 def slot_coefficient_table(

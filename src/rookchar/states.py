@@ -17,6 +17,7 @@ the constant 1.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,11 +68,20 @@ def thoma_character(p: ThomaParams, n: int) -> Fraction:
     return _cycle_value(p.alpha, p.beta, n)
 
 
-def _cycle_value(alpha: Sequence[Fraction], beta: Sequence[Fraction], n: int) -> Fraction:
+# The per-part factors depend only on the parameters and the part length, so
+# each distinct (parameters, length) pair is computed once; the arguments are
+# tuples of Fractions, hence hashable.
+@functools.lru_cache(maxsize=1024)
+def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int) -> Fraction:
     return (
         sum((a**n for a in alpha), Fraction(0))
         + (-1) ** (n - 1) * sum((b**n for b in beta), Fraction(0))
     )
+
+
+@functools.lru_cache(maxsize=1024)
+def _quasi_value(t: Fraction, base: Fraction, n: int) -> Fraction:
+    return t * base**n
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,13 @@ def load_state(path: str) -> State:
 
 
 def evaluate(state: State, r: PartialBijection) -> Fraction:
-    """The state value, multiplicative over the decomposition; f(e) = 1."""
+    """The state value, multiplicative over the decomposition; f(e) = 1.
+
+    >>> from rookchar.elements import parse_element
+    >>> state = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
+    >>> evaluate(state, parse_element("[2,3,_,4,_]"))
+    Fraction(1, 64)
+    """
     return _product_value(state.thoma.alpha, state.thoma.beta, state.weight, state.quasi_base, r)
 
 
@@ -172,7 +188,7 @@ def _product_value(alpha, beta, t: Fraction, base: Fraction, r: PartialBijection
         else:
             if not t:
                 return Fraction(0)
-            value *= t * base**part.length
+            value *= _quasi_value(t, base, part.length)
     return value
 
 

@@ -1,20 +1,46 @@
 """Finite spherical coefficients, the infinite slot model, and the limit table."""
 
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from rookchar.elements import compose, idempotent, parse_element, symmetric_group
+from rookchar.elements import (
+    compose,
+    enumerate_rn,
+    idempotent,
+    parse_element,
+    symmetric_group,
+)
 from rookchar.errors import ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
+    _split,
     infinite_spherical_value,
     slot_coefficient_table,
     spherical_coeff,
     spherical_coeff_closed_form,
     spherical_limit_check,
 )
+
+
+def dense_spherical_coeff(model, r):
+    """Reference: the full C(n,l) x C(n,l) matrix of pi(r), summed."""
+    n, l = model.n, model.l
+    size = math.comb(n, l)
+    line, kills = _split(r, n)
+    kill_set = set(kills)
+    basis = list(itertools.combinations(range(1, n + 1), l))
+    index = {a: i for i, a in enumerate(basis)}
+    matrix = np.zeros((size, size), dtype=np.int64)
+    for col, a in enumerate(basis):
+        if not kill_set <= set(a):
+            continue
+        image = tuple(sorted(line[x - 1] for x in a))
+        matrix[index[image], col] = 1
+    return Fraction(int(matrix.sum()), size)
 
 
 class TestFiniteCoefficients:
@@ -53,6 +79,22 @@ class TestFiniteCoefficients:
     def test_basis_guard(self):
         with pytest.raises(ResourceGuardError):
             spherical_coeff(SphericalModel(40, 20), idempotent([1]))
+
+    def test_equals_dense_matrix_sum_on_r4(self):
+        elems = list(enumerate_rn(4))
+        for n in range(4, 7):
+            for l in range(n + 1):
+                model = SphericalModel(n, l)
+                for r in elems:
+                    assert spherical_coeff(model, r) == dense_spherical_coeff(model, r), (
+                        n, l, r.literal(),
+                    )
+
+    def test_large_basis_under_the_guard(self):
+        # C(16,8) = 12870 is under the guard; a dense basis matrix would be 1.3 GB.
+        got = spherical_coeff(SphericalModel(16, 8), idempotent(range(1, 9)))
+        assert got == spherical_coeff_closed_form(16, 8, 8)
+        assert got == Fraction(1, 12870)
 
 
 class TestInfiniteModel:

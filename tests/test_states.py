@@ -15,7 +15,7 @@ from rookchar.elements import (
     star,
     symmetric_group,
 )
-from rookchar.quasicycles import QUASI, TRIVIAL, decompose
+from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose
 from rookchar.states import (
     I_STAR_J,
     STAR_JI,
@@ -259,6 +259,43 @@ class TestGram:
         assert len(nonzero) == rank
         assert math.prod(nonzero) == det
         assert verify_certificate(report.matrix, cert)
+
+
+def raw_cycle_value(alpha, beta, n):
+    return sum(a**n for a in alpha) + (-1) ** (n - 1) * sum(b**n for b in beta)
+
+
+def uncached_value(alpha, beta, t, base, r):
+    """The family formula from raw power sums, with no memoised factors."""
+    value = Fraction(1)
+    for part in decompose(r).parts:
+        n = part.length
+        value *= raw_cycle_value(alpha, beta, n) if part.kind == CYCLE else t * base**n
+    return value
+
+
+class TestFactorMemo:
+    """Memoised part factors must never leak between parameter sets."""
+
+    # Mass 4/3: the running state's alpha and quasi base with another beta
+    # and t, so a memo keyed on too few arguments returns a wrong factor.
+    OVERWEIGHT = {"alpha": ["1/2", "1/3"], "beta": ["1/2"], "mark": {"i": 1, "t": "1/3"}}
+
+    def test_interleaved_states_match_uncached_products(self):
+        fns = [(st.value, st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
+               for st in SUITE_STATES.values()]
+        alpha = tuple(Fraction(a) for a in self.OVERWEIGHT["alpha"])
+        beta = tuple(Fraction(b) for b in self.OVERWEIGHT["beta"])
+        fns.append((unchecked_value_fn(self.OVERWEIGHT), alpha, beta, Fraction(1, 3), alpha[0]))
+        for r in enumerate_rn(4):
+            for f, a, b, t, base in fns:
+                assert f(r) == uncached_value(a, b, t, base, r), r.literal()
+
+    def test_interleaved_thoma_characters(self):
+        for n in range(2, 8):
+            for st in SUITE_STATES.values():
+                p = st.thoma
+                assert thoma_character(p, n) == raw_cycle_value(p.alpha, p.beta, n)
 
 
 class _Corrupted:
