@@ -12,9 +12,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import algebra, spherical, states, tensor_model, words
+from . import algebra, spherical, states, words
 from .elements import PartialBijection, enumerate_rn, idempotent, parse_element
-from .errors import ParseError, ResourceGuardError
+from .errors import DEFAULT_MAX_DIM, ParseError, ResourceGuardError
 from .quasicycles import conjugacy_invariant, decompose
 
 EXIT_OK = 0
@@ -147,6 +147,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import tensor_model
+
     params = tensor_model.load_params(args.params)
     embedding = tensor_model.TensorEmbedding(params)
     rows = []
@@ -203,6 +205,8 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_okounkov(args) -> int:
+    from . import tensor_model
+
     params = tensor_model.load_params(args.params)
     embedding = tensor_model.TensorEmbedding(params)
     xs = [parse_element(args.x)] if args.x else list(enumerate_rn(2))
@@ -225,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Exit codes: 0 success, 2 usage/parse error, 3 property violation, "
             "4 resource guard. The ROOKCHAR_MAX_DIM environment variable bounds "
-            f"the dense tensor dimension d^N (default {tensor_model.DEFAULT_MAX_DIM})."
+            f"the dense tensor dimension d^N (default {DEFAULT_MAX_DIM})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -158,10 +158,6 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     return QuasiCycleDecomposition(tuple(quasi) + tuple(cycles) + tuple(trivial))
 
 
-def quasicycle_decompose(r: PartialBijection) -> QuasiCycleDecomposition:
-    return decompose(r)
-
-
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
     """The complete invariant of conjugation by finitary permutations."""
     parts = decompose(r).parts

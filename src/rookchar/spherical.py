@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .elements import PartialBijection
 from .errors import ResourceGuardError
 
@@ -129,18 +127,20 @@ def slot_coefficient_table(
     """
     out = []
     perp = math.sqrt(max(0.0, 1.0 - kappa_w * kappa_w))
-    u = np.array([kappa_w, perp])
-    proj = np.array([[1.0, 0.0], [0.0, 0.0]])
+    # Overlaps with u = (kappa_w, perp): a projected slot holds P u = (kappa_w, 0).
+    projected = kappa_w * kappa_w
+    unprojected = kappa_w * kappa_w + perp * perp
     for r in rs:
         m = max(r.bound, 1)
         line, kills = _split(r, m)
-        vectors = [proj @ u if x in set(kills) else u.copy() for x in range(1, m + 1)]
+        killed = set(kills)
+        overlaps = [projected if x in killed else unprojected for x in range(1, m + 1)]
         inverse = [0] * m
         for x, y in enumerate(line, start=1):
             inverse[y - 1] = x
         value = 1.0
         for j in range(1, m + 1):
-            value *= float(vectors[inverse[j - 1] - 1] @ u)
+            value *= overlaps[inverse[j - 1] - 1]
         out.append(value)
     return out
 

@@ -133,9 +133,6 @@ class State:
         )
 
 
-StateSpec = State
-
-
 def make_state(alpha: Iterable = (), beta: Iterable = (), mark=None) -> State:
     """Validate and build a state; raises ValueError on bad parameters."""
     if mark is not None:

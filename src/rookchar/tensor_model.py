@@ -20,6 +20,9 @@ At finite truncation a genuinely infinite regular block is unavailable, so
 slot k recycles regular coordinate k mod #regular.  Plain cycles whose slots
 collide on one regular coordinate pick up a spurious (1 - sum|a|)^len term;
 with sum|a| = 1 (empty regular set) the two routes agree on everything.
+
+This is the only module that imports numpy.  The package registers it
+without running it, so the exact layers and commands start without numpy.
 """
 
 from __future__ import annotations
@@ -38,10 +41,7 @@ from .elements import PartialBijection, transposition
 from .quasicycles import CYCLE, TRIVIAL, decompose
 from .states import State
 from .words import EPS1, element_to_word
-from .errors import ParseError, ResourceGuardError
-
-DEFAULT_MAX_DIM = 4096
-MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
+from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, ResourceGuardError
 
 
 @dataclass(frozen=True)

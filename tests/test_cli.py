@@ -1,9 +1,15 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import rookchar
+from rookchar import tensor_model
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 RUNNING_STATE = {
@@ -175,6 +181,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--params", path.as_posix(), "--n", "2")
         assert code == EXIT_GUARD and "guard" in err
 
+    def test_guard_reads_environment(self, capsys, params_file, monkeypatch):
+        # d^N = 4^3 = 64 passes the default guard but not a bound of 63.
+        monkeypatch.setenv("ROOKCHAR_MAX_DIM", "63")
+        code, _, err = run(capsys, "oracle", "--params", params_file, "--n", "2")
+        assert code == EXIT_GUARD and "ROOKCHAR_MAX_DIM" in err
+
 
 class TestSpherical:
     def test_all_idempotents_match(self, capsys):
@@ -213,3 +225,96 @@ class TestUsage:
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
+
+    def test_help_prints_the_oracle_guard_default(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK
+        assert f"(default {tensor_model.DEFAULT_MAX_DIM})" in " ".join(out.split())
+
+
+# Only the tensor oracle needs numpy; everything else must start without it.
+TENSOR_NAMES = (
+    "ModelParams",
+    "TensorEmbedding",
+    "marked_cycle_value",
+    "model_from_state",
+    "okounkov_check",
+    "okounkov_projection_check",
+    "phi_closed_form",
+    "phi_model",
+    "validate_params",
+)
+RUN_MAIN = """
+import contextlib, io, sys
+from rookchar.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def fresh_python(script, *args):
+    """Stdout of ``script`` run in a new interpreter that imports this rookchar."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+class TestImportBoundary:
+    @pytest.mark.parametrize("module", ["rookchar", "rookchar.cli"])
+    def test_import_leaves_numpy_out(self, module):
+        # The oracle module is registered, unexecuted, for code that patches it
+        # through sys.modules (perfbench/tracing.py).
+        script = (
+            f"import sys, {module}\n"
+            "print('numpy' in sys.modules, 'rookchar.tensor_model' in sys.modules)\n"
+        )
+        assert fresh_python(script) == ["False", "True"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            ["decompose", "[2,3,_,4,_]"],
+            ["eval", "--elem", "(1 2)e{1}"],
+            ["verify", "--suite", "centrality", "--n", "3"],
+            ["gram", "--n", "2"],
+            ["spherical", "--n", "5", "--l", "2", "--all-idempotents"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_exact_commands_leave_numpy_out(self, argv):
+        assert fresh_python(RUN_MAIN, *argv) == ["0", "False"]
+
+    def test_oracle_loads_numpy(self, params_file):
+        argv = ["oracle", "--params", params_file, "--n", "2"]
+        assert fresh_python(RUN_MAIN, *argv) == ["0", "True"]
+
+    def test_lazy_names_are_the_oracle_objects(self):
+        script = (
+            "import sys, rookchar\n"
+            "names = sys.argv[1:]\n"
+            "listed = set(names) <= set(dir(rookchar)) and set(names) <= set(rookchar.__all__)\n"
+            "print(listed, 'numpy' in sys.modules)\n"
+            "got = [getattr(rookchar, name) for name in names]\n"
+            "from rookchar import tensor_model\n"
+            "print(all(g is getattr(tensor_model, n) for g, n in zip(got, names)))\n"
+        )
+        assert fresh_python(script, *TENSOR_NAMES) == ["True", "False", "True"]
+
+    def test_star_import_loads_the_lazy_names(self):
+        script = (
+            "import sys\n"
+            "from rookchar import *\n"
+            "print(all(name in globals() for name in sys.argv[1:]), 'numpy' in sys.modules)\n"
+        )
+        assert fresh_python(script, *TENSOR_NAMES) == ["True", "True"]
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            rookchar.no_such_name
+        assert not hasattr(rookchar, "quasicycle_decompose")
+        assert not hasattr(rookchar, "StateSpec")
