@@ -11,7 +11,6 @@ from rookchar import (
     find_conjugator,
     parse_element,
     rn_size,
-    star,
 )
 
 # Two ways to write the same element: by its image list, or as a product of
@@ -23,8 +22,8 @@ print("images of 1..6:", [r(x) for x in range(1, 7)])
 print("support:", sorted(r.support()))
 
 # The involution is matrix transposition: it inverts the partial map.
-print("\nstar:", star(r).literal())
-print("r* r is the idempotent on the domain gaps:", compose(star(r), r).literal())
+print("\nstar:", r.star().literal())
+print("r* r is the idempotent on the domain gaps:", compose(r.star(), r).literal())
 
 # Every element factors into disjoint quasi-cycles, plain cycles, and
 # one-point idempotents; the product of the parts recovers the element.
@@ -38,7 +37,7 @@ r2 = parse_element("(4 5 6)e{6}e{1}")
 print("\nsame invariant as", r2.literal(), "->", conjugacy_invariant(r2).literal())
 s = find_conjugator(r, r2)
 print("conjugator s:", s.literal())
-print("s r2 s* == r:", compose(compose(s, r2), star(s)) == r)
+print("s r2 s* == r:", compose(compose(s, r2), s.star()) == r)
 
 # Exhaustive enumeration (guarded) follows the closed-form count.
 print("\n|R_n| for n = 0..5:", [rn_size(n) for n in range(6)])

@@ -20,14 +20,11 @@ from .elements import (
     idempotent,
     identity,
     parse_element,
-    render,
     rn_size,
-    star,
-    support,
     symmetric_group,
     transposition,
 )
-from .errors import ParseError, ResourceGuardError
+from .errors import CheckReport, ParseError, ResourceGuardError
 from .quasicycles import (
     ConjugacyInvariant,
     QuasiCycle,
@@ -36,7 +33,7 @@ from .quasicycles import (
     decompose,
     find_conjugator,
 )
-from .algebra import FormalSum, algebra_product, check_gelfand_pair, symmetrizer
+from .algebra import FormalSum, check_gelfand_pair, symmetrizer
 from .words import (
     EPS1,
     S,
@@ -120,12 +117,10 @@ __all__ = [
     "idempotent",
     "identity",
     "parse_element",
-    "render",
     "rn_size",
-    "star",
-    "support",
     "symmetric_group",
     "transposition",
+    "CheckReport",
     "ParseError",
     "ResourceGuardError",
     "ConjugacyInvariant",
@@ -135,7 +130,6 @@ __all__ = [
     "decompose",
     "find_conjugator",
     "FormalSum",
-    "algebra_product",
     "check_gelfand_pair",
     "symmetrizer",
     "EPS1",

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
+from .errors import CheckReport
 
 
 class FormalSum:
@@ -126,11 +126,6 @@ class FormalSum:
         return f"FormalSum({bits})"
 
 
-def algebra_product(a: FormalSum, b: FormalSum) -> FormalSum:
-    """Bilinear extension of the semigroup product."""
-    return a * b
-
-
 def symmetrizer(n: int) -> FormalSum:
     """The normalized symmetrizer (1/n!) * sum of all permutations of 1..n."""
     if n < 0:
@@ -139,20 +134,7 @@ def symmetrizer(n: int) -> FormalSum:
     return FormalSum((s, coeff) for s in symmetric_group(n))
 
 
-@dataclass(frozen=True)
-class GelfandReport:
-    n: int
-    basis_size: int
-    distinct_products: int
-    pairs_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_gelfand_pair(n: int, max_violations: int = 20) -> GelfandReport:
+def check_gelfand_pair(n: int, max_violations: int = 20) -> CheckReport:
     """Verify that symmetrized products p*a*p commute pairwise over R_n.
 
     Uses a precomputed multiplication table of R_n so the quadratic sweep
@@ -202,4 +184,6 @@ def check_gelfand_pair(n: int, max_violations: int = 20) -> GelfandReport:
                 violations.append(f"p {ea.literal()} p vs p {eb.literal()} p")
     # Equal sandwiches commute iff their representatives do, so checking the
     # distinct ones settles every basis pair.
-    return GelfandReport(n, len(basis), len(sandwiches), pairs, tuple(violations))
+    return CheckReport(
+        "gelfand", n, pairs, tuple(violations), basis=len(basis), distinct_products=len(sandwiches)
+    )

@@ -146,14 +146,6 @@ def compose(r1: PartialBijection, r2: PartialBijection) -> PartialBijection:
     return PartialBijection.from_images(images)
 
 
-def star(r: PartialBijection) -> PartialBijection:
-    return r.star()
-
-
-def support(r: PartialBijection) -> frozenset[int]:
-    return r.support()
-
-
 def identity() -> PartialBijection:
     return PartialBijection.identity()
 
@@ -190,11 +182,6 @@ def transposition(a: int, b: int) -> PartialBijection:
     return cycle((a, b))
 
 
-def permutation_from_images(images: Sequence[int]) -> PartialBijection:
-    """A permutation of 1..n given by its one-line notation."""
-    return PartialBijection.from_images(list(images))
-
-
 def symmetric_group(n: int) -> Iterator[PartialBijection]:
     """All permutations of {1..n}, in lexicographic one-line order."""
     for perm in itertools.permutations(range(1, n + 1)):
@@ -224,14 +211,10 @@ def sign(s: PartialBijection) -> int:
 # --- literals ---------------------------------------------------------------
 
 
-def render(r: PartialBijection) -> str:
-    return r.literal()
-
-
 def parse_element(text: str) -> PartialBijection:
     """Parse an element literal (image list or product form).
 
-    render(parse(text)) is a fixed point of render-after-parse.
+    ``parse_element(text).literal()`` is a fixed point of literal-after-parse.
 
     >>> parse_element("[2,3,_,4,_]").images
     (2, 3, None, 4, None)

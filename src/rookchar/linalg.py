@@ -56,10 +56,6 @@ class RationalMatrix:
     def to_json_rows(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
 
-    @staticmethod
-    def from_json_rows(rows: Sequence[Sequence[str]]) -> "RationalMatrix":
-        return RationalMatrix.from_rows(rows)
-
 
 @dataclass(frozen=True)
 class PsdCertificate:

@@ -18,12 +18,12 @@ the constant 1.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .elements import PartialBijection, compose, enumerate_rn, star, symmetric_group
+from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
+from .errors import CheckReport, ParseError
 from .linalg import PsdCertificate, RationalMatrix, psd_certificate
 from .quasicycles import CYCLE, decompose
 
@@ -125,12 +125,23 @@ class State:
 
     @staticmethod
     def from_json(data: dict) -> "State":
+        alpha, beta, mark = _json_params(data)
+        return State(ThomaParams(alpha, beta), mark)
+
+
+def _json_params(
+    data,
+) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, Fraction] | None]:
+    """alpha, beta and the mark (i, t) of state JSON; ParseError on a malformed value."""
+    try:
         mark = data.get("mark")
-        return make_state(
-            alpha=data.get("alpha", ()),
-            beta=data.get("beta", ()),
-            mark=None if mark is None else (int(mark["i"]), Fraction(mark["t"])),
+        return (
+            tuple(Fraction(a) for a in data.get("alpha", ())),
+            tuple(Fraction(b) for b in data.get("beta", ())),
+            None if mark is None else (int(mark["i"]), Fraction(mark["t"])),
         )
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed state JSON: {exc}") from exc
 
 
 def make_state(alpha: Iterable = (), beta: Iterable = (), mark=None) -> State:
@@ -139,11 +150,6 @@ def make_state(alpha: Iterable = (), beta: Iterable = (), mark=None) -> State:
         i, t = mark
         mark = (int(i), Fraction(t))
     return State(ThomaParams.of(alpha, beta), mark)
-
-
-def load_state(path: str) -> State:
-    with open(path, encoding="utf-8") as fh:
-        return State.from_json(json.load(fh))
 
 
 def evaluate(state: State, r: PartialBijection) -> Fraction:
@@ -165,15 +171,13 @@ def unchecked_value_fn(data: dict) -> Callable[[PartialBijection], Fraction]:
     certifier answers with a genuine NotPSD witness.  A mark must still name
     an alpha entry, since the formula reads it.
     """
-    alpha = tuple(Fraction(a) for a in data.get("alpha", ()))
-    beta = tuple(Fraction(b) for b in data.get("beta", ()))
-    mark = data.get("mark")
+    alpha, beta, mark = _json_params(data)
     t, base = Fraction(0), Fraction(0)
     if mark is not None:
-        i = int(mark["i"])
+        i, t = mark
         if not 1 <= i <= len(alpha):
             raise ValueError(f"marked index {i} out of range")
-        t, base = Fraction(mark["t"]), alpha[i - 1]
+        base = alpha[i - 1]
     return lambda r: _product_value(alpha, beta, t, base, r)
 
 
@@ -252,36 +256,15 @@ def gram_matrix(
         row = []
         for rj in elems:
             if ordering == STAR_JI:
-                row.append(f(compose(star(rj), ri)))
+                row.append(f(compose(rj.star(), ri)))
             else:
-                row.append(f(compose(ri, star(rj))))
+                row.append(f(compose(ri, rj.star())))
         rows.append(row)
     matrix = RationalMatrix.from_rows(rows)
     return GramReport(elems, ordering, matrix, psd_certificate(matrix))
 
 
 # --- property sweeps ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    n: int
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "suite": self.name,
-            "n": self.n,
-            "checked": self.checked,
-            "ok": self.ok,
-            "violations": list(self.violations[:20]),
-        }
 
 
 def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
@@ -328,7 +311,7 @@ def check_star_symmetry(state, n: int, max_violations: int = 20) -> CheckReport:
     violations: list[str] = []
     for r in enumerate_rn(n):
         checked += 1
-        if f(star(r)) != f(r) and len(violations) < max_violations:
+        if f(r.star()) != f(r) and len(violations) < max_violations:
             violations.append(r.literal())
     return CheckReport("star-symmetry", n, checked, tuple(violations))
 

@@ -91,12 +91,14 @@ class ModelParams:
 
     @staticmethod
     def from_json(data: dict) -> "ModelParams":
-        return ModelParams.of(
-            (Fraction(a) for a in data["a_diag"]),
-            (_parse_sqrt(tok) for tok in data["v"]),
-            data.get("regular", ()),
-            data["N"],
-        )
+        try:
+            a_diag = tuple(Fraction(a) for a in data["a_diag"])
+            v_sq = tuple(_parse_sqrt(tok) for tok in data["v"])
+            regular = tuple(sorted(int(j) for j in data.get("regular", ())))
+            slots = int(data["N"])
+        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed model parameters: {exc}") from exc
+        return ModelParams(a_diag, v_sq, regular, slots)
 
 
 def _format_sqrt(q: Fraction) -> str:
@@ -131,15 +133,6 @@ class ModelValidation:
 
     def failures(self) -> tuple[str, ...]:
         return tuple(f"({code}) {detail}" for code, ok, detail in self.conditions if not ok)
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "conditions": [
-                {"condition": code, "ok": ok, "detail": detail}
-                for code, ok, detail in self.conditions
-            ],
-        }
 
 
 def validate_params(p: ModelParams) -> ModelValidation:
@@ -382,10 +375,6 @@ class OkounkovReport:
     target: float
     values: tuple[tuple[int, float], ...]
     max_deviation: float
-
-    @property
-    def stabilized(self) -> bool:
-        return self.max_deviation <= 1e-12
 
     def to_json(self) -> dict:
         return {

@@ -11,9 +11,8 @@ c e{1} c^-1 with c = s_{k-1} ... s_1, a word of length 2k - 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .elements import PartialBijection, compose, idempotent, transposition
+from .errors import CheckReport
 
 EPS1 = 0
 Word = tuple[int, ...]
@@ -72,20 +71,7 @@ def element_to_word(r: PartialBijection) -> Word:
     return tuple(word)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Outcome of checking the defining relations up to a generator index."""
-
-    max_index: int
-    checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def verify_popova_relations(n: int) -> RelationReport:
+def verify_popova_relations(n: int) -> CheckReport:
     """Check the five relation families for generator indices <= n.
 
     Families: s_i^2 = e; far commutation; braid; e{1}^2 = e{1}; and the two
@@ -110,4 +96,4 @@ def verify_popova_relations(n: int) -> RelationReport:
     expect("idempotent e1", (EPS1, EPS1), (EPS1,))
     expect("mixed e1 s1 e1 s1", (EPS1, 1, EPS1, 1), (1, EPS1, 1, EPS1))
     expect("mixed e1 s1 e1", (EPS1, 1, EPS1, 1), (EPS1, 1, EPS1))
-    return RelationReport(n, checked, tuple(violations))
+    return CheckReport("popova", n, checked, tuple(violations))

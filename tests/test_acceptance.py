@@ -19,7 +19,6 @@ from rookchar.elements import (
     idempotent,
     identity,
     parse_element,
-    star,
     symmetric_group,
 )
 from rookchar.quasicycles import (
@@ -117,7 +116,7 @@ def test_criterion_03_conjugacy_r4():
             if same_invariant:
                 s = find_conjugator(elems[i], elems[j])
                 assert s is not None
-                assert compose(compose(s, elems[j]), star(s)) == elems[i]
+                assert compose(compose(s, elems[j]), s.star()) == elems[i]
 
 
 def test_criterion_04_gelfand_pair():
@@ -203,7 +202,7 @@ def test_criterion_10_state_property_suites_n4():
                 check_conjugation_invariance,
             ):
                 report = check(state, 4)
-                assert report.ok, (report.name, report.violations)
+                assert report.ok, (report.suite, report.violations)
 
 
 def test_criterion_11_spherical_coefficients():

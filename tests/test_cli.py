@@ -158,6 +158,90 @@ class TestVerify:
         assert code == EXIT_USAGE
 
 
+# Exact stdout of each suite at small n, with the built-in state.
+VERIFY_GOLDEN = {
+    ("popova", "3"): '{"checked": 9, "n": 3, "ok": true, "suite": "popova", "violations": []}',
+    ("gelfand", "2"): (
+        '{"basis": 7, "checked": 3, "distinct_products": 3, "n": 2, "ok": true, '
+        '"suite": "gelfand", "violations": []}'
+    ),
+    ("gelfand", "3"): (
+        '{"basis": 34, "checked": 6, "distinct_products": 4, "n": 3, "ok": true, '
+        '"suite": "gelfand", "violations": []}'
+    ),
+    ("centrality", "2"): (
+        '{"checked": 14, "n": 2, "ok": true, "suite": "centrality", "violations": []}'
+    ),
+    ("multiplicativity", "3"): (
+        '{"checked": 49, "n": 3, "ok": true, "suite": "multiplicativity", "violations": []}'
+    ),
+    ("star", "3"): (
+        '{"checked": 34, "n": 3, "ok": true, "suite": "star-symmetry", "violations": []}'
+    ),
+    ("conjugation", "2"): (
+        '{"checked": 14, "n": 2, "ok": true, "suite": "conjugation-invariance", "violations": []}'
+    ),
+}
+VERIFY_HELP = """\
+usage: rookchar verify [-h] --suite
+                       {centrality,multiplicativity,gelfand,popova,star,conjugation}
+                       --n N [--state STATE]
+
+options:
+  -h, --help            show this help message and exit
+  --suite {centrality,multiplicativity,gelfand,popova,star,conjugation}
+  --n N
+  --state STATE
+"""
+
+
+class TestVerifyGolden:
+    @pytest.mark.parametrize("suite, n", sorted(VERIFY_GOLDEN), ids="-".join)
+    def test_stdout_bytes(self, capsys, suite, n):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", n)
+        assert (code, out, err) == (EXIT_OK, VERIFY_GOLDEN[suite, n] + "\n", "")
+
+    def test_help_bytes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, "verify", "--help")
+        assert (code, out) == (EXIT_OK, VERIFY_HELP)
+
+    def test_stateless_suites_ignore_state(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "popova", "--n", "3", "--state", "/nope")
+        assert (code, out) == (EXIT_OK, VERIFY_GOLDEN["popova", "3"] + "\n")
+
+    def test_state_suites_read_state(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "star", "--n", "3", "--state", "/nope")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ")
+
+
+# Well-formed JSON of the wrong shape, or a literal with a zero denominator.
+MALFORMED_JSON = [
+    ("eval", "--state", {"alpha": 5}),
+    ("eval", "--state", [1, 2]),
+    ("eval", "--state", {"alpha": [None]}),
+    ("eval", "--state", {"alpha": ["1/0"]}),
+    ("gram", "--state", {"alpha": ["1/2"], "mark": 5}),
+    ("oracle", "--params", {"a_diag": 5, "v": [], "N": 2}),
+    ("oracle", "--params", {"a_diag": ["1/0"], "v": ["1"], "N": 2}),
+]
+COMMAND_TAIL = {"eval": ["--elem", "e"], "gram": ["--n", "2"], "oracle": ["--n", "2"]}
+
+
+@pytest.mark.parametrize(
+    "command, flag, data",
+    MALFORMED_JSON,
+    ids=[f"{command} {json.dumps(data)}" for command, _, data in MALFORMED_JSON],
+)
+def test_malformed_json_exits_2(capsys, tmp_path, command, flag, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ")
+
+
 class TestOracle:
     def test_agreement_table(self, capsys, params_file):
         code, out, _ = run(capsys, "oracle", "--params", params_file, "--n", "3")
@@ -318,3 +402,35 @@ class TestImportBoundary:
             rookchar.no_such_name
         assert not hasattr(rookchar, "quasicycle_decompose")
         assert not hasattr(rookchar, "StateSpec")
+        for name in ("algebra_product", "render", "star", "support"):
+            assert not hasattr(rookchar, name)
+        assert not hasattr(rookchar.elements, "permutation_from_images")
+        assert not hasattr(rookchar.states, "load_state")
+        assert not hasattr(rookchar.RationalMatrix, "from_json_rows")
+        assert not hasattr(tensor_model.ModelValidation, "to_json")
+        assert not hasattr(tensor_model.OkounkovReport, "stabilized")
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+class TestTracerCoverage:
+    """The benchmark's tracer patches module globals, so the sweeps must be
+    looked up at call time for ``--trace 1`` to time them."""
+
+    @pytest.fixture
+    def tracing(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import tracing
+
+        return tracing
+
+    def test_verify_sweeps_are_traced(self, capsys, tracing):
+        tracer = tracing.Tracer()
+        with tracing.installed(tracer):
+            assert main(["verify", "--suite", "centrality", "--n", "2"]) == EXIT_OK
+            assert main(["verify", "--suite", "gelfand", "--n", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert tracer.stats["states.check_centrality"].calls == 1
+        assert tracer.stats["algebra.check_gelfand_pair"].calls == 1
+        assert tracer.values["algebra.distinct_products"] == [4]

@@ -12,7 +12,6 @@ from rookchar.elements import (
     identity,
     parse_element,
     sign,
-    star,
     symmetric_group,
 )
 from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose
