@@ -66,6 +66,14 @@ class PartialBijection:
         if bound and self.images[-1] == bound:
             raise ValueError("not canonical: trailing fixed point")
 
+    # Written out because decompose's cache compares every element it looks
+    # up; the generated method would build two 1-tuples per comparison.  The
+    # generated __hash__ is kept.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.images == other.images
+        return NotImplemented
+
     @staticmethod
     def from_images(images: Sequence[int | None]) -> "PartialBijection":
         """Build an element from an image list, trimming trailing fixed points."""
@@ -73,6 +81,23 @@ class PartialBijection:
         while imgs and imgs[-1] == len(imgs):
             imgs.pop()
         return PartialBijection(tuple(imgs))
+
+    @classmethod
+    def _canonical(cls, images: Sequence[int | None]) -> "PartialBijection":
+        """Trim trailing fixed points and wrap ``images`` without validation.
+
+        Only for image lists that are injective partial maps of 1..len by
+        construction (products and inverses of valid elements); outside input
+        goes through :meth:`from_images`.
+        """
+        bound = len(images)
+        if bound and images[-1] == bound:
+            while bound and images[bound - 1] == bound:
+                bound -= 1
+            images = images[:bound]
+        element = object.__new__(cls)
+        object.__setattr__(element, "images", tuple(images))
+        return element
 
     @staticmethod
     def identity() -> "PartialBijection":
@@ -119,7 +144,7 @@ class PartialBijection:
         for x, y in enumerate(self.images, start=1):
             if y is not None:
                 inv[y - 1] = x
-        return PartialBijection.from_images(inv)
+        return PartialBijection._canonical(inv)
 
     def __mul__(self, other: "PartialBijection") -> "PartialBijection":
         if not isinstance(other, PartialBijection):
@@ -138,12 +163,14 @@ class PartialBijection:
 
 def compose(r1: PartialBijection, r2: PartialBijection) -> PartialBijection:
     """The semigroup product r1 * r2, acting by x -> r1(r2(x))."""
-    bound = max(r1.bound, r2.bound)
-    images: list[int | None] = []
-    for x in range(1, bound + 1):
-        y = r2(x)
-        images.append(None if y is None else r1(y))
-    return PartialBijection.from_images(images)
+    outer, inner = r1.images, r2.images
+    # Pad both image tuples with their implicit fixed points to a common bound.
+    n1, n2 = len(outer), len(inner)
+    if n1 < n2:
+        outer += tuple(range(n1 + 1, n2 + 1))
+    elif n2 < n1:
+        inner += tuple(range(n2 + 1, n1 + 1))
+    return PartialBijection._canonical([None if y is None else outer[y - 1] for y in inner])
 
 
 def identity() -> PartialBijection:

@@ -1,4 +1,4 @@
-"""Types shared by every layer: exceptions, the sweep report, resource-guard limits."""
+"""Shared by every layer: exceptions, JSON integer reading, the sweep report, guard limits."""
 
 from dataclasses import dataclass
 
@@ -11,6 +11,24 @@ MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
 
 class ParseError(ValueError):
     """Raised when an element literal or a JSON config cannot be parsed."""
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input: an int, an integral float or a decimal string.
+
+    ``int()`` alone would truncate ``1.9`` to 1 and read ``true`` as 1; a bool,
+    a float with a fractional part or any other value raises ParseError.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what} must be an integer, got {value!r}")
 
 
 class ResourceGuardError(RuntimeError):

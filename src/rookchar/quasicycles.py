@@ -21,7 +21,7 @@ parts ascending, which makes the decomposition a canonical form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .elements import (
@@ -80,7 +80,10 @@ class QuasiCycle:
 
 @dataclass(frozen=True)
 class QuasiCycleDecomposition:
+    """The parts in canonical order, with the element's conjugacy invariant."""
+
     parts: tuple[QuasiCycle, ...]
+    invariant: ConjugacyInvariant
 
     def element(self) -> PartialBijection:
         """The product of the parts (any order; supports are disjoint)."""
@@ -103,6 +106,15 @@ class ConjugacyInvariant:
     q_partition: tuple[int, ...]
     c_partition: tuple[int, ...]
     trivial_count: int
+    # Hashed once: state values are looked up by invariant on every evaluation.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        key = (self.q_partition, self.c_partition, self.trivial_count)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def literal(self) -> str:
         q = ",".join(map(str, self.q_partition))
@@ -110,9 +122,21 @@ class ConjugacyInvariant:
         return f"(({q}),({c}),{self.trivial_count})"
 
 
+# Equal invariants share one object, so decompose's cache does not hold a copy
+# per element: R_6's 13,327 elements fall into 65 classes.
+_interned_invariant = functools.lru_cache(maxsize=4096)(ConjugacyInvariant)
+
+
 @functools.lru_cache(maxsize=65536)
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
-    """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts."""
+    """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
+
+    The result also carries r's :class:`ConjugacyInvariant`, computed here once
+    per cache miss and shared with every element of the same class.
+
+    >>> decompose(parse_element("(1 2)e{3}")).invariant.literal()
+    '((),(2),1)'
+    """
     bound = r.bound
     in_domain = [y is not None for y in r.images]
     in_range = [False] * bound
@@ -155,16 +179,24 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
 
     quasi.sort(key=lambda p: min(p.orbit))
     cycles.sort(key=lambda p: min(p.orbit))
-    return QuasiCycleDecomposition(tuple(quasi) + tuple(cycles) + tuple(trivial))
+    invariant = _interned_invariant(
+        tuple(sorted((len(p.orbit) for p in quasi), reverse=True)),
+        tuple(sorted((len(p.orbit) for p in cycles), reverse=True)),
+        len(trivial),
+    )
+    return QuasiCycleDecomposition(tuple(quasi) + tuple(cycles) + tuple(trivial), invariant)
 
 
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
-    """The complete invariant of conjugation by finitary permutations."""
-    parts = decompose(r).parts
-    q = sorted((p.length for p in parts if p.kind == QUASI), reverse=True)
-    c = sorted((p.length for p in parts if p.kind == CYCLE), reverse=True)
-    m = sum(1 for p in parts if p.kind == TRIVIAL)
-    return ConjugacyInvariant(tuple(q), tuple(c), m)
+    """The complete invariant of conjugation by finitary permutations.
+
+    Read off :func:`decompose`'s cached result, so it costs one cache lookup.
+
+    >>> a, b = parse_element("(1 2)e{3}"), parse_element("(2 3)e{1}")
+    >>> conjugacy_invariant(a) is conjugacy_invariant(b)
+    True
+    """
+    return decompose(r).invariant
 
 
 def find_conjugator(

@@ -13,6 +13,13 @@ an element is the product over the quasi-cycle decomposition:
 With the mark absent this covers the zero-extension states (including the
 sign state alpha=(), beta=(1,)); with alpha=(1,) and t=1 it degenerates to
 the constant 1.
+
+Values are memoised per conjugacy class.  The states are S_infinity-invariant,
+f(s r s^-1) = f(r) for every finitary permutation s, so a value depends only on
+the element's :class:`~rookchar.quasicycles.ConjugacyInvariant` (the orbit
+sizes of its quasi-cycles and plain cycles and its trivial count).  Each
+parameter set keeps one table from invariant to value (:class:`ValueTable`),
+and an element costs a cached decomposition plus one dictionary lookup.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
-from .errors import CheckReport, ParseError
+from .errors import CheckReport, ParseError, json_int
 from .linalg import PsdCertificate, RationalMatrix, psd_certificate
-from .quasicycles import CYCLE, decompose
+from .quasicycles import ConjugacyInvariant, decompose
 
 # Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
 # f(r_i r_j*) for I_STAR_J.
@@ -68,10 +75,6 @@ def thoma_character(p: ThomaParams, n: int) -> Fraction:
     return _cycle_value(p.alpha, p.beta, n)
 
 
-# The per-part factors depend only on the parameters and the part length, so
-# each distinct (parameters, length) pair is computed once; the arguments are
-# tuples of Fractions, hence hashable.
-@functools.lru_cache(maxsize=1024)
 def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int) -> Fraction:
     return (
         sum((a**n for a in alpha), Fraction(0))
@@ -79,9 +82,44 @@ def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int
     )
 
 
-@functools.lru_cache(maxsize=1024)
-def _quasi_value(t: Fraction, base: Fraction, n: int) -> Fraction:
-    return t * base**n
+class ValueTable:
+    """The family's value function for one parameter set, memoised by class.
+
+    ``by_class`` maps each conjugacy invariant met so far to its value.  On a
+    miss the value is the product of the cycle factors, ``t * base**n`` for
+    each quasi-cycle of n points and ``(t * base)**trivial_count``.
+    """
+
+    __slots__ = ("alpha", "beta", "t", "base", "by_class")
+
+    def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
+                 t: Fraction, base: Fraction):
+        self.alpha, self.beta, self.t, self.base = alpha, beta, t, base
+        self.by_class: dict[ConjugacyInvariant, Fraction] = {}
+
+    def value(self, r: PartialBijection) -> Fraction:
+        invariant = decompose(r).invariant
+        try:
+            return self.by_class[invariant]
+        except KeyError:
+            value = self.by_class[invariant] = self._class_value(invariant)
+            return value
+
+    # A table is also a plain value function; evaluate and the sweeps call
+    # the method, which skips the slower call through __call__.
+    __call__ = value
+
+    def _class_value(self, invariant: ConjugacyInvariant) -> Fraction:
+        value = Fraction(1)
+        for n in invariant.c_partition:
+            value *= _cycle_value(self.alpha, self.beta, n)
+        if invariant.q_partition or invariant.trivial_count:
+            if not self.t:
+                return Fraction(0)
+            for n in invariant.q_partition:
+                value *= self.t * self.base**n
+            value *= (self.t * self.base) ** invariant.trivial_count
+        return value
 
 
 @dataclass(frozen=True)
@@ -109,6 +147,11 @@ class State:
     @property
     def weight(self) -> Fraction:
         return Fraction(0) if self.mark is None else self.mark[1]
+
+    @functools.cached_property
+    def table(self) -> ValueTable:
+        """This state's values, memoised by conjugacy class."""
+        return ValueTable(self.thoma.alpha, self.thoma.beta, self.weight, self.quasi_base)
 
     def value(self, r: PartialBijection) -> Fraction:
         return evaluate(self, r)
@@ -138,8 +181,10 @@ def _json_params(
         return (
             tuple(Fraction(a) for a in data.get("alpha", ())),
             tuple(Fraction(b) for b in data.get("beta", ())),
-            None if mark is None else (int(mark["i"]), Fraction(mark["t"])),
+            None if mark is None else (json_int(mark["i"], "mark 'i'"), Fraction(mark["t"])),
         )
+    except KeyError as exc:  # only the mark's fields are looked up by key
+        raise ParseError(f"malformed state JSON: mark needs {exc}") from exc
     except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"malformed state JSON: {exc}") from exc
 
@@ -159,11 +204,18 @@ def evaluate(state: State, r: PartialBijection) -> Fraction:
     >>> state = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
     >>> evaluate(state, parse_element("[2,3,_,4,_]"))
     Fraction(1, 64)
+
+    Conjugate elements share one entry of the state's table:
+
+    >>> evaluate(state, parse_element("(1 2)e{3}")), evaluate(state, parse_element("(2 3)e{1}"))
+    (Fraction(1, 12), Fraction(1, 12))
+    >>> len(state.table.by_class)
+    2
     """
-    return _product_value(state.thoma.alpha, state.thoma.beta, state.weight, state.quasi_base, r)
+    return state.table.value(r)
 
 
-def unchecked_value_fn(data: dict) -> Callable[[PartialBijection], Fraction]:
+def unchecked_value_fn(data: dict) -> ValueTable:
     """The family's value formula on JSON parameters, with no validation.
 
     A testing aid: parameters outside the state conditions (say mass > 1)
@@ -178,19 +230,7 @@ def unchecked_value_fn(data: dict) -> Callable[[PartialBijection], Fraction]:
         if not 1 <= i <= len(alpha):
             raise ValueError(f"marked index {i} out of range")
         base = alpha[i - 1]
-    return lambda r: _product_value(alpha, beta, t, base, r)
-
-
-def _product_value(alpha, beta, t: Fraction, base: Fraction, r: PartialBijection) -> Fraction:
-    value = Fraction(1)
-    for part in decompose(r):
-        if part.kind == CYCLE:
-            value *= _cycle_value(alpha, beta, part.length)
-        else:
-            if not t:
-                return Fraction(0)
-            value *= _quasi_value(t, base, part.length)
-    return value
+    return ValueTable(alpha, beta, t, base)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from .elements import PartialBijection, transposition
 from .quasicycles import CYCLE, TRIVIAL, decompose
 from .states import State
 from .words import EPS1, element_to_word
-from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, ResourceGuardError
+from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, ResourceGuardError, json_int
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,12 @@ class ModelParams:
         try:
             a_diag = tuple(Fraction(a) for a in data["a_diag"])
             v_sq = tuple(_parse_sqrt(tok) for tok in data["v"])
-            regular = tuple(sorted(int(j) for j in data.get("regular", ())))
-            slots = int(data["N"])
+            regular = tuple(
+                sorted(json_int(j, "regular coordinate") for j in data.get("regular", ()))
+            )
+            slots = json_int(data["N"], "'N'")
+        except KeyError as exc:
+            raise ParseError(f"malformed model parameters: missing {exc}") from exc
         except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"malformed model parameters: {exc}") from exc
         return ModelParams(a_diag, v_sq, regular, slots)

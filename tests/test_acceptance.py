@@ -241,3 +241,12 @@ def test_criterion_12_okounkov_stabilization():
             for y in spot_vectors:
                 dev = okounkov_projection_check(projection, 3, x, y, proj_embedding)
                 assert dev <= 1e-12
+
+
+def test_criterion_13_fast_sweeps_n5():
+    with criterion(13, "centrality and conjugation at n = 5 for the running state", 8.0):
+        state = SUITE_STATES["running"]
+        for check in (check_centrality, check_conjugation_invariance):
+            report = check(state, 5)
+            assert report.ok, (report.suite, report.violations)
+            assert report.checked == 1546 * 120

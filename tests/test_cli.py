@@ -225,6 +225,13 @@ MALFORMED_JSON = [
     ("gram", "--state", {"alpha": ["1/2"], "mark": 5}),
     ("oracle", "--params", {"a_diag": 5, "v": [], "N": 2}),
     ("oracle", "--params", {"a_diag": ["1/0"], "v": ["1"], "N": 2}),
+    # Non-integral integer fields: never truncated by int().
+    ("eval", "--state", dict(RUNNING_STATE, mark={"i": 1.9, "t": "1/2"})),
+    ("eval", "--state", dict(RUNNING_STATE, mark={"i": True, "t": "1/2"})),
+    ("eval", "--state", dict(RUNNING_STATE, mark={"i": "1/2", "t": "1/2"})),
+    ("oracle", "--params", dict(ORACLE_PARAMS, N=3.9)),
+    ("oracle", "--params", dict(ORACLE_PARAMS, N=True)),
+    ("oracle", "--params", dict(ORACLE_PARAMS, regular=[1.5])),
 ]
 COMMAND_TAIL = {"eval": ["--elem", "e"], "gram": ["--n", "2"], "oracle": ["--n", "2"]}
 
@@ -240,6 +247,45 @@ def test_malformed_json_exits_2(capsys, tmp_path, command, flag, data):
     code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ")
+
+
+# A missing required key names the field, not just the bare key.
+MISSING_FIELD = [
+    ("eval", "--state", dict(RUNNING_STATE, mark={"t": "1/2"}),
+     "error: malformed state JSON: mark needs 'i'\n"),
+    ("eval", "--state", dict(RUNNING_STATE, mark={"i": 1}),
+     "error: malformed state JSON: mark needs 't'\n"),
+    ("oracle", "--params", {k: v for k, v in ORACLE_PARAMS.items() if k != "N"},
+     "error: malformed model parameters: missing 'N'\n"),
+    ("oracle", "--params", {k: v for k, v in ORACLE_PARAMS.items() if k != "a_diag"},
+     "error: malformed model parameters: missing 'a_diag'\n"),
+    ("oracle", "--params", {k: v for k, v in ORACLE_PARAMS.items() if k != "v"},
+     "error: malformed model parameters: missing 'v'\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, message",
+    MISSING_FIELD,
+    ids=[f"{command} {json.dumps(data)}" for command, _, data, _ in MISSING_FIELD],
+)
+def test_missing_field_is_named(capsys, tmp_path, command, flag, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("mark_i, slots", [(1.0, 3.0), ("1", "3")])
+def test_integral_json_numbers_still_accepted(capsys, tmp_path, mark_i, slots):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(dict(RUNNING_STATE, mark={"i": mark_i, "t": "1/2"})))
+    code, out, _ = run(capsys, "eval", "--state", str(state), "--elem", "e{1}")
+    assert (code, out) == (EXIT_OK, "1/4\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(dict(ORACLE_PARAMS, N=slots)))
+    code, out, _ = run(capsys, "oracle", "--params", str(params), "--n", "1")
+    assert code == EXIT_OK and len(json.loads(out)["rows"]) == 2
 
 
 class TestOracle:

@@ -26,3 +26,15 @@ def test_module_doctests(module):
     result = doctest.testmod(module, verbose=False)
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_memo_sharing_is_shown_by_doctests():
+    """The examples that show conjugate elements sharing one memo entry run above."""
+    finder = doctest.DocTestFinder()
+    with_examples = {
+        test.name
+        for module in (rookchar.states, rookchar.quasicycles)
+        for test in finder.find(module)
+        if test.examples
+    }
+    assert {"rookchar.states.evaluate", "rookchar.quasicycles.conjugacy_invariant"} <= with_examples

@@ -1,6 +1,7 @@
 """Element arithmetic: literals, composition, involution, support, enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,51 @@ class TestCompose:
     @given(partial_bijections(), partial_bijections(), partial_bijections())
     def test_associativity_random(self, a, b, c):
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+
+def reference_compose(r1, r2):
+    """r1 * r2 point by point through the validating constructor."""
+    bound = max(r1.bound, r2.bound)
+    images = []
+    for x in range(1, bound + 1):
+        y = r2(x)
+        images.append(None if y is None else r1(y))
+    return PartialBijection.from_images(images)
+
+
+def r5_sample_pairs(count=5000, seed=20250818):
+    elems = list(enumerate_rn(5))
+    rng = random.Random(seed)
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(count)]
+
+
+class TestTrustedConstructor:
+    """compose and star skip validation; their results must still be canonical."""
+
+    def test_compose_matches_validated_reference_r3(self):
+        for a, b in itertools.product(enumerate_rn(3), repeat=2):
+            assert compose(a, b) == reference_compose(a, b), (a, b)
+
+    def test_compose_matches_validated_reference_r5_sample(self):
+        for a, b in r5_sample_pairs():
+            assert compose(a, b) == reference_compose(a, b), (a, b)
+
+    def test_mixed_bounds_are_padded_and_trimmed(self):
+        # The shorter factor's implicit fixed points must be read, and the
+        # product's trailing fixed points trimmed.
+        swap, eps = transposition(1, 2), idempotent([4])
+        assert compose(swap, eps).images == (2, 1, 3, None)
+        assert compose(swap, swap).images == ()
+        assert compose(cycle([1, 2, 3]), cycle([3, 2, 1])) == identity()
+        assert compose(parse_element("[_,1]"), parse_element("[2,_]")).images == (1, None)
+
+    def test_products_and_stars_revalidate(self):
+        products = [compose(a, b) for a, b in r5_sample_pairs()]
+        perms = (transposition(1, 5), cycle([2, 4, 3]))
+        products += [compose(s, r) for r in enumerate_rn(5) for s in perms]
+        stars = [r.star() for r in enumerate_rn(5)]
+        for x in products + stars:
+            assert PartialBijection(x.images) == x
 
 
 class TestStar:

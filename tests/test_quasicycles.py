@@ -16,6 +16,7 @@ from rookchar.quasicycles import (
     CYCLE,
     QUASI,
     TRIVIAL,
+    ConjugacyInvariant,
     QuasiCycle,
     conjugacy_invariant,
     conjugacy_orbit,
@@ -79,6 +80,25 @@ class TestInvariant:
         for r in enumerate_rn(4):
             inv = conjugacy_invariant(r)
             assert all(x >= 2 for x in inv.q_partition + inv.c_partition)
+
+    def test_recorded_invariant_matches_parts_r5(self):
+        for r in enumerate_rn(5):
+            assert conjugacy_invariant(r) == invariant_from_parts(decompose(r).parts), r.literal()
+
+    def test_equal_invariants_are_one_object(self):
+        by_value = {}
+        for r in enumerate_rn(4):
+            inv = conjugacy_invariant(r)
+            assert by_value.setdefault(inv, inv) is inv
+        assert len(by_value) == 20
+
+
+def invariant_from_parts(parts):
+    """The invariant derived from the decomposition's parts, kept as a reference."""
+    q = sorted((p.length for p in parts if p.kind == QUASI), reverse=True)
+    c = sorted((p.length for p in parts if p.kind == CYCLE), reverse=True)
+    m = sum(1 for p in parts if p.kind == TRIVIAL)
+    return ConjugacyInvariant(tuple(q), tuple(c), m)
 
 
 class TestFindConjugator:

@@ -274,7 +274,7 @@ def uncached_value(alpha, beta, t, base, r):
 
 
 class TestFactorMemo:
-    """Memoised part factors must never leak between parameter sets."""
+    """Values memoised by conjugacy class must never leak between parameter sets."""
 
     # Mass 4/3: the running state's alpha and quasi base with another beta
     # and t, so a memo keyed on too few arguments returns a wrong factor.
@@ -286,9 +286,34 @@ class TestFactorMemo:
         alpha = tuple(Fraction(a) for a in self.OVERWEIGHT["alpha"])
         beta = tuple(Fraction(b) for b in self.OVERWEIGHT["beta"])
         fns.append((unchecked_value_fn(self.OVERWEIGHT), alpha, beta, Fraction(1, 3), alpha[0]))
-        for r in enumerate_rn(4):
-            for f, a, b, t, base in fns:
-                assert f(r) == uncached_value(a, b, t, base, r), r.literal()
+        for n in (4, 5):
+            for r in enumerate_rn(n):
+                for f, a, b, t, base in fns:
+                    assert f(r) == uncached_value(a, b, t, base, r), r.literal()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_tables_sharing_invariants_keep_their_own_values(self, n):
+        # Same alpha and quasi base, different beta and t: every invariant of
+        # R_n lands in both tables, with values that differ on most classes.
+        running = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
+        overweight = unchecked_value_fn(self.OVERWEIGHT)
+        elems = list(enumerate_rn(n))
+        for r in elems:
+            assert running.value(r) == uncached_value(
+                running.thoma.alpha, running.thoma.beta, Fraction(1, 2), Fraction(1, 2), r)
+            assert overweight(r) == uncached_value(
+                overweight.alpha, overweight.beta, Fraction(1, 3), Fraction(1, 2), r)
+        classes = {decompose(r).invariant for r in elems}
+        assert running.table.by_class.keys() == overweight.by_class.keys() == classes
+        differing = [inv for inv in classes
+                     if running.table.by_class[inv] != overweight.by_class[inv]]
+        assert len(differing) == len(classes) - 1  # all but the identity's class
+
+    def test_table_is_per_state(self):
+        a = make_state(alpha=["1/2"], mark=(1, "1/2"))
+        b = make_state(alpha=["1/2"], mark=(1, "1/2"))
+        assert a == b and a.table is not b.table
+        assert a.table is a.table
 
     def test_interleaved_thoma_characters(self):
         for n in range(2, 8):
