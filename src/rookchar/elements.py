@@ -87,8 +87,8 @@ class PartialBijection:
         """Trim trailing fixed points and wrap ``images`` without validation.
 
         Only for image lists that are injective partial maps of 1..len by
-        construction (products and inverses of valid elements); outside input
-        goes through :meth:`from_images`.
+        construction (products and inverses of valid elements, the listing of
+        R_n); outside input goes through :meth:`from_images`.
         """
         bound = len(images)
         if bound and images[-1] == bound:
@@ -357,4 +357,4 @@ def enumerate_rn(n: int) -> Iterator[PartialBijection]:
                     images: list[int | None] = [None] * n
                     for x, y in zip(dom, assignment):
                         images[x - 1] = y
-                    yield PartialBijection.from_images(images)
+                    yield PartialBijection._canonical(images)

@@ -14,12 +14,17 @@ Two independent evaluation routes are provided:
   negative spectral block for each adjacent transposition, the rank-1
   projection onto v in slot 1 for e{1}) and traces against the product
   state.  Each letter is a row operation on the ``(d,)*N`` tensor, so no
-  dense ``d^N x d^N`` product is formed and no element image is cached.
+  dense ``d^N x d^N`` product is formed and no element image is cached.  The
+  word is applied only to the columns where the product state is nonzero,
+  the only ones its trace reads.
 
 At finite truncation a genuinely infinite regular block is unavailable, so
-slot k recycles regular coordinate k mod #regular.  Plain cycles whose slots
-collide on one regular coordinate pick up a spurious (1 - sum|a|)^len term;
-with sum|a| = 1 (empty regular set) the two routes agree on everything.
+slot k recycles regular coordinate k mod #regular.  With one regular
+coordinate per slot (the layout :func:`model_from_state` declares) no two
+slots share one, and the two routes agree on every element.  With fewer,
+plain cycles whose slots collide on one regular coordinate pick up a
+spurious (1 - sum|a|)^len term; with sum|a| = 1 (empty regular set) there is
+nothing to recycle.
 
 This is the only module that imports numpy.  The package registers it
 without running it, so the exact layers and commands start without numpy.
@@ -258,10 +263,15 @@ class TensorEmbedding:
     each generator image as a row operation: T(s_k) swaps tensor axes k and
     k+1 under a (d, d) sign mask, T(e{1}) contracts slot 1 against v.  Work
     per letter is O(dim * cols) and nothing is cached per element, so the
-    embedding itself holds only O(d^2 + dim) floats.  ``psi`` traces against
-    the product state whose k-th slot density is |A| + (1 - Tr|A|) e_jj on
-    the k-th recycled regular coordinate j.  ``generator_s`` and
-    ``generator_eps1`` build the dense images as a reference.
+    embedding itself holds only O(d^2 + dim) floats.
+
+    The product state's k-th slot density is |A| + (1 - Tr|A|) e_jj on the
+    k-th recycled regular coordinate j.  A state value only reads the columns
+    S where the product density ``rho_vec`` is nonzero, so ``image(r)`` is
+    T(r) restricted to S, a (dim, |S|) array, and the state and pair values
+    are computed from such images weighted by ``rho_vec[S]``.  ``matrix``
+    (the full T(r)), ``psi`` and the dense ``generator_s`` and
+    ``generator_eps1`` are the reference they are tested against.
     """
 
     def __init__(self, params: ModelParams, *, twist: bool = True):
@@ -290,6 +300,8 @@ class TensorEmbedding:
                 rho[j - 1] += leftover
             slot_rhos.append(rho)
         self.rho_vec = reduce(np.kron, slot_rhos)
+        self._support = np.flatnonzero(self.rho_vec)
+        self._rho_s = self.rho_vec[self._support]
 
     def generator_s(self, k: int) -> np.ndarray:
         """The dense image of the adjacent transposition (k k+1)."""
@@ -328,6 +340,12 @@ class TensorEmbedding:
     def matrix(self, r: PartialBijection) -> np.ndarray:
         return self.apply(r, np.eye(self.dim))
 
+    def image(self, r: PartialBijection) -> np.ndarray:
+        """T(r) on the support columns S of the product state: T(r) @ E_S."""
+        cols = np.zeros((self.dim, self._support.size))
+        cols[self._support, np.arange(self._support.size)] = 1.0
+        return self.apply(r, cols)
+
     def slot_diag(self, k: int, values: np.ndarray) -> np.ndarray:
         """The diagonal (as a vector) of diag(values) acting in slot k."""
         parts = [np.ones(self.d)] * self.slots
@@ -338,24 +356,27 @@ class TensorEmbedding:
         return float(np.diagonal(m) @ self.rho_vec)
 
     def state_value(self, r: PartialBijection) -> float:
-        return self.psi(self.matrix(r))
+        """psi(T(r)), summed over the support columns only."""
+        diag = self.image(r)[self._support, np.arange(self._support.size)]
+        return float(diag @ self._rho_s)
 
     def pair_value(
         self, mids: Sequence[PartialBijection], tx: np.ndarray, ty: np.ndarray
     ) -> float:
         """<pi(m_1 ... m_j) x xi, y xi> = psi(T(y)^T T(m_1) ... T(m_j) T(x)).
 
-        ``tx`` and ``ty`` are the images T(x) and T(y); the middle elements
-        are applied to T(x) one at a time, rightmost first.
+        ``tx`` and ``ty`` are the support-column images ``image(x)`` and
+        ``image(y)``; the middle elements are applied to ``tx`` one at a
+        time, rightmost first.
         """
         z = tx
         for m in reversed(mids):
             z = self.apply(m, z)
-        return float(self.rho_vec @ np.einsum("ij,ij->j", ty, z))
+        return float(self._rho_s @ np.einsum("ij,ij->j", ty, z))
 
     def pair_value_diag(self, diag: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> float:
-        """psi(T(y)^T diag(diag) T(x)) from the images ``tx`` and ``ty``."""
-        return float(self.rho_vec @ np.einsum("ij,ij->j", ty, diag[:, None] * tx))
+        """psi(T(y)^T diag(diag) T(x)) from the support-column images."""
+        return float(self._rho_s @ np.einsum("ij,ij->j", ty, diag[:, None] * tx))
 
 
 def phi_model(
@@ -413,7 +434,7 @@ def okounkov_check(
     """
     emb = embedding if embedding is not None else TensorEmbedding(p)
     admissible = _admissible(emb, k, x, y)
-    tx, ty = emb.matrix(x), emb.matrix(y)
+    tx, ty = emb.image(x), emb.image(y)
     target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
     values = [(n, emb.pair_value((transposition(k, n),), tx, ty)) for n in admissible]
     max_dev = max((abs(v - target) for _, v in values), default=0.0)
@@ -437,7 +458,7 @@ def okounkov_projection_check(
         raise ValueError("projection law requires eigenvalues in {0, 1}")
     emb = embedding if embedding is not None else TensorEmbedding(p)
     admissible = _admissible(emb, k, x, y)
-    tx, ty = emb.matrix(x), emb.matrix(y)
+    tx, ty = emb.image(x), emb.image(y)
     target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
     devs = [0.0]
     for n in admissible:
@@ -458,7 +479,8 @@ def model_from_state(state: State, slots: int = 4) -> ModelParams:
     The spectrum lists alpha then -beta; the marked vector splits its mass
     between the marked alpha coordinate (weight t) and a fresh kernel
     coordinate (weight 1 - t); leftover spectral mass gets one declared
-    regular coordinate.
+    regular coordinate per slot, so the dense model agrees with the closed
+    form on every element that fits the slots.
     """
     a: list[Fraction] = list(state.thoma.alpha) + [-b for b in state.thoma.beta]
     v_sq: list[Fraction] = [Fraction(0)] * len(a)
@@ -470,7 +492,7 @@ def model_from_state(state: State, slots: int = 4) -> ModelParams:
         v_sq.append(1 - t)
     regular: tuple[int, ...] = ()
     if sum(abs(x) for x in a) < 1:
-        a.append(Fraction(0))
-        v_sq.append(Fraction(0))
-        regular = (len(a),)
+        regular = tuple(range(len(a) + 1, len(a) + slots + 1))
+        a.extend([Fraction(0)] * slots)
+        v_sq.extend([Fraction(0)] * slots)
     return ModelParams(tuple(a), tuple(v_sq), regular, slots)

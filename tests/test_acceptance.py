@@ -153,11 +153,16 @@ def test_criterion_06_character_values():
 
 
 def test_criterion_07_oracle_equivalence_r4():
-    with criterion(7, "closed form vs dense model <= 1e-10 on R_4, 4 parameter sets", 120.0):
+    with criterion(7, "closed form vs dense model <= 1e-10 on R_4, 6 parameter sets", 120.0):
         elems = list(enumerate_rn(4))
         beta_sets = 0
         degenerate_sets = 0
-        for params in ORACLE_PARAMS.values():
+        # The full-mass sets, plus two spectral mass < 1 states bridged with
+        # one regular coordinate per slot (d = 7, dim 2401).
+        param_sets = list(ORACLE_PARAMS.values()) + [
+            model_from_state(SUITE_STATES[name], 4) for name in ("finite_t1", "zero_extension")
+        ]
+        for params in param_sets:
             if any(a < 0 for a in params.a_diag):
                 beta_sets += 1
             if params.spectral_mass == 1 and set(params.v_sq) <= {0, 1}:
@@ -169,6 +174,7 @@ def test_criterion_07_oracle_equivalence_r4():
                 assert abs(exact - dense) <= 1e-10, (params, r.literal())
         assert len(ORACLE_PARAMS) >= 3
         assert beta_sets >= 1 and degenerate_sets >= 1
+        assert sum(params.spectral_mass < 1 for params in param_sets) == 2
 
 
 def test_criterion_08_state_family_equivalence():

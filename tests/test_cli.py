@@ -11,6 +11,7 @@ import pytest
 import rookchar
 from rookchar import tensor_model
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from conftest import SUITE_STATES
 
 RUNNING_STATE = {
     "alpha": ["1/2", "1/3"],
@@ -291,6 +292,19 @@ def test_integral_json_numbers_still_accepted(capsys, tmp_path, mark_i, slots):
 class TestOracle:
     def test_agreement_table(self, capsys, params_file):
         code, out, _ = run(capsys, "oracle", "--params", params_file, "--n", "3")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert float(data["max_diff"]) <= 1e-10
+        assert len(data["rows"]) == 34
+
+    def test_spectral_mass_below_one_within_default_guard(self, capsys, tmp_path, monkeypatch):
+        # finite_t1 (Tr|A| = 7/8) bridges to d = 7 with one regular
+        # coordinate per slot: dim 2401 passes the default guard of 4096.
+        monkeypatch.delenv("ROOKCHAR_MAX_DIM", raising=False)
+        params = tensor_model.model_from_state(SUITE_STATES["finite_t1"])
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params.to_json()))
+        code, out, _ = run(capsys, "oracle", "--params", str(path), "--n", "3")
         assert code == EXIT_OK
         data = json.loads(out)
         assert float(data["max_diff"]) <= 1e-10

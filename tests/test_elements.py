@@ -209,6 +209,26 @@ class TestEnumeration:
     def test_elements_live_in_rn(self):
         assert all(r.bound <= 3 for r in enumerate_rn(3))
 
+    def test_stream_matches_validated_reference_r5(self):
+        # enumerate_rn skips validation; the same listing through
+        # from_images must give the same sequence, and every element must
+        # pass the validating constructor.
+        def reference(n):
+            points = range(1, n + 1)
+            for k in range(n + 1):
+                for dom in itertools.combinations(points, k):
+                    for img in itertools.combinations(points, k):
+                        for assignment in itertools.permutations(img):
+                            images = [None] * n
+                            for x, y in zip(dom, assignment):
+                                images[x - 1] = y
+                            yield PartialBijection.from_images(images)
+
+        elems = list(enumerate_rn(5))
+        assert elems == list(reference(5))
+        for x in elems:
+            assert PartialBijection(x.images) == x
+
 
 class TestPermutations:
     def test_symmetric_group_size(self):

@@ -1,6 +1,7 @@
 """Closed-form vs dense product-state oracles, embeddings, Okounkov limits."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -166,15 +167,41 @@ class TestEmbedding:
             assert np.allclose(emb.apply(r, x), dense @ x, rtol=0, atol=1e-12), r.literal()
 
     def test_pair_value_applies_middles_in_order(self):
-        emb = TensorEmbedding(ORACLE_PARAMS["t1_beta"])
+        # Reference: psi of the full matrix() products.  t1_beta's product
+        # state has full support; t_half_beta's vanishes on all but 2^4 of
+        # its 4^4 columns, which image() and the values drop.
         x, y = parse_element("(1 2)e{1}"), parse_element("[2,_]")
-        tx, ty = emb.matrix(x), emb.matrix(y)
         mids = (parse_element("(1 3)"), parse_element("(1 2 3)e{2}"))
-        dense = ty.T @ emb.matrix(mids[0]) @ emb.matrix(mids[1]) @ tx
-        assert emb.pair_value(mids, tx, ty) == pytest.approx(emb.psi(dense), abs=1e-14)
-        diag = emb.slot_diag(2, emb._a)
-        expected = emb.psi(ty.T @ np.diag(diag) @ tx)
-        assert emb.pair_value_diag(diag, tx, ty) == pytest.approx(expected, abs=1e-14)
+        for name, support_size in (("t1_beta", 256), ("t_half_beta", 16)):
+            emb = TensorEmbedding(ORACLE_PARAMS[name])
+            support = np.flatnonzero(emb.rho_vec)
+            assert support.size == support_size
+            for r in (x, y, *mids):
+                full = emb.matrix(r)
+                assert np.allclose(emb.image(r), full[:, support], rtol=0, atol=1e-14)
+                assert emb.state_value(r) == pytest.approx(emb.psi(full), abs=1e-14)
+            tx, ty = emb.image(x), emb.image(y)
+            mx, my = emb.matrix(x), emb.matrix(y)
+            dense = my.T @ emb.matrix(mids[0]) @ emb.matrix(mids[1]) @ mx
+            assert emb.pair_value(mids, tx, ty) == pytest.approx(emb.psi(dense), abs=1e-14)
+            diag = emb.slot_diag(2, emb._a)
+            expected = emb.psi(my.T @ np.diag(diag) @ mx)
+            assert emb.pair_value_diag(diag, tx, ty) == pytest.approx(expected, abs=1e-14)
+
+    def test_state_value_builds_no_full_image(self):
+        # finite_t1 has spectral mass 7/8; with one regular coordinate per
+        # slot d = 7, so one full T(r) is a 2401^2 float array (46 MB).
+        emb = TensorEmbedding(model_from_state(SUITE_STATES["finite_t1"], slots=4))
+        assert emb.dim == 2401
+        full_image_bytes = 8 * emb.dim**2
+        tracemalloc.start()
+        try:
+            for lit in ("(1 2 3 4)e{1}", "(1 4)(2 3)e{2}e{3}", "[_,_,_,_]"):
+                emb.state_value(parse_element(lit))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < full_image_bytes / 2
 
     def test_guard(self):
         p = ModelParams.of(["1", "0", "0", "0"], ["1", "0", "0", "0"], [], 12)
@@ -256,6 +283,20 @@ class TestStateFamilyBridge:
         assert validate_params(params).ok
         for r in enumerate_rn(3):
             assert phi_closed_form(params, r) == evaluate(suite_state, r)
+
+    @pytest.mark.parametrize("name", ["finite_t1", "zero_extension"])
+    def test_bridge_declares_one_regular_coordinate_per_slot(self, name):
+        # Spectral mass < 1: each slot gets its own zero-eigenvalue,
+        # zero-v coordinate, so no two slots share leftover mass and the
+        # dense model matches the closed form on plain cycles too.
+        params = model_from_state(SUITE_STATES[name], slots=3)
+        assert len(params.regular) == 3
+        assert all(params.a_diag[j - 1] == 0 == params.v_sq[j - 1] for j in params.regular)
+        emb = TensorEmbedding(params)
+        for r in enumerate_rn(3):
+            assert phi_model(params, r, emb) == pytest.approx(
+                float(phi_closed_form(params, r)), abs=1e-12
+            )
 
     def test_bridge_declares_regular_only_when_needed(self):
         full = model_from_state(SUITE_STATES["running"], slots=3)
