@@ -3,77 +3,93 @@
 Element arithmetic and quasi-cycle decomposition, the central state family
 with exact PSD certification, and finite-dimensional tensor oracles.
 
-Everything but the tensor oracles is exact and free of numpy.  The oracle
-module ``tensor_model``, the only one that imports numpy, is registered here
-without running its body: it runs, and numpy loads, on first use of one of
-its names, so exact work never pays for the numpy import.
+Everything but the tensor oracles is exact and free of numpy.  Importing the
+package runs none of its modules: each submodule but ``cli`` is registered in
+``sys.modules`` unexecuted, and its body runs on first use of one of its
+attributes.  The public names below are served from the table ``_EXPORTS``
+(submodule -> names), so ``rookchar.compose`` runs ``elements`` and
+``rookchar.TensorEmbedding`` runs ``tensor_model`` (and loads numpy), while a
+command pays only for the modules it uses.  Modules reach a dependency that
+only some of their functions need through the module object (``states`` calls
+``linalg.psd_certificate``), since a top-level ``from .linalg import ...``
+would run it.  ``cli`` is imported normally: ``python -m rookchar.cli`` would
+otherwise run its body twice.
 """
 
 import importlib.util
 import sys
 
-from .elements import (
-    PartialBijection,
-    compose,
-    cycle,
-    enumerate_rn,
-    idempotent,
-    identity,
-    parse_element,
-    rn_size,
-    symmetric_group,
-    transposition,
-)
-from .errors import CheckReport, ParseError, ResourceGuardError
-from .quasicycles import (
-    ConjugacyInvariant,
-    QuasiCycle,
-    QuasiCycleDecomposition,
-    conjugacy_invariant,
-    decompose,
-    find_conjugator,
-)
-from .algebra import FormalSum, check_gelfand_pair, symmetrizer
-from .words import (
-    EPS1,
-    S,
-    element_to_word,
-    verify_popova_relations,
-    word_to_element,
-)
-from .linalg import PsdCertificate, RationalMatrix, psd_certificate, verify_certificate
-from .states import (
-    GramReport,
-    State,
-    ThomaParams,
-    check_centrality,
-    check_conjugation_invariance,
-    check_multiplicativity,
-    check_star_symmetry,
-    classify_factor_type,
-    evaluate,
-    gram_matrix,
-    make_state,
-    thoma_character,
-)
-from .spherical import (
-    SphericalModel,
-    infinite_spherical_value,
-    spherical_coeff,
-    spherical_coeff_closed_form,
-    spherical_limit_check,
-)
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "elements": (
+        "PartialBijection",
+        "compose",
+        "cycle",
+        "enumerate_rn",
+        "idempotent",
+        "identity",
+        "parse_element",
+        "rn_size",
+        "symmetric_group",
+        "transposition",
+    ),
+    "errors": ("CheckReport", "ParseError", "ResourceGuardError"),
+    "quasicycles": (
+        "ConjugacyInvariant",
+        "QuasiCycle",
+        "QuasiCycleDecomposition",
+        "conjugacy_invariant",
+        "decompose",
+        "find_conjugator",
+    ),
+    "algebra": ("FormalSum", "check_gelfand_pair", "symmetrizer"),
+    "words": ("EPS1", "S", "element_to_word", "verify_popova_relations", "word_to_element"),
+    "linalg": ("PsdCertificate", "RationalMatrix", "psd_certificate", "verify_certificate"),
+    "states": (
+        "GramReport",
+        "State",
+        "ThomaParams",
+        "check_centrality",
+        "check_conjugation_invariance",
+        "check_multiplicativity",
+        "check_star_symmetry",
+        "classify_factor_type",
+        "evaluate",
+        "gram_matrix",
+        "make_state",
+        "thoma_character",
+    ),
+    "spherical": (
+        "SphericalModel",
+        "infinite_spherical_value",
+        "spherical_coeff",
+        "spherical_coeff_closed_form",
+        "spherical_limit_check",
+    ),
+    "tensor_model": (
+        "ModelParams",
+        "TensorEmbedding",
+        "marked_cycle_value",
+        "model_from_state",
+        "okounkov_check",
+        "okounkov_projection_check",
+        "phi_closed_form",
+        "phi_model",
+        "validate_params",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
 
 
 def _lazy_submodule(name: str):
     """Register the submodule ``name`` in ``sys.modules``; its body runs on first use.
 
-    Registering, rather than importing on demand, keeps
-    ``sys.modules["rookchar.tensor_model"]`` present for code that looks the
-    module up there, such as the benchmark's tracer (perfbench/tracing.py),
-    which patches its functions.
+    Registering, rather than importing on demand, keeps every
+    ``sys.modules["rookchar.<name>"]`` present for code that looks modules up
+    there, such as the benchmark's tracer (perfbench/tracing.py), which
+    patches their functions.
     """
     spec = importlib.util.find_spec(f"{__name__}.{name}")
     loader = importlib.util.LazyLoader(spec.loader)
@@ -84,79 +100,17 @@ def _lazy_submodule(name: str):
     return module
 
 
-tensor_model = _lazy_submodule("tensor_model")
-
-_TENSOR_NAMES = (
-    "ModelParams",
-    "TensorEmbedding",
-    "marked_cycle_value",
-    "model_from_state",
-    "okounkov_check",
-    "okounkov_projection_check",
-    "phi_closed_form",
-    "phi_model",
-    "validate_params",
-)
+for _name in _EXPORTS:
+    globals()[_name] = _lazy_submodule(_name)
+del _name
 
 
 def __getattr__(name: str):
-    if name in _TENSOR_NAMES:
-        return getattr(tensor_model, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_TENSOR_NAMES))
-
-
-__all__ = [
-    "PartialBijection",
-    "compose",
-    "cycle",
-    "enumerate_rn",
-    "idempotent",
-    "identity",
-    "parse_element",
-    "rn_size",
-    "symmetric_group",
-    "transposition",
-    "CheckReport",
-    "ParseError",
-    "ResourceGuardError",
-    "ConjugacyInvariant",
-    "QuasiCycle",
-    "QuasiCycleDecomposition",
-    "conjugacy_invariant",
-    "decompose",
-    "find_conjugator",
-    "FormalSum",
-    "check_gelfand_pair",
-    "symmetrizer",
-    "EPS1",
-    "S",
-    "element_to_word",
-    "verify_popova_relations",
-    "word_to_element",
-    "PsdCertificate",
-    "RationalMatrix",
-    "psd_certificate",
-    "verify_certificate",
-    "GramReport",
-    "State",
-    "ThomaParams",
-    "check_centrality",
-    "check_conjugation_invariance",
-    "check_multiplicativity",
-    "check_star_symmetry",
-    "classify_factor_type",
-    "evaluate",
-    "gram_matrix",
-    "make_state",
-    "thoma_character",
-    "SphericalModel",
-    "infinite_spherical_value",
-    "spherical_coeff",
-    "spherical_coeff_closed_form",
-    "spherical_limit_check",
-    *_TENSOR_NAMES,
-]
+    return sorted(set(globals()) | set(_MODULE_OF))

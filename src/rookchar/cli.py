@@ -12,10 +12,11 @@ import json
 import sys
 from fractions import Fraction
 
-from . import algebra, spherical, states, words
+# Reached through the module objects, so a command runs only the module
+# bodies it uses (the package registers its submodules lazily).
+from . import algebra, quasicycles, spherical, states, words
 from .elements import PartialBijection, enumerate_rn, idempotent, parse_element
-from .errors import DEFAULT_MAX_DIM, ParseError, ResourceGuardError
-from .quasicycles import conjugacy_invariant, decompose
+from .errors import DEFAULT_MAX_DIM, I_STAR_J, STAR_JI, ParseError, ResourceGuardError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -80,8 +81,8 @@ def _elements_arg(args) -> list[PartialBijection]:
 
 def cmd_decompose(args) -> int:
     r = parse_element(args.element)
-    d = decompose(r)
-    inv = conjugacy_invariant(r)
+    d = quasicycles.decompose(r)
+    inv = d.invariant
     _emit(
         {
             "element": r.literal(),
@@ -230,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.add_argument("--n", type=int, default=2, help="use all elements of R_n")
     p.add_argument("--elems", help="file with one element literal per line")
-    p.add_argument("--ordering", choices=[states.STAR_JI, states.I_STAR_J], default=states.STAR_JI)
+    p.add_argument("--ordering", choices=[STAR_JI, I_STAR_J], default=STAR_JI)
     p.add_argument("--unchecked", action="store_true", help="skip the state mass bound (testing aid)")
     p.set_defaults(func=cmd_gram)
 

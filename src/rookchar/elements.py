@@ -30,18 +30,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ResourceGuardError
+from .errors import ParseError, Record, ResourceGuardError
 
 # Exhaustive enumeration of R_n is guarded: |R_7| = 130922 is the largest
 # size the test drivers are allowed to stream.
 MAX_ENUMERATION_GROUND_SET = 7
 
 
-@dataclass(frozen=True)
-class PartialBijection:
+class PartialBijection(Record):
     """A finitary partial bijection in canonical (trimmed) form.
 
     ``images[x-1]`` is the image of x for x <= bound, ``None`` when x is not
@@ -50,12 +48,12 @@ class PartialBijection:
     canonical input.
     """
 
-    images: tuple[int | None, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
+    def __init__(self, images: tuple[int | None, ...]):
         seen: set[int] = set()
-        bound = len(self.images)
-        for x, y in enumerate(self.images, start=1):
+        bound = len(images)
+        for x, y in enumerate(images, start=1):
             if y is None:
                 continue
             if not isinstance(y, int) or not 1 <= y <= bound:
@@ -63,16 +61,20 @@ class PartialBijection:
             if y in seen:
                 raise ValueError(f"two points map to {y}")
             seen.add(y)
-        if bound and self.images[-1] == bound:
+        if bound and images[-1] == bound:
             raise ValueError("not canonical: trailing fixed point")
+        object.__setattr__(self, "images", images)
 
-    # Written out because decompose's cache compares every element it looks
-    # up; the generated method would build two 1-tuples per comparison.  The
-    # generated __hash__ is kept.
+    # Written out because decompose's cache hashes and compares every element
+    # it looks up.  The hash is the one a frozen dataclass gives, so set
+    # iteration order (conjugacy_orbit) stays as it was.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.images == other.images
         return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
 
     @staticmethod
     def from_images(images: Sequence[int | None]) -> "PartialBijection":

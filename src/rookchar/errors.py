@@ -1,12 +1,16 @@
-"""Shared by every layer: exceptions, JSON integer reading, the sweep report, guard limits."""
-
-from dataclasses import dataclass
+"""Shared by every layer: exceptions, JSON integer reading, the record base, the sweep report, guard limits."""
 
 # Bound on the dense tensor dimension d^N, overridable through the environment.
 # Kept here, free of numpy, so the CLI help can print it without loading the
 # tensor oracle.
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
+
+# Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
+# f(r_i r_j*) for I_STAR_J.  Kept here so the CLI parser can list them without
+# loading ``states``.
+STAR_JI = "starJI"
+I_STAR_J = "iStarJ"
 
 
 class ParseError(ValueError):
@@ -35,20 +39,62 @@ class ResourceGuardError(RuntimeError):
     """Raised when a request would exceed a combinatorial or memory guard."""
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class Record:
+    """An immutable value with named fields, like a frozen dataclass.
+
+    A subclass names its fields in ``_fields``, keeps them in ``__slots__``
+    (no instance ``__dict__``) and sets them once in ``__init__`` through
+    :meth:`_set`.  Equality, the hash and the repr are those of the field
+    values, as a frozen dataclass's are, and pickling and copying call the
+    constructor again.  This avoids importing :mod:`dataclasses`, whose
+    import and per-class code generation cost more than the exact commands'
+    own work at small sizes.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class CheckReport(Record):
     """Outcome of one pass/fail sweep: how many cases were checked, which failed.
 
     ``basis`` and ``distinct_products`` are set by the Gelfand sweep only: the
     size of R_n and the number of distinct sandwiches p a p it compared.
     """
 
-    suite: str
-    n: int
-    checked: int
-    violations: tuple[str, ...]
-    basis: int | None = None
-    distinct_products: int | None = None
+    __slots__ = _fields = ("suite", "n", "checked", "violations", "basis", "distinct_products")
+
+    def __init__(self, suite: str, n: int, checked: int, violations: tuple[str, ...],
+                 basis: int | None = None, distinct_products: int | None = None):
+        self._set(suite, n, checked, violations, basis, distinct_products)
 
     @property
     def ok(self) -> bool:

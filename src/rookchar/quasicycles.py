@@ -21,7 +21,6 @@ parts ascending, which makes the decomposition a canonical form.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Iterator
 
 from .elements import (
@@ -32,28 +31,29 @@ from .elements import (
     parse_element,
     symmetric_group,
 )
+from .errors import Record
 
 QUASI = "quasi"
 CYCLE = "cycle"
 TRIVIAL = "trivial"
 
 
-@dataclass(frozen=True)
-class QuasiCycle:
+class QuasiCycle(Record):
     """One factor of the decomposition: ``kind`` is quasi / cycle / trivial."""
 
-    kind: str
-    orbit: tuple[int, ...]
+    __slots__ = _fields = ("kind", "orbit")
 
-    def __post_init__(self):
-        if self.kind not in (QUASI, CYCLE, TRIVIAL):
-            raise ValueError(f"unknown part kind {self.kind!r}")
-        if len(set(self.orbit)) != len(self.orbit):
+    def __init__(self, kind: str, orbit: tuple[int, ...]):
+        if kind not in (QUASI, CYCLE, TRIVIAL):
+            raise ValueError(f"unknown part kind {kind!r}")
+        if len(set(orbit)) != len(orbit):
             raise ValueError("orbit points must be distinct")
-        if self.kind == TRIVIAL and len(self.orbit) != 1:
+        if kind == TRIVIAL and len(orbit) != 1:
             raise ValueError("a trivial quasi-cycle has a single point")
-        if self.kind != TRIVIAL and len(self.orbit) < 2:
-            raise ValueError(f"a {self.kind} part needs an orbit of length >= 2")
+        if kind != TRIVIAL and len(orbit) < 2:
+            raise ValueError(f"a {kind} part needs an orbit of length >= 2")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "orbit", orbit)
 
     @property
     def length(self) -> int:
@@ -78,12 +78,14 @@ class QuasiCycle:
         return f"{body}e{{{self.orbit[-1]}}}"
 
 
-@dataclass(frozen=True)
-class QuasiCycleDecomposition:
+class QuasiCycleDecomposition(Record):
     """The parts in canonical order, with the element's conjugacy invariant."""
 
-    parts: tuple[QuasiCycle, ...]
-    invariant: ConjugacyInvariant
+    __slots__ = _fields = ("parts", "invariant")
+
+    def __init__(self, parts: tuple[QuasiCycle, ...], invariant: ConjugacyInvariant):
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "invariant", invariant)
 
     def element(self) -> PartialBijection:
         """The product of the parts (any order; supports are disjoint)."""
@@ -99,19 +101,17 @@ class QuasiCycleDecomposition:
         return iter(self.parts)
 
 
-@dataclass(frozen=True)
-class ConjugacyInvariant:
+class ConjugacyInvariant(Record):
     """Orbit sizes of the quasi-cycles and plain cycles, plus the trivial count."""
 
-    q_partition: tuple[int, ...]
-    c_partition: tuple[int, ...]
-    trivial_count: int
+    _fields = ("q_partition", "c_partition", "trivial_count")
     # Hashed once: state values are looked up by invariant on every evaluation.
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        key = (self.q_partition, self.c_partition, self.trivial_count)
-        object.__setattr__(self, "_hash", hash(key))
+    def __init__(self, q_partition: tuple[int, ...], c_partition: tuple[int, ...],
+                 trivial_count: int):
+        self._set(q_partition, c_partition, trivial_count)
+        object.__setattr__(self, "_hash", hash(self._values()))
 
     def __hash__(self) -> int:
         return self._hash

@@ -22,27 +22,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .elements import PartialBijection
-from .errors import ResourceGuardError
+from .errors import Record, ResourceGuardError
 
 MAX_BASIS = 20000
 
 
-@dataclass(frozen=True)
-class SphericalModel:
-    n: int
-    l: int
-    kappa: Fraction = Fraction(0)
+class SphericalModel(Record):
+    __slots__ = _fields = ("n", "l", "kappa")
 
-    def __post_init__(self):
-        if not 0 <= self.l <= self.n:
-            raise ValueError(f"need 0 <= l <= n, got l={self.l}, n={self.n}")
-        if not 0 <= self.kappa <= 1:
+    def __init__(self, n: int, l: int, kappa: Fraction = Fraction(0)):
+        if not 0 <= l <= n:
+            raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
+        if not 0 <= kappa <= 1:
             raise ValueError("kappa must lie in [0, 1]")
+        self._set(n, l, kappa)
 
 
 def _split(r: PartialBijection, n: int) -> tuple[list[int], tuple[int, ...]]:
@@ -145,13 +142,12 @@ def slot_coefficient_table(
     return out
 
 
-@dataclass(frozen=True)
-class LimitReport:
-    element: str
-    killed: int
-    infinite_value: Fraction
-    rows: tuple[dict, ...]
-    converging_scaling: str
+class LimitReport(Record):
+    __slots__ = _fields = ("element", "killed", "infinite_value", "rows", "converging_scaling")
+
+    def __init__(self, element: str, killed: int, infinite_value: Fraction,
+                 rows: tuple[dict, ...], converging_scaling: str):
+        self._set(element, killed, infinite_value, rows, converging_scaling)
 
     def to_json(self) -> dict:
         return {

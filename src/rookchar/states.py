@@ -24,20 +24,25 @@ and an element costs a cached decomposition plus one dictionary lookup.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from . import linalg  # through the module, so linalg runs only when a Gram is built
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
-from .errors import CheckReport, ParseError, json_int
-from .linalg import PsdCertificate, RationalMatrix, psd_certificate
+from .errors import (
+    I_STAR_J,
+    STAR_JI,
+    CheckReport,
+    ParseError,
+    Record,
+    ResourceGuardError,
+    json_int,
+)
 from .quasicycles import ConjugacyInvariant, decompose
 
-# Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
-# f(r_i r_j*) for I_STAR_J.
-STAR_JI = "starJI"
-I_STAR_J = "iStarJ"
+# The dense Gram route builds and certifies an m x m matrix of Fractions, so
+# m is guarded: R_4's 209 elements pass, R_5's 1546 would run for hours.
+MAX_GRAM_ELEMENTS = 1024
 
 TYPE_I_INF = "TypeIinf"
 TYPE_II_INF = "TypeIIinf"
@@ -46,20 +51,19 @@ TYPE_II_1_OR_SCALAR = "TypeII1orScalar"
 UNCLASSIFIED = "Unclassified"
 
 
-@dataclass(frozen=True)
-class ThomaParams:
-    alpha: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...]
+class ThomaParams(Record):
+    __slots__ = _fields = ("alpha", "beta")
 
-    def __post_init__(self):
-        for name, seq in (("alpha", self.alpha), ("beta", self.beta)):
+    def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...]):
+        for name, seq in (("alpha", alpha), ("beta", beta)):
             for x in seq:
                 if x <= 0:
                     raise ValueError(f"{name} entries must be positive, got {x}")
             if any(a < b for a, b in zip(seq, seq[1:])):
                 raise ValueError(f"{name} must be nonincreasing: {seq}")
-        if sum(self.alpha) + sum(self.beta) > 1:
+        if sum(alpha) + sum(beta) > 1:
             raise ValueError("alpha and beta mass exceeds 1")
+        self._set(alpha, beta)
 
     @staticmethod
     def of(alpha: Iterable = (), beta: Iterable = ()) -> "ThomaParams":
@@ -122,20 +126,27 @@ class ValueTable:
         return value
 
 
-@dataclass(frozen=True)
-class State:
-    """A validated state specification; also usable directly as the state."""
+class State(Record):
+    """A validated state specification; also usable directly as the state.
 
-    thoma: ThomaParams
-    mark: tuple[int, Fraction] | None = None
+    ``table`` holds this state's values, memoised by conjugacy class; it is
+    not a field, so it takes no part in equality, hashing or the repr.
+    """
 
-    def __post_init__(self):
-        if self.mark is not None:
-            i, t = self.mark
-            if not 1 <= i <= len(self.thoma.alpha):
+    _fields = ("thoma", "mark")
+    __slots__ = _fields + ("table",)
+
+    def __init__(self, thoma: ThomaParams, mark: tuple[int, Fraction] | None = None):
+        if mark is not None:
+            i, t = mark
+            if not 1 <= i <= len(thoma.alpha):
                 raise ValueError(f"marked index {i} out of range")
             if not 0 <= t <= 1:
                 raise ValueError(f"weight t={t} outside [0, 1]")
+        self._set(thoma, mark)
+        object.__setattr__(
+            self, "table", ValueTable(thoma.alpha, thoma.beta, self.weight, self.quasi_base)
+        )
 
     @property
     def quasi_base(self) -> Fraction:
@@ -147,11 +158,6 @@ class State:
     @property
     def weight(self) -> Fraction:
         return Fraction(0) if self.mark is None else self.mark[1]
-
-    @functools.cached_property
-    def table(self) -> ValueTable:
-        """This state's values, memoised by conjugacy class."""
-        return ValueTable(self.thoma.alpha, self.thoma.beta, self.weight, self.quasi_base)
 
     def value(self, r: PartialBijection) -> Fraction:
         return evaluate(self, r)
@@ -233,10 +239,11 @@ def unchecked_value_fn(data: dict) -> ValueTable:
     return ValueTable(alpha, beta, t, base)
 
 
-@dataclass(frozen=True)
-class FactorTypeVerdict:
-    kind: str
-    note: str
+class FactorTypeVerdict(Record):
+    __slots__ = _fields = ("kind", "note")
+
+    def __init__(self, kind: str, note: str):
+        self._set(kind, note)
 
 
 def classify_factor_type(state: State) -> FactorTypeVerdict:
@@ -260,12 +267,12 @@ def classify_factor_type(state: State) -> FactorTypeVerdict:
 # --- Gram matrices ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GramReport:
-    elements: tuple[PartialBijection, ...]
-    ordering: str
-    matrix: RationalMatrix
-    certificate: PsdCertificate
+class GramReport(Record):
+    __slots__ = _fields = ("elements", "ordering", "matrix", "certificate")
+
+    def __init__(self, elements: tuple[PartialBijection, ...], ordering: str,
+                 matrix: linalg.RationalMatrix, certificate: linalg.PsdCertificate):
+        self._set(elements, ordering, matrix, certificate)
 
     def to_json(self) -> dict:
         return {
@@ -283,10 +290,17 @@ def gram_matrix(
 ) -> GramReport:
     """The Gram matrix of the chosen ordering with its exact PSD certificate.
 
-    ``state`` is a ``State`` or any value function, as for the sweeps.
+    ``state`` is a ``State`` or any value function, as for the sweeps.  More
+    than ``MAX_GRAM_ELEMENTS`` elements raise ResourceGuardError before any
+    entry is built.
     """
     f = _value_fn(state)
     elems = tuple(elements)
+    if len(elems) > MAX_GRAM_ELEMENTS:
+        raise ResourceGuardError(
+            f"a Gram matrix of {len(elems)} elements exceeds the dense route's guard "
+            f"MAX_GRAM_ELEMENTS = {MAX_GRAM_ELEMENTS}"
+        )
     if len(set(elems)) != len(elems):
         raise ValueError("Gram elements must be distinct")
     if ordering not in (STAR_JI, I_STAR_J):
@@ -300,8 +314,8 @@ def gram_matrix(
             else:
                 row.append(f(compose(ri, rj.star())))
         rows.append(row)
-    matrix = RationalMatrix.from_rows(rows)
-    return GramReport(elems, ordering, matrix, psd_certificate(matrix))
+    matrix = linalg.RationalMatrix.from_rows(rows)
+    return GramReport(elems, ordering, matrix, linalg.psd_certificate(matrix))
 
 
 # --- property sweeps ----------------------------------------------------------

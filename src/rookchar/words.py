@@ -77,6 +77,8 @@ def verify_popova_relations(n: int) -> CheckReport:
     Families: s_i^2 = e; far commutation; braid; e{1}^2 = e{1}; and the two
     mixed identities e{1} s_1 e{1} s_1 = s_1 e{1} s_1 e{1} = e{1} s_1 e{1}.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     checked = 0
     violations: list[str] = []
 

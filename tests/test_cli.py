@@ -5,12 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import rookchar
 from rookchar import tensor_model
-from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -125,6 +126,14 @@ class TestGram:
         assert data["certificate"]["verdict"] == "NotPSD"
         assert data["certificate"]["witness"] is not None
 
+    def test_dense_route_guard_exits_4_at_once(self, capsys):
+        # R_5 has 1546 elements, over the guard of 1024 that admits R_4's 209.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gram", "--n", "5")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "1546 elements" in err and "MAX_GRAM_ELEMENTS = 1024" in err
+
     def test_unchecked_mark_out_of_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad_mark.json"
         path.write_text(json.dumps({"alpha": ["3/4"], "beta": [], "mark": {"i": 3, "t": "1"}}))
@@ -206,6 +215,11 @@ class TestVerifyGolden:
         monkeypatch.setenv("COLUMNS", "80")
         code, out, _ = run(capsys, "verify", "--help")
         assert (code, out) == (EXIT_OK, VERIFY_HELP)
+
+    @pytest.mark.parametrize("suite", sorted(VERIFY_SUITES))
+    def test_negative_n_exits_2(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", "-3")
+        assert (code, out, err) == (EXIT_USAGE, "", "error: n must be nonnegative\n")
 
     def test_stateless_suites_ignore_state(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "popova", "--n", "3", "--state", "/nope")
@@ -397,6 +411,29 @@ print(code, "numpy" in sys.modules)
 """
 
 
+# Runs rookchar.cli as ``python -m`` does (runpy) and prints the exit code,
+# whether dataclasses was imported, and each rookchar module body that ran.
+# A trace hook sees the bodies run, so looking loads no lazily registered module.
+RUN_AS_MAIN = """
+import contextlib, io, os, runpy, sys
+ran = []
+def watch(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "<module>":
+        ran.append(frame.f_code.co_filename)
+sys.settrace(watch)
+sys.argv = ["rookchar", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("rookchar.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+sys.settrace(None)
+package = os.path.dirname(sys.modules["rookchar"].__file__)
+bodies = [os.path.basename(f)[:-3] for f in ran if os.path.dirname(f) == package]
+print(code, "dataclasses" in sys.modules, *sorted(bodies))
+"""
+
+
 def fresh_python(script, *args):
     """Stdout of ``script`` run in a new interpreter that imports this rookchar."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
@@ -432,6 +469,27 @@ class TestImportBoundary:
     )
     def test_exact_commands_leave_numpy_out(self, argv):
         assert fresh_python(RUN_MAIN, *argv) == ["0", "False"]
+
+    def test_import_leaves_dataclasses_out(self):
+        assert fresh_python("import sys, rookchar.cli\nprint('dataclasses' in sys.modules)") == [
+            "False"
+        ]
+
+    def test_cli_body_runs_once_as_main(self):
+        code, _, *bodies = fresh_python(RUN_AS_MAIN, "--help")
+        assert (code, bodies.count("cli")) == ("0", 1)
+
+    @pytest.mark.parametrize(
+        "suite, ran, skipped",
+        [
+            ("centrality", {"states", "quasicycles"}, {"linalg", "spherical", "algebra", "words"}),
+            ("gelfand", {"algebra"}, {"states", "linalg"}),
+        ],
+    )
+    def test_verify_runs_only_the_modules_it_uses(self, suite, ran, skipped):
+        code, dataclasses, *bodies = fresh_python(RUN_AS_MAIN, "verify", "--suite", suite, "--n", "3")
+        assert (code, dataclasses) == ("0", "False")
+        assert ran <= set(bodies) and not skipped & set(bodies)
 
     def test_oracle_loads_numpy(self, params_file):
         argv = ["oracle", "--params", params_file, "--n", "2"]

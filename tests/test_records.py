@@ -1,0 +1,79 @@
+"""The immutable value records: copies, pickles, hashes and reprs of their values."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from rookchar.elements import parse_element
+from rookchar.errors import CheckReport
+from rookchar.quasicycles import QuasiCycle, decompose
+from rookchar.spherical import SphericalModel
+from rookchar.states import ThomaParams, evaluate, make_state
+
+RUNNING = parse_element("[2,3,_,4,_]")
+# Each record with the name of one of its fields.
+RECORDS = {
+    "PartialBijection": (RUNNING, "images"),
+    "QuasiCycle": (QuasiCycle("quasi", (1, 2, 3)), "orbit"),
+    "QuasiCycleDecomposition": (decompose(RUNNING), "parts"),
+    "ConjugacyInvariant": (decompose(RUNNING).invariant, "trivial_count"),
+    "ThomaParams": (ThomaParams.of(["1/2", "1/3"], ["1/6"]), "alpha"),
+    "State": (make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2")), "mark"),
+    "CheckReport": (CheckReport("gelfand", 3, 6, (), basis=34, distinct_products=4), "basis"),
+    "SphericalModel": (SphericalModel(11, 5, Fraction(1, 3)), "kappa"),
+}
+STATE = RECORDS["State"][0]
+
+
+@pytest.fixture(params=sorted(RECORDS))
+def case(request):
+    return RECORDS[request.param]
+
+
+@pytest.mark.parametrize(
+    "roundtrip", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_equal_the_original(case, roundtrip):
+    record, _ = case
+    got = roundtrip(record)
+    assert got == record and hash(got) == hash(record) and repr(got) == repr(record)
+
+
+def test_fields_are_read_only(case):
+    record, name = case
+    with pytest.raises(AttributeError):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+def test_pickled_state_evaluates():
+    assert evaluate(pickle.loads(pickle.dumps(STATE)), RUNNING) == Fraction(1, 64)
+
+
+def test_element_hash_is_the_frozen_dataclass_hash():
+    # Set iteration order (conjugacy_orbit, the order of printed sets) follows it.
+    for literal in ("e", "[2,3,_,4,_]", "(1 2)e{3}", "[_,_,1]"):
+        r = parse_element(literal)
+        assert hash(r) == hash((r.images,))
+
+
+def test_equality_is_by_class_and_values():
+    assert QuasiCycle("cycle", (1, 2)) == QuasiCycle("cycle", (1, 2))
+    assert QuasiCycle("cycle", (1, 2)) != QuasiCycle("cycle", (2, 1))
+    assert ThomaParams.of(["1/2"]) != SphericalModel(1, 1)
+    assert decompose(RUNNING).invariant == decompose(parse_element("(2 3 4)e{4}e{1}")).invariant
+
+
+def test_repr_names_the_fields():
+    assert repr(QuasiCycle("trivial", (5,))) == "QuasiCycle(kind='trivial', orbit=(5,))"
+    assert repr(decompose(RUNNING).invariant) == (
+        "ConjugacyInvariant(q_partition=(3,), c_partition=(), trivial_count=1)"
+    )
+    assert repr(STATE).startswith("State(thoma=ThomaParams(alpha=(Fraction(1, 2),")
+    assert "table" not in repr(STATE)
