@@ -15,7 +15,7 @@ from fractions import Fraction
 # Reached through the module objects, so a command runs only the module
 # bodies it uses (the package registers its submodules lazily).
 from . import algebra, quasicycles, spherical, states, words
-from .elements import PartialBijection, enumerate_rn, idempotent, parse_element
+from .elements import PartialBijection, enumerate_rn, idempotent, parse_element, rn_size
 from .errors import DEFAULT_MAX_DIM, I_STAR_J, STAR_JI, ParseError, ResourceGuardError
 
 EXIT_OK = 0
@@ -76,6 +76,7 @@ def _elements_arg(args) -> list[PartialBijection]:
     if getattr(args, "elems", None):
         with open(args.elems, encoding="utf-8") as fh:
             return [parse_element(line.strip()) for line in fh if line.strip()]
+    states.check_gram_size(rn_size(args.n))  # before R_n is listed
     return list(enumerate_rn(args.n))
 
 

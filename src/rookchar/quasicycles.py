@@ -122,17 +122,60 @@ class ConjugacyInvariant(Record):
         return f"(({q}),({c}),{self.trivial_count})"
 
 
-# Equal invariants share one object, so decompose's cache does not hold a copy
-# per element: R_6's 13,327 elements fall into 65 classes.
+# Equal invariants share one object, so decompose's cache holds no copy per
+# element and each invariant's hash is computed once: R_6's 13,327 elements
+# fall into 65 classes.
 _interned_invariant = functools.lru_cache(maxsize=4096)(ConjugacyInvariant)
+
+
+def images_invariant(images: tuple[int | None, ...]) -> ConjugacyInvariant:
+    """The interned conjugacy invariant of the element with these images.
+
+    Counts orbit lengths on a scratch copy of the image tuple, clearing each
+    point as its orbit is walked: quasi-cycles start at the points outside
+    the range, and the plain cycles are what is left.  No part is built.
+    """
+    imgs = list(images)
+    hit = set(images)
+    quasi: list[int] = []
+    trivial = 0
+    a = 0
+    for y in images:
+        a += 1
+        if a in hit:
+            continue
+        if y is None:
+            trivial += 1
+            continue
+        imgs[a - 1] = None
+        length = 1
+        while y is not None:
+            length += 1
+            imgs[y - 1], y = None, imgs[y - 1]
+        quasi.append(length)
+    cycles: list[int] = []
+    a = 0
+    for y in imgs:
+        a += 1
+        if y is None or y == a:
+            continue
+        imgs[a - 1] = None
+        length = 1
+        while y != a:
+            length += 1
+            imgs[y - 1], y = None, imgs[y - 1]
+        cycles.append(length)
+    quasi.sort(reverse=True)
+    cycles.sort(reverse=True)
+    return _interned_invariant(tuple(quasi), tuple(cycles), trivial)
 
 
 @functools.lru_cache(maxsize=65536)
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
 
-    The result also carries r's :class:`ConjugacyInvariant`, computed here once
-    per cache miss and shared with every element of the same class.
+    The result also carries r's :class:`ConjugacyInvariant`, the one
+    :func:`images_invariant` returns, shared with every element of the class.
 
     >>> decompose(parse_element("(1 2)e{3}")).invariant.literal()
     '((),(2),1)'
@@ -179,24 +222,21 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
 
     quasi.sort(key=lambda p: min(p.orbit))
     cycles.sort(key=lambda p: min(p.orbit))
-    invariant = _interned_invariant(
-        tuple(sorted((len(p.orbit) for p in quasi), reverse=True)),
-        tuple(sorted((len(p.orbit) for p in cycles), reverse=True)),
-        len(trivial),
-    )
-    return QuasiCycleDecomposition(tuple(quasi) + tuple(cycles) + tuple(trivial), invariant)
+    parts = tuple(quasi) + tuple(cycles) + tuple(trivial)
+    return QuasiCycleDecomposition(parts, images_invariant(r.images))
 
 
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
     """The complete invariant of conjugation by finitary permutations.
 
-    Read off :func:`decompose`'s cached result, so it costs one cache lookup.
+    Counted from r's image tuple by :func:`images_invariant`, without
+    building the decomposition.
 
     >>> a, b = parse_element("(1 2)e{3}"), parse_element("(2 3)e{1}")
     >>> conjugacy_invariant(a) is conjugacy_invariant(b)
     True
     """
-    return decompose(r).invariant
+    return images_invariant(r.images)
 
 
 def find_conjugator(

@@ -18,8 +18,11 @@ Values are memoised per conjugacy class.  The states are S_infinity-invariant,
 f(s r s^-1) = f(r) for every finitary permutation s, so a value depends only on
 the element's :class:`~rookchar.quasicycles.ConjugacyInvariant` (the orbit
 sizes of its quasi-cycles and plain cycles and its trivial count).  Each
-parameter set keeps one table from invariant to value (:class:`ValueTable`),
-and an element costs a cached decomposition plus one dictionary lookup.
+parameter set keeps one table (:class:`ValueTable`) from invariant to value
+and a bounded memo from image tuple to value.  An element met before costs
+one dictionary lookup; a new one costs an orbit-length count of its image
+tuple (:func:`~rookchar.quasicycles.images_invariant`) plus a class lookup,
+and no decomposition is built.
 """
 
 from __future__ import annotations
@@ -38,11 +41,15 @@ from .errors import (
     ResourceGuardError,
     json_int,
 )
-from .quasicycles import ConjugacyInvariant, decompose
+from .quasicycles import ConjugacyInvariant, images_invariant
 
 # The dense Gram route builds and certifies an m x m matrix of Fractions, so
 # m is guarded: R_4's 209 elements pass, R_5's 1546 would run for hours.
 MAX_GRAM_ELEMENTS = 1024
+
+# Entries a ValueTable's element memo holds before it starts over; the same
+# bound as decompose's cache.  Each entry keeps its image tuple alive.
+MAX_MEMO_ELEMENTS = 65536
 
 TYPE_I_INF = "TypeIinf"
 TYPE_II_INF = "TypeIIinf"
@@ -87,27 +94,38 @@ def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int
 
 
 class ValueTable:
-    """The family's value function for one parameter set, memoised by class.
+    """The family's value function for one parameter set, memoised twice.
 
-    ``by_class`` maps each conjugacy invariant met so far to its value.  On a
-    miss the value is the product of the cycle factors, ``t * base**n`` for
-    each quasi-cycle of n points and ``(t * base)**trivial_count``.
+    ``by_images`` maps the image tuple of each element met so far to its
+    value; it is emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries.  On a
+    miss, the element's invariant is counted from its images and looked up
+    in ``by_class``, which maps each conjugacy invariant met so far to its
+    value.  A new class's value is the product of the cycle factors,
+    ``t * base**n`` for each quasi-cycle of n points and
+    ``(t * base)**trivial_count``.
     """
 
-    __slots__ = ("alpha", "beta", "t", "base", "by_class")
+    __slots__ = ("alpha", "beta", "t", "base", "by_class", "by_images")
 
     def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
                  t: Fraction, base: Fraction):
         self.alpha, self.beta, self.t, self.base = alpha, beta, t, base
         self.by_class: dict[ConjugacyInvariant, Fraction] = {}
+        self.by_images: dict[tuple[int | None, ...], Fraction] = {}
 
     def value(self, r: PartialBijection) -> Fraction:
-        invariant = decompose(r).invariant
-        try:
-            return self.by_class[invariant]
-        except KeyError:
-            value = self.by_class[invariant] = self._class_value(invariant)
+        images = r.images
+        value = self.by_images.get(images)
+        if value is not None:
             return value
+        invariant = images_invariant(images)
+        value = self.by_class.get(invariant)
+        if value is None:
+            value = self.by_class[invariant] = self._class_value(invariant)
+        if len(self.by_images) >= MAX_MEMO_ELEMENTS:
+            self.by_images.clear()
+        self.by_images[images] = value
+        return value
 
     # A table is also a plain value function; evaluate and the sweeps call
     # the method, which skips the slower call through __call__.
@@ -129,8 +147,9 @@ class ValueTable:
 class State(Record):
     """A validated state specification; also usable directly as the state.
 
-    ``table`` holds this state's values, memoised by conjugacy class; it is
-    not a field, so it takes no part in equality, hashing or the repr.
+    ``table`` holds this state's values, memoised by element and by
+    conjugacy class; it is not a field, so it takes no part in equality,
+    hashing or the repr.
     """
 
     _fields = ("thoma", "mark")
@@ -283,6 +302,19 @@ class GramReport(Record):
         }
 
 
+def check_gram_size(m: int) -> None:
+    """Raise ResourceGuardError when m elements exceed ``MAX_GRAM_ELEMENTS``.
+
+    Callers that can count the elements before listing them (``gram --n``)
+    check first, so an oversized request builds nothing.
+    """
+    if m > MAX_GRAM_ELEMENTS:
+        raise ResourceGuardError(
+            f"a Gram matrix of {m} elements exceeds the dense route's guard "
+            f"MAX_GRAM_ELEMENTS = {MAX_GRAM_ELEMENTS}"
+        )
+
+
 def gram_matrix(
     state,
     elements: Sequence[PartialBijection],
@@ -296,11 +328,7 @@ def gram_matrix(
     """
     f = _value_fn(state)
     elems = tuple(elements)
-    if len(elems) > MAX_GRAM_ELEMENTS:
-        raise ResourceGuardError(
-            f"a Gram matrix of {len(elems)} elements exceeds the dense route's guard "
-            f"MAX_GRAM_ELEMENTS = {MAX_GRAM_ELEMENTS}"
-        )
+    check_gram_size(len(elems))
     if len(set(elems)) != len(elems):
         raise ValueError("Gram elements must be distinct")
     if ordering not in (STAR_JI, I_STAR_J):

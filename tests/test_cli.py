@@ -10,7 +10,8 @@ import time
 import pytest
 
 import rookchar
-from rookchar import tensor_model
+from rookchar import cli, elements, tensor_model
+from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
 from conftest import SUITE_STATES
 
@@ -134,6 +135,17 @@ class TestGram:
         assert (code, out) == (EXIT_GUARD, "")
         assert "1546 elements" in err and "MAX_GRAM_ELEMENTS = 1024" in err
 
+    def test_guard_trips_before_listing_r_n(self, capsys, monkeypatch):
+        # R_7 has 130,922 elements; counting them must be enough to refuse.
+        def refuse(n):
+            raise AssertionError(f"enumerate_rn({n}) called")
+
+        monkeypatch.setattr(cli, "enumerate_rn", refuse)
+        monkeypatch.setattr(elements, "enumerate_rn", refuse)
+        code, out, err = run(capsys, "gram", "--n", "7")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "130922 elements" in err and "MAX_GRAM_ELEMENTS = 1024" in err
+
     def test_unchecked_mark_out_of_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad_mark.json"
         path.write_text(json.dumps({"alpha": ["3/4"], "beta": [], "mark": {"i": 3, "t": "1"}}))
@@ -166,6 +178,14 @@ class TestVerify:
     def test_unknown_suite_exits_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "frobnicate", "--n", "3")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("suite", ["star", "centrality", "conjugation", "multiplicativity"])
+    def test_state_sweeps_build_no_decomposition(self, capsys, suite):
+        # Values come from the image tuple's orbit lengths, not from parts.
+        decompose.cache_clear()
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--n", "4")
+        assert code == EXIT_OK and json.loads(out)["ok"]
+        assert decompose.cache_info().currsize == 0
 
 
 # Exact stdout of each suite at small n, with the built-in state.

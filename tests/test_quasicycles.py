@@ -1,10 +1,12 @@
 """Decomposition uniqueness, conjugacy invariants, and conjugator search."""
 
 import itertools
+import random
 
 import pytest
 
 from rookchar.elements import (
+    PartialBijection,
     compose,
     enumerate_rn,
     idempotent,
@@ -81,9 +83,20 @@ class TestInvariant:
             inv = conjugacy_invariant(r)
             assert all(x >= 2 for x in inv.q_partition + inv.c_partition)
 
-    def test_recorded_invariant_matches_parts_r5(self):
-        for r in enumerate_rn(5):
-            assert conjugacy_invariant(r) == invariant_from_parts(decompose(r).parts), r.literal()
+    def test_kernel_agrees_with_decompose(self):
+        # Every element of R_0..R_6, plus seeded random elements up to bound 12.
+        rng = random.Random(20261018)
+        randoms = []
+        for _ in range(300):
+            bound = rng.randint(0, 12)
+            images = [None if rng.random() < 0.3 else y
+                      for y in rng.sample(range(1, bound + 1), bound)]
+            randoms.append(PartialBijection.from_images(images))
+        elems = itertools.chain.from_iterable(enumerate_rn(n) for n in range(7))
+        for r in itertools.chain(elems, randoms):
+            d = decompose(r)
+            assert conjugacy_invariant(r) is d.invariant, r.literal()
+            assert d.invariant == invariant_from_parts(d.parts), r.literal()
 
     def test_equal_invariants_are_one_object(self):
         by_value = {}

@@ -14,6 +14,7 @@ from rookchar.elements import (
     sign,
     symmetric_group,
 )
+from rookchar import states
 from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose
 from rookchar.states import (
     I_STAR_J,
@@ -308,6 +309,18 @@ class TestFactorMemo:
         differing = [inv for inv in classes
                      if running.table.by_class[inv] != overweight.by_class[inv]]
         assert len(differing) == len(classes) - 1  # all but the identity's class
+
+    def test_element_memo_stays_bounded_and_exact(self, monkeypatch):
+        # A small bound, so R_5's 1546 elements cross it three times; values
+        # after every clearing must still be exact.
+        monkeypatch.setattr(states, "MAX_MEMO_ELEMENTS", 500)
+        st = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
+        table = st.table
+        params = (st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
+        for r in enumerate_rn(5):
+            for x in (r, r.star(), r):
+                assert st.value(x) == uncached_value(*params, x), x.literal()
+                assert len(table.by_images) <= 500
 
     def test_table_is_per_state(self):
         a = make_state(alpha=["1/2"], mark=(1, "1/2"))
