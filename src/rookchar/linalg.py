@@ -6,32 +6,43 @@ that either produces a nonnegative pivot sequence reproducing the matrix as
 P^T M P = L diag(pivots) L^T, or an exact rational witness vector v with
 v^T M v < 0.  ``verify_certificate`` rechecks either outcome independently.
 Everything here is exact; the float oracles live in ``tensor_model``.
+
+The elimination keeps the rational Schur complement S of the remaining block
+as an integer block B over one positive integer denominator D, S = B / D.  A
+step multiplies out the update without dividing, then divides B and D by
+their common content: the gcd of D and every entry of B.  On the Gram
+matrices of ``states`` that content is most of each entry's size (Bareiss'
+division by the previous pivot leaves it in place), so removing it keeps the
+entries short.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
+
+from .errors import Record
 
 PSD = "PSD"
 NOT_PSD = "NotPSD"
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+class RationalMatrix(Record):
+    __slots__ = _fields = ("entries",)
 
-    def __post_init__(self):
-        n = len(self.entries)
-        for row in self.entries:
+    def __init__(self, entries: tuple[tuple[Fraction, ...], ...]):
+        n = len(entries)
+        for row in entries:
             if len(row) != n:
                 raise ValueError("matrix must be square")
+        self._set(entries)
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "RationalMatrix":
-        return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return RationalMatrix(tuple(
+            tuple(x if isinstance(x, Fraction) else Fraction(x) for x in row) for row in rows
+        ))
 
     @property
     def n(self) -> int:
@@ -57,8 +68,7 @@ class RationalMatrix:
         return [[str(x) for x in row] for row in self.entries]
 
 
-@dataclass(frozen=True)
-class PsdCertificate:
+class PsdCertificate(Record):
     """Outcome of the pivoted exact elimination.
 
     In the PSD case ``permutation``, ``lower`` and ``pivots`` reproduce the
@@ -67,11 +77,17 @@ class PsdCertificate:
     vector with a negative quadratic form.
     """
 
-    verdict: str
-    pivots: tuple[Fraction, ...] | None = None
-    permutation: tuple[int, ...] | None = None
-    lower: tuple[tuple[Fraction, ...], ...] | None = None
-    witness: tuple[Fraction, ...] | None = None
+    __slots__ = _fields = ("verdict", "pivots", "permutation", "lower", "witness")
+
+    def __init__(
+        self,
+        verdict: str,
+        pivots: tuple[Fraction, ...] | None = None,
+        permutation: tuple[int, ...] | None = None,
+        lower: tuple[tuple[Fraction, ...], ...] | None = None,
+        witness: tuple[Fraction, ...] | None = None,
+    ):
+        self._set(verdict, pivots, permutation, lower, witness)
 
     @property
     def is_psd(self) -> bool:
@@ -89,49 +105,63 @@ class PsdCertificate:
 def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     """Certify positive semidefiniteness of a symmetric rational matrix.
 
-    The elimination runs fraction-free on integers (Bareiss): M is scaled by
-    the lcm of its denominators, and step k replaces each remaining entry by
-    ``(d a[i][j] - a[i][k] a[k][j]) / prev``, with d the current pivot entry
-    and prev the previous one.  By Sylvester's identity the division is exact
-    and every remaining entry is the rational Schur complement times a
-    positive leading minor, so signs and the pivot order are those of the
-    rational elimination, and ``pivots[k] = d / (prev * scale)``.
+    The elimination runs fraction-free on integers.  M is scaled by the lcm of
+    its denominators, so the remaining block starts as B = scale * M over the
+    denominator D = scale.  Step k with pivot entry d = B[k][k] replaces each
+    remaining entry by ``d B[i][j] - B[k][i] B[k][j]`` and D by ``D d``, which
+    leaves the rational Schur complement B / D exact, and then divides B and D
+    by the gcd of D and all of B's entries; every such division is checked for
+    a remainder.  Only the upper triangle of B is kept, each row from its
+    diagonal on.  The pivot is ``pivots[k] = d / D`` and the factor is
+    ``lower[i][k] = B[k][i] / d``.
 
     Pivot rule: take the largest positive diagonal entry of the remaining
     block (ties go to the first index); when none is positive the block must
     vanish identically, and any surviving entry yields a witness (a negative
     diagonal gives a coordinate vector, a nonzero off-diagonal over a zero
     diagonal gives e_i -/+ e_j), back-substituted through the recorded
-    factors to a witness for M itself.
+    factors to a witness for M itself.  Every block entry is the rational
+    Schur complement times the same positive number, whatever was divided out,
+    so the comparisons and signs the rule reads are those of the rational
+    elimination: the pivot sequence, permutation, factors and witness do not
+    depend on the content reduction.
     """
-    if not m.is_symmetric():
-        raise ValueError("psd_certificate requires a symmetric matrix")
     n = m.n
     scale = lcm(*(x.denominator for row in m.entries for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    full = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    if list(map(list, zip(*full))) != full:
+        raise ValueError("psd_certificate requires a symmetric matrix")
+    # a[i] holds row i of the remaining block from its diagonal on: a[i][j - i]
+    # is B[i][j] for j >= i.
+    a = [row[i:] for i, row in enumerate(full)]
+    den = scale
+    zero, one = Fraction(0), Fraction(1)
+    lower = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        lower[i][i] = one
     perm = list(range(n))
     pivots: list[Fraction] = []
 
-    def swap(i: int, j: int):
-        if i == j:
-            return
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        perm[i], perm[j] = perm[j], perm[i]
-        k = len(pivots)
-        lower[i][:k], lower[j][:k] = lower[j][:k], lower[i][:k]
+    def swap(k: int, p: int):
+        # Exchange indices k < p of the remaining block, upper triangle only.
+        ak, ap = a[k], a[p]
+        between = [a[c][p - c] for c in range(k + 1, p)]
+        for c in range(k + 1, p):
+            a[c][p - c] = ak[c - k]
+        a[k] = [ap[0], *between, ak[p - k], *ap[1:]]
+        a[p] = [ak[0], *ak[p - k + 1 :]]
+        perm[k], perm[p] = perm[p], perm[k]
+        lower[k][:k], lower[p][:k] = lower[p][:k], lower[k][:k]
 
     def witness_from(y: dict[int, Fraction]) -> PsdCertificate:
         # Solve L^T w = z by back substitution, then undo the permutation;
         # the quadratic form of the result equals the one of y in the
         # current Schur complement.
-        z = [y.get(i, Fraction(0)) for i in range(n)]
-        w = [Fraction(0)] * n
+        z = [y.get(i, zero) for i in range(n)]
+        w = [zero] * n
         for i in range(n - 1, -1, -1):
             w[i] = z[i] - sum(lower[j][i] * w[j] for j in range(i + 1, n))
-        x = [Fraction(0)] * n
+        x = [zero] * n
         for pos, orig in enumerate(perm):
             x[orig] = w[pos]
         value = m.quadratic_form(x)
@@ -139,37 +169,39 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
             raise RuntimeError(f"internal error: witness has quadratic form {value} >= 0")
         return PsdCertificate(NOT_PSD, witness=tuple(x))
 
-    prev = 1
     for k in range(n):
         best = None
         for j in range(k, n):
-            if a[j][j] > 0 and (best is None or a[j][j] > a[best][best]):
+            if a[j][0] > 0 and (best is None or a[j][0] > a[best][0]):
                 best = j
         if best is None:
             for j in range(k, n):
-                if a[j][j] < 0:
-                    return witness_from({j: Fraction(1)})
+                if a[j][0] < 0:
+                    return witness_from({j: one})
             for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j]:
-                        s = Fraction(1) if a[i][j] > 0 else Fraction(-1)
-                        return witness_from({i: Fraction(1), j: -s})
-            pivots.extend([Fraction(0)] * (n - k))
+                for j, x in enumerate(a[i][1:], i + 1):
+                    if x:
+                        return witness_from({i: one, j: -one if x > 0 else one})
+            pivots.extend([zero] * (n - k))
             break
-        swap(best, k)
+        if best != k:
+            swap(k, best)
         ak = a[k]
-        d = ak[k]
-        pivots.append(Fraction(d, prev * scale))
+        d = ak[0]
+        pivots.append(Fraction(d, den))
+        den *= d
+        g = den
         for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            lower[i][k] = Fraction(aik, d)
-            for j in range(i, n):
-                q, r = divmod(d * ai[j] - aik * ak[j], prev)
-                if r:
-                    raise RuntimeError(f"internal error: inexact division by pivot entry {prev}")
-                ai[j] = a[j][i] = q
-        prev = d
+            aki = ak[i - k]
+            if aki:
+                lower[i][k] = Fraction(aki, d)
+            a[i] = row = [d * x - aki * y for x, y in zip(a[i], ak[i - k :])]
+            if g != 1:
+                g = gcd(g, *row)
+        if g != 1:
+            (den,) = _divide_exactly((den,), g)
+            for i in range(k + 1, n):
+                a[i] = _divide_exactly(a[i], g)
 
     return PsdCertificate(
         PSD,
@@ -177,6 +209,15 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         permutation=tuple(perm),
         lower=tuple(tuple(row) for row in lower),
     )
+
+
+def _divide_exactly(values: Sequence[int], g: int) -> list[int]:
+    # g > 0, so floor division leaves every remainder in [0, g): they are all
+    # zero exactly when the quotients times g sum to the values' sum.
+    quotients = [x // g for x in values]
+    if g * sum(quotients) != sum(values):
+        raise RuntimeError(f"internal error: inexact division by content {g}")
+    return quotients
 
 
 def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:

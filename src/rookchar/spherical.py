@@ -97,10 +97,7 @@ def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:
     """l (l-1) ... (l-b+1) / (n (n-1) ... (n-b+1)); zero when b > l."""
     if killed > l:
         return Fraction(0)
-    value = Fraction(1)
-    for i in range(killed):
-        value *= Fraction(l - i, n - i)
-    return value
+    return Fraction(math.perm(l, killed), math.perm(n, killed))
 
 
 def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:

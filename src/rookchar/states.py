@@ -333,15 +333,11 @@ def gram_matrix(
         raise ValueError("Gram elements must be distinct")
     if ordering not in (STAR_JI, I_STAR_J):
         raise ValueError(f"unknown ordering {ordering!r}")
-    rows = []
-    for ri in elems:
-        row = []
-        for rj in elems:
-            if ordering == STAR_JI:
-                row.append(f(compose(rj.star(), ri)))
-            else:
-                row.append(f(compose(ri, rj.star())))
-        rows.append(row)
+    stars = [rj.star() for rj in elems]
+    if ordering == STAR_JI:
+        rows = [[f(compose(sj, ri)) for sj in stars] for ri in elems]
+    else:
+        rows = [[f(compose(ri, sj)) for sj in stars] for ri in elems]
     matrix = linalg.RationalMatrix.from_rows(rows)
     return GramReport(elems, ordering, matrix, linalg.psd_certificate(matrix))
 

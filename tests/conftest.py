@@ -2,6 +2,7 @@
 
 import pytest
 
+from rookchar.elements import enumerate_rn
 from rookchar.states import make_state
 from rookchar.tensor_model import ModelParams
 
@@ -15,6 +16,12 @@ SUITE_STATES = {
     "sign": make_state(beta=["1"]),
     "zero_extension": make_state(alpha=["1/2"], beta=["1/4"]),
 }
+
+# The 72 elements of R_4 whose domain holds 1, 2 and at least one of 3, 4.
+R4_GRAM_ELEMENTS = tuple(
+    r for r in enumerate_rn(4)
+    if not {1, 2} & set(r.domain_gaps()) and not {3, 4} <= set(r.domain_gaps())
+)
 
 # Oracle parameter sets all carry full spectral mass (Tr|A| = 1, empty
 # regular block), where the truncated product state matches the closed form

@@ -256,3 +256,21 @@ def test_criterion_13_fast_sweeps_n5():
             report = check(state, 5)
             assert report.ok, (report.suite, report.violations)
             assert report.checked == 1546 * 120
+
+
+# The product of the nonzero pivots (the determinant) of the R_4 Gram of the
+# running state, as the Bareiss elimination before content reduction gave it.
+R4_RUNNING_GRAM_DET = Fraction(
+    5**51 * 7**27 * 11**6 * 13 * 17**4 * 29 * 37**9, 2**964 * 3**130
+)
+
+
+def test_criterion_14_dense_r4_certificate():
+    with criterion(14, "exact PSD of the dense 209x209 Gram over R_4, running state", 8.0):
+        elems = list(enumerate_rn(4))
+        assert len(elems) == 209
+        cert = gram_matrix(SUITE_STATES["running"], elems).certificate
+        assert cert.is_psd
+        nonzero = [p for p in cert.pivots if p]
+        assert len(nonzero) == 209
+        assert math.prod(nonzero) == R4_RUNNING_GRAM_DET

@@ -511,6 +511,12 @@ class TestImportBoundary:
         assert (code, dataclasses) == ("0", "False")
         assert ran <= set(bodies) and not skipped & set(bodies)
 
+    def test_gram_leaves_dataclasses_out(self):
+        code, dataclasses, *bodies = fresh_python(RUN_AS_MAIN, "gram", "--n", "2")
+        assert (code, dataclasses) == ("0", "False")
+        assert {"quasicycles", "states", "linalg"} <= set(bodies)
+        assert not {"spherical", "algebra", "words", "tensor_model"} & set(bodies)
+
     def test_oracle_loads_numpy(self, params_file):
         argv = ["oracle", "--params", params_file, "--n", "2"]
         assert fresh_python(RUN_MAIN, *argv) == ["0", "True"]

@@ -1,6 +1,6 @@
 """Exact PSD certification: the fraction-free elimination against a Fraction reference."""
 
-import dataclasses
+import math
 import os
 import pathlib
 import random
@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rookchar
+from rookchar import linalg
+from rookchar.elements import enumerate_rn
 from rookchar.linalg import (
     NOT_PSD,
     PSD,
@@ -21,6 +23,17 @@ from rookchar.linalg import (
     psd_certificate,
     verify_certificate,
 )
+from rookchar.states import I_STAR_J, STAR_JI, gram_matrix, unchecked_value_fn
+from conftest import R4_GRAM_ELEMENTS, SUITE_STATES
+
+# Two `unchecked` parameter sets past the mass bound whose Grams on the 72
+# elements of R4_GRAM_ELEMENTS are NotPSD under both orderings: alpha mass 3/2
+# with t = 3/2, and the running state's alpha and quasi base with beta = (1/2),
+# mass 4/3, at t = 1/2.
+UNCHECKED_NOT_PSD = {
+    "mass_3_2": {"alpha": ["3/4", "3/4"], "beta": [], "mark": {"i": 1, "t": "3/2"}},
+    "mass_4_3": {"alpha": ["1/2", "1/3"], "beta": ["1/2"], "mark": {"i": 1, "t": "1/2"}},
+}
 
 fractions_st = st.fractions(min_value=-3, max_value=3, max_denominator=8)
 
@@ -143,6 +156,14 @@ class TestPsdCertificate:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             psd_certificate(RationalMatrix.from_rows([[1, 2], [0, 1]]))
+        with pytest.raises(ValueError):
+            psd_certificate(RationalMatrix.from_rows([[1, Fraction(1, 3)], [Fraction(1, 6), 1]]))
+
+    def test_inexact_content_division_raises(self, monkeypatch):
+        # A content that does not divide the block must stop the elimination.
+        monkeypatch.setattr(linalg, "gcd", lambda *xs: 2 * math.gcd(*xs))
+        with pytest.raises(RuntimeError, match="inexact division"):
+            psd_certificate(RationalMatrix.from_rows([[3, 1], [1, 3]]))
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -262,6 +283,34 @@ class TestAgainstFractionReference:
         assert verify_certificate(RationalMatrix(()), cert)
 
 
+class TestGramShapedInputs:
+    """The content-reduced elimination equals the Fraction reference on Gram matrices.
+
+    Gram blocks share a large content, so these exercise the gcd division far
+    more than the random inputs above.  Equality covers every field: pivots,
+    permutation, lower factor and witness.
+    """
+
+    @staticmethod
+    def check(report):
+        assert report.certificate == reference_certificate(report.matrix)
+        return report.certificate
+
+    @pytest.mark.parametrize("ordering", [STAR_JI, I_STAR_J])
+    def test_r3_suite_states(self, suite_state, ordering):
+        assert self.check(gram_matrix(suite_state, enumerate_rn(3), ordering)).is_psd
+
+    @pytest.mark.parametrize("name", ["running", "zero_extension"])
+    def test_r4_72_elements(self, name):
+        assert self.check(gram_matrix(SUITE_STATES[name], R4_GRAM_ELEMENTS)).is_psd
+
+    @pytest.mark.parametrize("ordering", [STAR_JI, I_STAR_J])
+    @pytest.mark.parametrize("name", sorted(UNCHECKED_NOT_PSD))
+    def test_unchecked_not_psd(self, name, ordering):
+        f = unchecked_value_fn(UNCHECKED_NOT_PSD[name])
+        assert self.check(gram_matrix(f, R4_GRAM_ELEMENTS, ordering)).verdict == NOT_PSD
+
+
 class TestVerifyCertificate:
     @staticmethod
     def certified(seed, n=6, rank=4):
@@ -273,13 +322,17 @@ class TestVerifyCertificate:
         k = next(k for k, p in enumerate(cert.pivots) if p)
         pivots = list(cert.pivots)
         pivots[k] += Fraction(1, 10**6)
-        assert not verify_certificate(m, dataclasses.replace(cert, pivots=tuple(pivots)))
+        tampered = PsdCertificate(PSD, pivots=tuple(pivots), permutation=cert.permutation,
+                                  lower=cert.lower)
+        assert not verify_certificate(m, tampered)
 
     def test_tampered_lower_entry_fails(self):
         m, cert = self.certified(32)
         lower = [list(row) for row in cert.lower]
         lower[-1][0] += 1
-        assert not verify_certificate(m, dataclasses.replace(cert, lower=tuple(map(tuple, lower))))
+        tampered = PsdCertificate(PSD, pivots=cert.pivots, permutation=cert.permutation,
+                                  lower=tuple(map(tuple, lower)))
+        assert not verify_certificate(m, tampered)
 
     def test_negative_pivot_fails(self):
         # diag(1, -1) = L diag(1, -1) L^T, but a negative pivot proves nothing.
@@ -294,4 +347,6 @@ class TestVerifyCertificate:
         shifted = RationalMatrix.from_rows([[1, 2], [2, 1]])
         not_psd = psd_certificate(shifted)
         assert not_psd.verdict == NOT_PSD and verify_certificate(shifted, not_psd)
-        assert not verify_certificate(m, dataclasses.replace(cert, permutation=(0,) * m.n))
+        tampered = PsdCertificate(PSD, pivots=cert.pivots, permutation=(0,) * m.n,
+                                  lower=cert.lower)
+        assert not verify_certificate(m, tampered)

@@ -8,11 +8,13 @@ import pytest
 
 from rookchar.elements import parse_element
 from rookchar.errors import CheckReport
+from rookchar.linalg import RationalMatrix, psd_certificate
 from rookchar.quasicycles import QuasiCycle, decompose
 from rookchar.spherical import SphericalModel
 from rookchar.states import ThomaParams, evaluate, make_state
 
 RUNNING = parse_element("[2,3,_,4,_]")
+MATRIX = RationalMatrix.from_rows([[1, Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]])
 # Each record with the name of one of its fields.
 RECORDS = {
     "PartialBijection": (RUNNING, "images"),
@@ -23,6 +25,8 @@ RECORDS = {
     "State": (make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2")), "mark"),
     "CheckReport": (CheckReport("gelfand", 3, 6, (), basis=34, distinct_products=4), "basis"),
     "SphericalModel": (SphericalModel(11, 5, Fraction(1, 3)), "kappa"),
+    "RationalMatrix": (MATRIX, "entries"),
+    "PsdCertificate": (psd_certificate(MATRIX), "pivots"),
 }
 STATE = RECORDS["State"][0]
 

@@ -38,7 +38,7 @@ from rookchar.states import (
     unchecked_value_fn,
 )
 from rookchar.linalg import NOT_PSD, verify_certificate
-from conftest import SUITE_STATES
+from conftest import R4_GRAM_ELEMENTS, SUITE_STATES
 
 
 def cycle_type_via_orbits(perm):
@@ -221,8 +221,7 @@ class TestGram:
         assert m.certificate.verdict == NOT_PSD
         assert verify_certificate(m.matrix, m.certificate)
 
-    # The 72 elements of R_4 whose domain holds 1, 2 and at least one of 3, 4.
-    # The running state gives a full-rank Gram with ~300-bit pivots; the
+    # On the 72 elements of R4_GRAM_ELEMENTS the running state gives a full-rank Gram with ~300-bit pivots; the
     # markless zero extension vanishes off the 24 permutations, so rank 24.
     # The product of the nonzero pivots does not depend on the element order.
     R4_GRAM_DET = {
@@ -245,11 +244,7 @@ class TestGram:
 
     @pytest.mark.parametrize("name", sorted(R4_GRAM_DET))
     def test_r4_gram_rank_and_pivot_product(self, name):
-        elems = [
-            r
-            for r in enumerate_rn(4)
-            if not {1, 2} & set(r.domain_gaps()) and not {3, 4} <= set(r.domain_gaps())
-        ]
+        elems = R4_GRAM_ELEMENTS
         assert len(elems) == 72
         report = gram_matrix(SUITE_STATES[name], elems)
         cert = report.certificate
