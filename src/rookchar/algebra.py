@@ -12,7 +12,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
-from .errors import CheckReport
+from .errors import MAX_VIOLATIONS, CheckReport
 
 
 class FormalSum:
@@ -134,7 +134,7 @@ def symmetrizer(n: int) -> FormalSum:
     return FormalSum((s, coeff) for s in symmetric_group(n))
 
 
-def check_gelfand_pair(n: int, max_violations: int = 20) -> CheckReport:
+def check_gelfand_pair(n: int) -> CheckReport:
     """Verify that symmetrized products p*a*p commute pairwise over R_n.
 
     Uses a precomputed multiplication table of R_n so the quadratic sweep
@@ -180,7 +180,7 @@ def check_gelfand_pair(n: int, max_violations: int = 20) -> CheckReport:
     for (ea, ua), (eb, ub) in itertools.combinations(sandwiches, 2):
         pairs += 1
         if table_product(ua, ub) != table_product(ub, ua):
-            if len(violations) < max_violations:
+            if len(violations) < MAX_VIOLATIONS:
                 violations.append(f"p {ea.literal()} p vs p {eb.literal()} p")
     # Equal sandwiches commute iff their representatives do, so checking the
     # distinct ones settles every basis pair.

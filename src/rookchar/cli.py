@@ -1,8 +1,11 @@
 """Batch front end: parse, evaluate, and run verification suites.
 
 Exit codes: 0 success, 2 usage or parse error, 3 property violation,
-4 resource guard tripped.  Output is deterministic: JSON with sorted keys,
-rationals as "p/q" strings, floats with 12 significant digits.
+4 resource guard tripped.  Output is deterministic: JSON with sorted keys and
+rationals as "p/q" strings.  The oracle's ``model`` strings and CSV float
+cells carry 12 significant digits; the other JSON floats (``diff``,
+``max_diff``, ``tolerance``, ``target``, ``values``, ``max_deviation``) print
+as their ``repr``.
 """
 
 from __future__ import annotations
@@ -47,8 +50,6 @@ def _csv_cell(value) -> str:
 
 
 def _json_default(value):
-    if isinstance(value, float):
-        return format(value, ".12g")
     if isinstance(value, Fraction):
         return str(value)
     raise TypeError(f"not serializable: {value!r}")

@@ -132,6 +132,21 @@ class PartialBijection(Record):
         hit = {y for y in self.images if y is not None}
         return tuple(x for x in range(1, len(self.images) + 1) if x not in hit)
 
+    def one_line(self, n: int) -> list[int]:
+        """The one-line form of a permutation of 1..n that extends r.
+
+        The domain gaps are sent, ascending, to the range gaps, ascending.
+
+        >>> parse_element("[2,_,1]").one_line(4)
+        [2, 3, 1, 4]
+        """
+        if len(self.images) > n:
+            raise ValueError(f"support of {self.literal()} exceeds the ground set 1..{n}")
+        free = iter(self.range_gaps())
+        return [next(free) if y is None else y for y in self.images] + list(
+            range(len(self.images) + 1, n + 1)
+        )
+
     def support(self) -> frozenset[int]:
         """Moved points plus domain gaps; the complement of the fixed set."""
         return frozenset(

@@ -12,6 +12,9 @@ MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
 STAR_JI = "starJI"
 I_STAR_J = "iStarJ"
 
+# The most violations a sweep records, and a report prints.
+MAX_VIOLATIONS = 20
+
 
 class ParseError(ValueError):
     """Raised when an element literal or a JSON config cannot be parsed."""
@@ -106,7 +109,7 @@ class CheckReport(Record):
             "n": self.n,
             "checked": self.checked,
             "ok": self.ok,
-            "violations": list(self.violations[:20]),
+            "violations": list(self.violations[:MAX_VIOLATIONS]),
         }
         if self.basis is not None:
             payload.update(basis=self.basis, distinct_products=self.distinct_products)

@@ -56,13 +56,14 @@ class RationalMatrix(Record):
         )
 
     def quadratic_form(self, v: Sequence[Fraction]) -> Fraction:
+        """v^T M v, summed over the nonzero entries of v only."""
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
+        nonzero = [(i, x) for i, x in enumerate(v) if x]
         return sum(
-            v[i] * self.entries[i][j] * v[j]
-            for i in range(self.n)
-            for j in range(self.n)
-        ) or Fraction(0)
+            (x * sum((self.entries[i][j] * y for j, y in nonzero), Fraction(0)) for i, x in nonzero),
+            Fraction(0),
+        )
 
     def to_json_rows(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]

@@ -28,7 +28,7 @@ from .elements import (
     compose,
     cycle as make_cycle,
     idempotent,
-    parse_element,
+    parse_element,  # for the doctests
     symmetric_group,
 )
 from .errors import Record
@@ -278,7 +278,3 @@ def conjugacy_orbit(r: PartialBijection, n: int) -> frozenset[PartialBijection]:
     for s in symmetric_group(n):
         orbit.add(compose(compose(s, r), s.star()))
     return frozenset(orbit)
-
-
-def _doctest_entry():  # keeps the module docstring example importable
-    return decompose(parse_element("[2,3,_,4,_]"))

@@ -32,27 +32,12 @@ MAX_BASIS = 20000
 
 
 class SphericalModel(Record):
-    __slots__ = _fields = ("n", "l", "kappa")
+    __slots__ = _fields = ("n", "l")
 
-    def __init__(self, n: int, l: int, kappa: Fraction = Fraction(0)):
+    def __init__(self, n: int, l: int):
         if not 0 <= l <= n:
             raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
-        if not 0 <= kappa <= 1:
-            raise ValueError("kappa must lie in [0, 1]")
-        self._set(n, l, kappa)
-
-
-def _split(r: PartialBijection, n: int) -> tuple[list[int], tuple[int, ...]]:
-    """One-line extension of r to a permutation of 1..n, plus its kill set."""
-    if r.bound > n:
-        raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
-    kills = r.domain_gaps()
-    free = iter(r.range_gaps())
-    line = []
-    for x in range(1, n + 1):
-        y = r(x)
-        line.append(next(free) if y is None else y)
-    return line, kills
+        self._set(n, l)
 
 
 @functools.lru_cache(maxsize=4)
@@ -81,7 +66,7 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     size = math.comb(n, l)
     if size > MAX_BASIS:
         raise ResourceGuardError(f"basis of size C({n},{l}) = {size} exceeds the guard")
-    line, kills = _split(r, n)
+    line, kills = r.one_line(n), r.domain_gaps()
     if len(kills) > l:
         return Fraction(0)
     basis = _subset_basis(n, l)
@@ -107,8 +92,7 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
     still hold u; permuting slots leaves the per-slot overlaps with u as a
     multiset, and each projected slot contributes (u, w)^2 = kappa^2.
     """
-    _, kills = _split(r, max(r.bound, 1))
-    return Fraction(kappa**2) ** len(kills)
+    return Fraction(kappa**2) ** len(r.domain_gaps())
 
 
 def slot_coefficient_table(
@@ -126,8 +110,7 @@ def slot_coefficient_table(
     unprojected = kappa_w * kappa_w + perp * perp
     for r in rs:
         m = max(r.bound, 1)
-        line, kills = _split(r, m)
-        killed = set(kills)
+        line, killed = r.one_line(m), set(r.domain_gaps())
         overlaps = [projected if x in killed else unprojected for x in range(1, m + 1)]
         inverse = [0] * m
         for x, y in enumerate(line, start=1):
@@ -165,8 +148,7 @@ def spherical_limit_check(
     the reported winner is the scaling with the smaller error at the largest
     n.  Coefficients come from the closed form, so large n stays cheap.
     """
-    _, kills = _split(r, max(r.bound, 1))
-    b = len(kills)
+    b = len(r.domain_gaps())
     infinite = infinite_spherical_value(kappa, r)
     rows = []
     for n in sorted(n_list):

@@ -34,6 +34,7 @@ from . import linalg  # through the module, so linalg runs only when a Gram is b
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from .errors import (
     I_STAR_J,
+    MAX_VIOLATIONS,
     STAR_JI,
     CheckReport,
     ParseError,
@@ -349,7 +350,7 @@ def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
     return state.value if hasattr(state, "value") else state
 
 
-def check_centrality(state, n: int, max_violations: int = 20) -> CheckReport:
+def check_centrality(state, n: int) -> CheckReport:
     """f(r s) = f(s r) for every r in R_n and permutation s of 1..n."""
     f = _value_fn(state)
     checked = 0
@@ -358,12 +359,12 @@ def check_centrality(state, n: int, max_violations: int = 20) -> CheckReport:
     for r in enumerate_rn(n):
         for s in perms:
             checked += 1
-            if f(compose(r, s)) != f(compose(s, r)) and len(violations) < max_violations:
+            if f(compose(r, s)) != f(compose(s, r)) and len(violations) < MAX_VIOLATIONS:
                 violations.append(f"r={r.literal()} s={s.literal()}")
     return CheckReport("centrality", n, checked, tuple(violations))
 
 
-def check_multiplicativity(state, n: int, max_violations: int = 20) -> CheckReport:
+def check_multiplicativity(state, n: int) -> CheckReport:
     """f(r1 r2) = f(r1) f(r2) whenever the supports are disjoint."""
     f = _value_fn(state)
     elems = list(enumerate_rn(n))
@@ -377,24 +378,24 @@ def check_multiplicativity(state, n: int, max_violations: int = 20) -> CheckRepo
                 continue
             checked += 1
             if f(compose(r1, elems[j])) != values[i] * values[j]:
-                if len(violations) < max_violations:
+                if len(violations) < MAX_VIOLATIONS:
                     violations.append(f"r1={r1.literal()} r2={elems[j].literal()}")
     return CheckReport("multiplicativity", n, checked, tuple(violations))
 
 
-def check_star_symmetry(state, n: int, max_violations: int = 20) -> CheckReport:
+def check_star_symmetry(state, n: int) -> CheckReport:
     """f(r*) = f(r); values are real rationals, so conjugation is trivial."""
     f = _value_fn(state)
     checked = 0
     violations: list[str] = []
     for r in enumerate_rn(n):
         checked += 1
-        if f(r.star()) != f(r) and len(violations) < max_violations:
+        if f(r.star()) != f(r) and len(violations) < MAX_VIOLATIONS:
             violations.append(r.literal())
     return CheckReport("star-symmetry", n, checked, tuple(violations))
 
 
-def check_conjugation_invariance(state, n: int, max_violations: int = 20) -> CheckReport:
+def check_conjugation_invariance(state, n: int) -> CheckReport:
     """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n."""
     f = _value_fn(state)
     checked = 0
@@ -404,6 +405,6 @@ def check_conjugation_invariance(state, n: int, max_violations: int = 20) -> Che
         base = f(r)
         for s, s_inv in perms:
             checked += 1
-            if f(compose(compose(s, r), s_inv)) != base and len(violations) < max_violations:
+            if f(compose(compose(s, r), s_inv)) != base and len(violations) < MAX_VIOLATIONS:
                 violations.append(f"r={r.literal()} s={s.literal()}")
     return CheckReport("conjugation-invariance", n, checked, tuple(violations))

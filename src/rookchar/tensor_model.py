@@ -7,8 +7,8 @@ stay rational), a set of *regular* coordinates that absorb the leftover mass
 
 Two independent evaluation routes are provided:
 
-* :func:`phi_closed_form` multiplies per-part traces over the quasi-cycle
-  decomposition -- exact rationals throughout;
+* :func:`phi_closed_form` multiplies per-part traces over the part lengths
+  of the element's conjugacy invariant -- exact rationals throughout;
 * :func:`phi_model` applies the generator embedding on the N-fold tensor
   power along a generator word (an axis swap with a sign twist over the
   negative spectral block for each adjacent transposition, the rank-1
@@ -35,16 +35,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from typing import Iterable, Sequence
 
+from . import states  # for an annotation only: its body does not run
 from .elements import PartialBijection, transposition
-from .quasicycles import CYCLE, TRIVIAL, decompose
-from .states import State
+from .quasicycles import images_invariant
 from .words import EPS1, element_to_word
-from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, ResourceGuardError, json_int
+from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, Record, ResourceGuardError, json_int
 
 # After the package's modules on purpose: they run lazily, and running their
 # bodies after numpy's import raised the oracle commands' peak RSS by
@@ -52,25 +51,21 @@ from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, ResourceGuardError
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    a_diag: tuple[Fraction, ...]
-    v_sq: tuple[Fraction, ...]
-    regular: tuple[int, ...]
-    slots: int
+class ModelParams(Record):
+    __slots__ = _fields = ("a_diag", "v_sq", "regular", "slots")
 
-    def __post_init__(self):
-        if len(self.v_sq) != len(self.a_diag):
+    def __init__(self, a_diag: tuple[Fraction, ...], v_sq: tuple[Fraction, ...],
+                 regular: tuple[int, ...], slots: int):
+        if len(v_sq) != len(a_diag):
             raise ValueError("v and a_diag must have the same dimension")
-        if self.slots < 1:
+        if slots < 1:
             raise ValueError("need at least one tensor slot")
-        d = len(self.a_diag)
-        if len(set(self.regular)) != len(self.regular) or any(
-            not 1 <= j <= d for j in self.regular
-        ):
+        d = len(a_diag)
+        if len(set(regular)) != len(regular) or any(not 1 <= j <= d for j in regular):
             raise ValueError("regular coordinates must be distinct indices in 1..d")
-        if any(q < 0 for q in self.v_sq):
+        if any(q < 0 for q in v_sq):
             raise ValueError("squared vector entries must be nonnegative")
+        self._set(a_diag, v_sq, regular, slots)
 
     @staticmethod
     def of(a_diag: Iterable, v_sq: Iterable, regular: Iterable[int] = (), slots: int = 4) -> "ModelParams":
@@ -135,9 +130,11 @@ def load_params(path: str) -> ModelParams:
         return ModelParams.from_json(json.load(fh))
 
 
-@dataclass(frozen=True)
-class ModelValidation:
-    conditions: tuple[tuple[str, bool, str], ...]
+class ModelValidation(Record):
+    __slots__ = _fields = ("conditions",)
+
+    def __init__(self, conditions: tuple[tuple[str, bool, str], ...]):
+        self._set(conditions)
 
     @property
     def ok(self) -> bool:
@@ -215,19 +212,19 @@ def _tr_cycle(p: ModelParams, k: int) -> Fraction:
 def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     """Exact state value from the per-part trace formulas.
 
-    Each decomposition part contributes one factor: Tr(q |A|) for a trivial
-    quasi-cycle, Tr(q A^{len-1} |A|) for a quasi-cycle, Tr(A^{len-1} |A|)
-    for a plain cycle.
+    The value is a product over the parts of r's quasi-cycle decomposition,
+    and each factor depends only on a part's kind and length, so it is read
+    off r's conjugacy invariant: Tr(q |A|) for each trivial point,
+    Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
+    plain cycle.
     """
     _require_valid(p)
-    value = Fraction(1)
-    for part in decompose(r):
-        if part.kind == CYCLE:
-            value *= _tr_cycle(p, part.length)
-        elif part.kind == TRIVIAL:
-            value *= _tr_q_pow_abs(p, 0)
-        else:
-            value *= _tr_q_pow_abs(p, part.length - 1)
+    inv = images_invariant(r.images)
+    value = _tr_q_pow_abs(p, 0) ** inv.trivial_count
+    for length in inv.q_partition:
+        value *= _tr_q_pow_abs(p, length - 1)
+    for length in inv.c_partition:
+        value *= _tr_cycle(p, length)
     return value
 
 
@@ -395,14 +392,12 @@ def phi_model(
 # --- Okounkov operators ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OkounkovReport:
-    slot: int
-    x: str
-    y: str
-    target: float
-    values: tuple[tuple[int, float], ...]
-    max_deviation: float
+class OkounkovReport(Record):
+    __slots__ = _fields = ("slot", "x", "y", "target", "values", "max_deviation")
+
+    def __init__(self, slot: int, x: str, y: str, target: float,
+                 values: tuple[tuple[int, float], ...], max_deviation: float):
+        self._set(slot, x, y, target, values, max_deviation)
 
     def to_json(self) -> dict:
         return {
@@ -415,11 +410,17 @@ class OkounkovReport:
         }
 
 
-def _admissible(emb: TensorEmbedding, k: int, x: PartialBijection, y: PartialBijection) -> list[int]:
+def _okounkov_setup(p: ModelParams, k: int, x: PartialBijection, y: PartialBijection,
+                    embedding: TensorEmbedding | None) -> tuple:
+    """The embedding, the admissible slots n, the images of x and y, and the A-insertion."""
+    emb = embedding if embedding is not None else TensorEmbedding(p)
     blocked = x.support() | y.support() | {k}
     if max(blocked) > emb.slots - 1:
         raise ValueError("supports of x, y and the slot must stay below N")
-    return [n for n in range(1, emb.slots + 1) if n not in blocked]
+    admissible = [n for n in range(1, emb.slots + 1) if n not in blocked]
+    tx, ty = emb.image(x), emb.image(y)
+    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    return emb, admissible, tx, ty, target
 
 
 def okounkov_check(
@@ -435,10 +436,7 @@ def okounkov_check(
     truncated model every admissible n already gives the limit value, so the
     report's deviation is expected to be ~1e-16.
     """
-    emb = embedding if embedding is not None else TensorEmbedding(p)
-    admissible = _admissible(emb, k, x, y)
-    tx, ty = emb.image(x), emb.image(y)
-    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    emb, admissible, tx, ty, target = _okounkov_setup(p, k, x, y, embedding)
     values = [(n, emb.pair_value((transposition(k, n),), tx, ty)) for n in admissible]
     max_dev = max((abs(v - target) for _, v in values), default=0.0)
     return OkounkovReport(k, x.literal(), y.literal(), target, tuple(values), max_dev)
@@ -459,10 +457,7 @@ def okounkov_projection_check(
     """
     if any(a not in (0, 1) for a in p.a_diag):
         raise ValueError("projection law requires eigenvalues in {0, 1}")
-    emb = embedding if embedding is not None else TensorEmbedding(p)
-    admissible = _admissible(emb, k, x, y)
-    tx, ty = emb.image(x), emb.image(y)
-    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    emb, admissible, tx, ty, target = _okounkov_setup(p, k, x, y, embedding)
     devs = [0.0]
     for n in admissible:
         for m in admissible:
@@ -476,7 +471,7 @@ def okounkov_projection_check(
 # --- bridge from the state family ---------------------------------------------
 
 
-def model_from_state(state: State, slots: int = 4) -> ModelParams:
+def model_from_state(state: states.State, slots: int = 4) -> ModelParams:
     """Model parameters whose closed form reproduces the state exactly.
 
     The spectrum lists alpha then -beta; the marked vector splits its mass

@@ -60,12 +60,8 @@ def element_to_word(r: PartialBijection) -> Word:
     >>> element_to_word(idempotent((1,)))
     (0,)
     """
-    n = r.bound
-    kills = r.domain_gaps()
-    free = iter(r.range_gaps())
-    one_line = [r.images[x - 1] if r.images[x - 1] is not None else next(free) for x in range(1, n + 1)]
-    word = _permutation_word(one_line)  # type: ignore[arg-type]
-    for k in kills:
+    word = _permutation_word(r.one_line(r.bound))
+    for k in r.domain_gaps():
         # c = s_{k-1} ... s_1 carries 1 to k, so c e{1} c^-1 = e{k}.
         word += list(range(k - 1, 0, -1)) + [EPS1] + list(range(1, k))
     return tuple(word)

@@ -517,6 +517,16 @@ class TestImportBoundary:
         assert {"quasicycles", "states", "linalg"} <= set(bodies)
         assert not {"spherical", "algebra", "words", "tensor_model"} & set(bodies)
 
+    @pytest.mark.parametrize(
+        "argv", [["oracle", "--n", "2"], ["okounkov", "--k", "2"]], ids=lambda argv: argv[0]
+    )
+    def test_oracle_commands_leave_dataclasses_and_states_out(self, params_file, argv):
+        command, *rest = argv
+        code, dataclasses, *bodies = fresh_python(RUN_AS_MAIN, command, "--params", params_file, *rest)
+        assert (code, dataclasses) == ("0", "False")
+        assert {"tensor_model", "quasicycles", "words"} <= set(bodies)
+        assert "states" not in bodies
+
     def test_oracle_loads_numpy(self, params_file):
         argv = ["oracle", "--params", params_file, "--n", "2"]
         assert fresh_python(RUN_MAIN, *argv) == ["0", "True"]

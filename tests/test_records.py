@@ -12,9 +12,11 @@ from rookchar.linalg import RationalMatrix, psd_certificate
 from rookchar.quasicycles import QuasiCycle, decompose
 from rookchar.spherical import SphericalModel
 from rookchar.states import ThomaParams, evaluate, make_state
+from rookchar.tensor_model import ModelParams, okounkov_check, validate_params
 
 RUNNING = parse_element("[2,3,_,4,_]")
 MATRIX = RationalMatrix.from_rows([[1, Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]])
+PARAMS = ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [4], 4)
 # Each record with the name of one of its fields.
 RECORDS = {
     "PartialBijection": (RUNNING, "images"),
@@ -24,9 +26,14 @@ RECORDS = {
     "ThomaParams": (ThomaParams.of(["1/2", "1/3"], ["1/6"]), "alpha"),
     "State": (make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2")), "mark"),
     "CheckReport": (CheckReport("gelfand", 3, 6, (), basis=34, distinct_products=4), "basis"),
-    "SphericalModel": (SphericalModel(11, 5, Fraction(1, 3)), "kappa"),
+    "SphericalModel": (SphericalModel(11, 5), "l"),
     "RationalMatrix": (MATRIX, "entries"),
     "PsdCertificate": (psd_certificate(MATRIX), "pivots"),
+    "ModelParams": (PARAMS, "slots"),
+    "ModelValidation": (validate_params(PARAMS), "conditions"),
+    "OkounkovReport": (
+        okounkov_check(PARAMS, 3, parse_element("(1 2)"), parse_element("e{1}")), "values"
+    ),
 }
 STATE = RECORDS["State"][0]
 

@@ -17,7 +17,6 @@ from rookchar.elements import (
 from rookchar.errors import ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
-    _split,
     infinite_spherical_value,
     slot_coefficient_table,
     spherical_coeff,
@@ -30,7 +29,7 @@ def dense_spherical_coeff(model, r):
     """Reference: the full C(n,l) x C(n,l) matrix of pi(r), summed."""
     n, l = model.n, model.l
     size = math.comb(n, l)
-    line, kills = _split(r, n)
+    line, kills = r.one_line(n), r.domain_gaps()
     kill_set = set(kills)
     basis = list(itertools.combinations(range(1, n + 1), l))
     index = {a: i for i, a in enumerate(basis)}
@@ -74,7 +73,7 @@ class TestFiniteCoefficients:
         with pytest.raises(ValueError):
             SphericalModel(3, 4)
         with pytest.raises(ValueError):
-            SphericalModel(3, 1, Fraction(3, 2))
+            SphericalModel(3, -1)
 
     def test_basis_guard(self):
         with pytest.raises(ResourceGuardError):

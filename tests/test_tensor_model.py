@@ -18,6 +18,7 @@ from rookchar.elements import (
     transposition,
 )
 from rookchar.errors import ResourceGuardError
+from rookchar.quasicycles import CYCLE, decompose
 from rookchar.states import evaluate
 from rookchar.words import EPS1, element_to_word
 from rookchar.tensor_model import (
@@ -36,6 +37,21 @@ from conftest import ORACLE_PARAMS, SUITE_STATES
 # The worked example set: alpha = 1/2, beta = 1/3, t = 1/2, leftover mass on
 # one declared regular coordinate.
 RUNNING = ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [4], 4)
+
+
+def decomposed_closed_form(p, r):
+    """The closed form as a product over the parts that ``decompose`` builds.
+
+    A part of length m contributes sum_a a^{m-1} |a| w_a, with weights w = 1
+    for a plain cycle and w = v^2 for a quasi-cycle or a trivial part (m = 1).
+    """
+    value = Fraction(1)
+    for part in decompose(r):
+        weights = [1] * p.d if part.kind == CYCLE else p.v_sq
+        value *= sum(
+            (a ** (part.length - 1) * abs(a) * w for a, w in zip(p.a_diag, weights)), Fraction(0)
+        )
+    return value
 
 
 class TestValidation:
@@ -115,6 +131,17 @@ class TestClosedForm:
                     assert marked_cycle_value(RUNNING, k, marks) == phi_closed_form(
                         RUNNING, r
                     )
+
+    @pytest.mark.parametrize(
+        "params",
+        list(ORACLE_PARAMS.values())
+        + [model_from_state(state, slots=5) for state in SUITE_STATES.values()],
+        ids=list(ORACLE_PARAMS) + [f"bridge_{name}" for name in SUITE_STATES],
+    )
+    def test_matches_the_decomposition_on_r5(self, params):
+        # R_5 holds R_0 .. R_4: elements are stored without trailing fixed points.
+        for r in enumerate_rn(5):
+            assert phi_closed_form(params, r) == decomposed_closed_form(params, r), r.literal()
 
     def test_rank_one_spectral_relation(self, oracle_params):
         # <A^{m-1} v, v> = <A^{m-2}|A| v, v> when v avoids the negative block.
