@@ -16,7 +16,17 @@ from .errors import MAX_VIOLATIONS, CheckReport
 
 
 class FormalSum:
-    """An immutable rational linear combination of partial bijections."""
+    """An immutable rational linear combination of partial bijections.
+
+    Terms whose coefficients cancel are dropped:
+
+    >>> from rookchar.elements import idempotent
+    >>> one, eps = FormalSum.one(), FormalSum.of(idempotent([1]))
+    >>> (one + eps) * (one - eps)
+    FormalSum(-1*[_] + 1*e)
+    >>> eps - eps
+    FormalSum(0)
+    """
 
     __slots__ = ("_terms",)
 
@@ -62,21 +72,10 @@ class FormalSum:
         return isinstance(other, FormalSum) and self._terms == other._terms
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
-        data = dict(self._terms)
-        for elem, c in other._terms.items():
-            s = data.get(elem, Fraction(0)) + c
-            if s:
-                data[elem] = s
-            else:
-                data.pop(elem, None)
-        out = FormalSum()
-        out._terms = data
-        return out
+        return FormalSum(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self) -> "FormalSum":
-        out = FormalSum()
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
+        return FormalSum((e, -c) for e, c in self._terms.items())
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + (-other)
@@ -105,16 +104,10 @@ class FormalSum:
         return NotImplemented
 
     def _scaled(self, c: Fraction) -> "FormalSum":
-        if not c:
-            return FormalSum()
-        out = FormalSum()
-        out._terms = {e: c * v for e, v in self._terms.items()}
-        return out
+        return FormalSum((e, c * v) for e, v in self._terms.items())
 
     def star(self) -> "FormalSum":
-        out = FormalSum()
-        out._terms = {e.star(): c for e, c in self._terms.items()}
-        return out
+        return FormalSum((e.star(), c) for e, c in self._terms.items())
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -137,53 +130,26 @@ def symmetrizer(n: int) -> FormalSum:
 def check_gelfand_pair(n: int) -> CheckReport:
     """Verify that symmetrized products p*a*p commute pairwise over R_n.
 
-    Uses a precomputed multiplication table of R_n so the quadratic sweep
-    over basis pairs stays fast; all arithmetic is exact.
+    Every product is a :class:`FormalSum` product, so all arithmetic is
+    exact.  Equal sandwiches commute iff their representatives do, so only
+    the distinct ones are compared, each through the first element that
+    gave it.
     """
     if n > 3:
         raise ValueError("the exact commutativity sweep is limited to n <= 3")
     basis = list(enumerate_rn(n))
-    index = {e: i for i, e in enumerate(basis)}
-    table = [
-        [index[compose(a, b)] for b in basis]
-        for a in basis
-    ]
-
-    def to_indexed(s: FormalSum) -> dict[int, Fraction]:
-        return {index[e]: c for e, c in s.terms.items()}
-
-    def table_product(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
-        for i, ci in u.items():
-            row = table[i]
-            for j, cj in v.items():
-                k = row[j]
-                s = out.get(k, Fraction(0)) + ci * cj
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return out
-
     p = symmetrizer(n)
-    sandwiches = []
-    seen: dict[tuple, int] = {}
+    sandwiches: dict[frozenset, tuple[PartialBijection, FormalSum]] = {}
     for e in basis:
-        u = to_indexed(p * FormalSum.of(e) * p)
-        key = tuple(sorted(u.items()))
-        if key not in seen:
-            seen[key] = len(sandwiches)
-            sandwiches.append((e, u))
+        u = p * FormalSum.of(e) * p
+        sandwiches.setdefault(frozenset(u._terms.items()), (e, u))
 
     violations: list[str] = []
     pairs = 0
-    for (ea, ua), (eb, ub) in itertools.combinations(sandwiches, 2):
+    for (ea, ua), (eb, ub) in itertools.combinations(sandwiches.values(), 2):
         pairs += 1
-        if table_product(ua, ub) != table_product(ub, ua):
-            if len(violations) < MAX_VIOLATIONS:
-                violations.append(f"p {ea.literal()} p vs p {eb.literal()} p")
-    # Equal sandwiches commute iff their representatives do, so checking the
-    # distinct ones settles every basis pair.
+        if ua * ub != ub * ua and len(violations) < MAX_VIOLATIONS:
+            violations.append(f"p {ea.literal()} p vs p {eb.literal()} p")
     return CheckReport(
         "gelfand", n, pairs, tuple(violations), basis=len(basis), distinct_products=len(sandwiches)
     )

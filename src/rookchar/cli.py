@@ -55,10 +55,6 @@ def _json_default(value):
     raise TypeError(f"not serializable: {value!r}")
 
 
-def _float(value: float) -> str:
-    return format(value, ".12g")
-
-
 def _load_state(args):
     """The state; with ``--unchecked``, the unvalidated value function instead."""
     if getattr(args, "state", None):
@@ -148,7 +144,7 @@ def cmd_oracle(args) -> int:
             {
                 "element": r.literal(),
                 "closed_form": str(exact),
-                "model": _float(dense),
+                "model": _csv_cell(dense),
                 "diff": diff,
             }
         )
@@ -160,6 +156,13 @@ def cmd_spherical(args) -> int:
     model = spherical.SphericalModel(args.n, args.l)
     if args.all_idempotents:
         import itertools
+
+        # SphericalModel has bounded n by MAX_POINT, so 2^n takes at most 8 KB.
+        if 2**args.n - 1 > spherical.MAX_BASIS:
+            raise ResourceGuardError(
+                f"--all-idempotents lists 2^{args.n} - 1 rows, over the guard "
+                f"MAX_BASIS = {spherical.MAX_BASIS}"
+            )
 
         targets = [
             idempotent(points)

@@ -32,7 +32,7 @@ import itertools
 import math
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, Record, ResourceGuardError
+from .errors import MAX_POINT, ParseError, Record, ResourceGuardError
 
 # Exhaustive enumeration of R_n is guarded: |R_7| = 130922 is the largest
 # size the test drivers are allowed to stream.
@@ -201,6 +201,8 @@ def idempotent(points: Iterable[int]) -> PartialBijection:
         return PartialBijection.identity()
     if pts[0] < 1:
         raise ValueError(f"point {pts[0]} out of range")
+    if pts[-1] > MAX_POINT:
+        raise ResourceGuardError(f"point {pts[-1]} exceeds the guard MAX_POINT = {MAX_POINT}")
     images: list[int | None] = list(range(1, pts[-1] + 1))
     for p in pts:
         images[p - 1] = None
@@ -216,6 +218,8 @@ def cycle(points: Sequence[int]) -> PartialBijection:
         return PartialBijection.identity()
     if min(pts) < 1:
         raise ValueError(f"point {min(pts)} out of range")
+    if max(pts) > MAX_POINT:
+        raise ResourceGuardError(f"point {max(pts)} exceeds the guard MAX_POINT = {MAX_POINT}")
     images: list[int | None] = list(range(1, max(pts) + 1))
     for i, p in enumerate(pts):
         images[p - 1] = pts[(i + 1) % len(pts)]
@@ -294,15 +298,6 @@ def _parse_image_list(s: str) -> PartialBijection:
         else:
             raise ParseError(f"bad image entry {tok!r} in {s!r}")
     return PartialBijection.from_images(images)
-
-
-def _parse_int(s: str, pos: int) -> tuple[int, int]:
-    start = pos
-    while pos < len(s) and s[pos].isdigit():
-        pos += 1
-    if pos == start:
-        raise ParseError(f"expected a point at position {start} in {s!r}")
-    return int(s[start:pos]), pos
 
 
 def _parse_product(s: str) -> PartialBijection:

@@ -15,6 +15,12 @@ I_STAR_J = "iStarJ"
 # The most violations a sweep records, and a report prints.
 MAX_VIOLATIONS = 20
 
+# The largest point a cycle or idempotent may name, and the largest ground set
+# of a spherical model.  An element stores an image for every point up to its
+# largest, so without it a short literal such as "(1 4000000)" would build a
+# list of millions.
+MAX_POINT = 2**16
+
 
 class ParseError(ValueError):
     """Raised when an element literal or a JSON config cannot be parsed."""

@@ -180,50 +180,40 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     >>> decompose(parse_element("(1 2)e{3}")).invariant.literal()
     '((),(2),1)'
     """
-    bound = r.bound
-    in_domain = [y is not None for y in r.images]
-    in_range = [False] * bound
-    for y in r.images:
-        if y is not None:
-            in_range[y - 1] = True
-
-    taken = [False] * bound
+    images = r.images
+    imgs = list(images)
+    hit = set(images)
     quasi: list[QuasiCycle] = []
-    for a in range(1, bound + 1):
-        if in_domain[a - 1] and not in_range[a - 1]:
-            orbit = [a]
-            x = a
-            while in_domain[x - 1]:
-                x = r.images[x - 1]  # type: ignore[assignment]
-                orbit.append(x)
-            for p in orbit:
-                taken[p - 1] = True
-            quasi.append(QuasiCycle(QUASI, tuple(orbit)))
-
+    trivial: list[QuasiCycle] = []
+    a = 0
+    for y in images:
+        a += 1
+        if a in hit:
+            continue
+        if y is None:
+            trivial.append(QuasiCycle(TRIVIAL, (a,)))
+            continue
+        imgs[a - 1] = None
+        orbit = [a]
+        while y is not None:
+            orbit.append(y)
+            imgs[y - 1], y = None, imgs[y - 1]
+        quasi.append(QuasiCycle(QUASI, tuple(orbit)))
+    # What is left of imgs is the bijective part; walking the starts in
+    # ascending order meets each plain cycle at its smallest point.
     cycles: list[QuasiCycle] = []
-    for a in range(1, bound + 1):
-        if taken[a - 1] or not in_domain[a - 1]:
+    a = 0
+    for y in imgs:
+        a += 1
+        if y is None or y == a:
             continue
         orbit = [a]
-        taken[a - 1] = True
-        x = r.images[a - 1]
-        while x != a:
-            orbit.append(x)  # type: ignore[arg-type]
-            taken[x - 1] = True
-            x = r.images[x - 1]  # type: ignore[index]
-        if len(orbit) >= 2:
-            cycles.append(QuasiCycle(CYCLE, tuple(orbit)))
-
-    trivial = [
-        QuasiCycle(TRIVIAL, (a,))
-        for a in range(1, bound + 1)
-        if not in_domain[a - 1] and not in_range[a - 1]
-    ]
-
+        while y != a:
+            orbit.append(y)
+            imgs[y - 1], y = None, imgs[y - 1]
+        cycles.append(QuasiCycle(CYCLE, tuple(orbit)))
     quasi.sort(key=lambda p: min(p.orbit))
-    cycles.sort(key=lambda p: min(p.orbit))
-    parts = tuple(quasi) + tuple(cycles) + tuple(trivial)
-    return QuasiCycleDecomposition(parts, images_invariant(r.images))
+    return QuasiCycleDecomposition((*quasi, *cycles, *trivial), images_invariant(images))
 
 
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:

@@ -26,8 +26,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from .elements import PartialBijection
-from .errors import Record, ResourceGuardError
+from .errors import MAX_POINT, Record, ResourceGuardError
 
+# Bounds the basis C(n, l) of a model, and the 2^n - 1 rows that
+# ``spherical --all-idempotents`` lists.
 MAX_BASIS = 20000
 
 
@@ -37,6 +39,8 @@ class SphericalModel(Record):
     def __init__(self, n: int, l: int):
         if not 0 <= l <= n:
             raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
+        if n > MAX_POINT:
+            raise ResourceGuardError(f"ground set n = {n} exceeds the guard MAX_POINT = {MAX_POINT}")
         self._set(n, l)
 
 

@@ -103,13 +103,21 @@ class ValueTable:
     in ``by_class``, which maps each conjugacy invariant met so far to its
     value.  A new class's value is the product of the cycle factors,
     ``t * base**n`` for each quasi-cycle of n points and
-    ``(t * base)**trivial_count``.
+    ``(t * base)**trivial_count``.  The mark ``(i, t)`` must name an alpha
+    entry, and ``base`` is that entry ``alpha_i``; with no mark, t and base
+    are 0.
     """
 
     __slots__ = ("alpha", "beta", "t", "base", "by_class", "by_images")
 
     def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
-                 t: Fraction, base: Fraction):
+                 mark: tuple[int, Fraction] | None):
+        t, base = Fraction(0), Fraction(0)
+        if mark is not None:
+            i, t = mark
+            if not 1 <= i <= len(alpha):
+                raise ValueError(f"marked index {i} out of range")
+            base = alpha[i - 1]
         self.alpha, self.beta, self.t, self.base = alpha, beta, t, base
         self.by_class: dict[ConjugacyInvariant, Fraction] = {}
         self.by_images: dict[tuple[int | None, ...], Fraction] = {}
@@ -157,27 +165,20 @@ class State(Record):
     __slots__ = _fields + ("table",)
 
     def __init__(self, thoma: ThomaParams, mark: tuple[int, Fraction] | None = None):
-        if mark is not None:
-            i, t = mark
-            if not 1 <= i <= len(thoma.alpha):
-                raise ValueError(f"marked index {i} out of range")
-            if not 0 <= t <= 1:
-                raise ValueError(f"weight t={t} outside [0, 1]")
+        table = ValueTable(thoma.alpha, thoma.beta, mark)
+        if not 0 <= table.t <= 1:
+            raise ValueError(f"weight t={table.t} outside [0, 1]")
         self._set(thoma, mark)
-        object.__setattr__(
-            self, "table", ValueTable(thoma.alpha, thoma.beta, self.weight, self.quasi_base)
-        )
+        object.__setattr__(self, "table", table)
 
     @property
     def quasi_base(self) -> Fraction:
         """alpha_i of the marked entry, or 0 with no mark."""
-        if self.mark is None:
-            return Fraction(0)
-        return self.thoma.alpha[self.mark[0] - 1]
+        return self.table.base
 
     @property
     def weight(self) -> Fraction:
-        return Fraction(0) if self.mark is None else self.mark[1]
+        return self.table.t
 
     def value(self, r: PartialBijection) -> Fraction:
         return evaluate(self, r)
@@ -249,14 +250,7 @@ def unchecked_value_fn(data: dict) -> ValueTable:
     certifier answers with a genuine NotPSD witness.  A mark must still name
     an alpha entry, since the formula reads it.
     """
-    alpha, beta, mark = _json_params(data)
-    t, base = Fraction(0), Fraction(0)
-    if mark is not None:
-        i, t = mark
-        if not 1 <= i <= len(alpha):
-            raise ValueError(f"marked index {i} out of range")
-        base = alpha[i - 1]
-    return ValueTable(alpha, beta, t, base)
+    return ValueTable(*_json_params(data))
 
 
 class FactorTypeVerdict(Record):

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from rookchar import algebra
 from rookchar.algebra import FormalSum, check_gelfand_pair, symmetrizer
 from rookchar.elements import enumerate_rn, idempotent, identity, parse_element
+from rookchar.errors import MAX_VIOLATIONS
 
 
 def test_identity_is_neutral():
@@ -60,6 +62,17 @@ def test_gelfand_pair_commutes(n):
     report = check_gelfand_pair(n)
     assert report.ok
     assert report.basis == len(list(enumerate_rn(n)))
+
+
+def test_gelfand_sweep_reports_noncommuting_sandwiches(monkeypatch):
+    # With p = 1 the sandwiches are the bare elements of R_3, and R_3 is not
+    # commutative: the sweep must compare all C(34, 2) pairs and fail.
+    monkeypatch.setattr(algebra, "symmetrizer", lambda n: FormalSum.one())
+    report = check_gelfand_pair(3)
+    assert not report.ok
+    assert (report.basis, report.distinct_products) == (34, 34)
+    assert report.checked == 561
+    assert len(report.violations) == MAX_VIOLATIONS == 20
 
 
 def test_gelfand_guard():

@@ -69,6 +69,11 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "[3,3,_]")
         assert code == EXIT_USAGE and "two points map to 3" in err
 
+    def test_point_guard_exits_4(self, capsys):
+        code, out, err = run(capsys, "decompose", "(1 4000000)")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "point 4000000" in err and "MAX_POINT = 65536" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run(capsys, "decompose", "[2,3,_,4,_]")
         _, out2, _ = run(capsys, "decompose", "[2,3,_,4,_]")
@@ -89,6 +94,11 @@ class TestEval:
         path.write_text(json.dumps({"alpha": [], "beta": ["1"], "mark": None}))
         code, out, _ = run(capsys, "eval", "--state", str(path), "--elem", "e{1}")
         assert code == EXIT_OK and out.strip() == "0"
+
+    def test_point_guard_exits_4(self, capsys):
+        code, out, err = run(capsys, "eval", "--elem", "e{3000000}")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "point 3000000" in err and "MAX_POINT = 65536" in err
 
     def test_missing_state_file(self, capsys):
         code, _, err = run(capsys, "eval", "--state", "/nope.json", "--elem", "e")
@@ -379,6 +389,26 @@ class TestSpherical:
         assert code == EXIT_OK
         row = json.loads(out)["rows"][0]
         assert row["coefficient"] == "1/5"  # (3*2)/(6*5)
+
+    def test_row_guard_admits_n_14(self, capsys):
+        # 2^14 - 1 = 16,383 rows are under the guard of 20,000.
+        code, out, _ = run(capsys, "spherical", "--n", "14", "--l", "0", "--all-idempotents")
+        assert code == EXIT_OK and len(json.loads(out)["rows"]) == 16383
+
+    @pytest.mark.parametrize("n", ["15", "17"])
+    def test_row_guard_exits_4_before_listing(self, capsys, monkeypatch, n):
+        def refuse(points):
+            raise AssertionError("an idempotent was built")
+
+        monkeypatch.setattr(cli, "idempotent", refuse)
+        code, out, err = run(capsys, "spherical", "--n", n, "--l", "1", "--all-idempotents")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert f"2^{n} - 1 rows" in err and "MAX_BASIS = 20000" in err
+
+    def test_ground_set_guard_exits_4(self, capsys):
+        code, out, err = run(capsys, "spherical", "--n", "2000000", "--l", "0", "--elem", "e")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "n = 2000000" in err and "MAX_POINT = 65536" in err
 
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "spherical", "--n", "4", "--l", "2")

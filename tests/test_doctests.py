@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+import rookchar.algebra
 import rookchar.elements
 import rookchar.quasicycles
 import rookchar.spherical
@@ -14,6 +15,7 @@ import rookchar.words
 @pytest.mark.parametrize(
     "module",
     [
+        rookchar.algebra,
         rookchar.elements,
         rookchar.quasicycles,
         rookchar.spherical,

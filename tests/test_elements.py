@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,7 +20,7 @@ from rookchar.elements import (
     symmetric_group,
     transposition,
 )
-from rookchar.errors import ParseError, ResourceGuardError
+from rookchar.errors import MAX_POINT, ParseError, ResourceGuardError
 
 
 @st.composite
@@ -73,6 +74,28 @@ class TestLiterals:
     def test_out_of_range_error(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_element("[3,1]")
+
+
+class TestPointGuard:
+    """Cycles and idempotents store an image for every point up to their largest."""
+
+    @pytest.mark.parametrize(
+        "text", ["(1 4000000)", "e{3000000}", f"(1 {MAX_POINT + 1})", f"e{{2,{MAX_POINT + 1}}}"]
+    )
+    def test_refused_before_any_list_is_built(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceGuardError, match=f"MAX_POINT = {MAX_POINT}"):
+                parse_element(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+    def test_largest_point_is_allowed(self):
+        assert cycle((1, MAX_POINT)).bound == MAX_POINT
+        assert idempotent([MAX_POINT]).bound == MAX_POINT
+        assert parse_element(f"(1 {MAX_POINT})") == cycle((1, MAX_POINT))
 
 
 class TestCompose:

@@ -14,7 +14,7 @@ from rookchar.elements import (
     parse_element,
     symmetric_group,
 )
-from rookchar.errors import ResourceGuardError
+from rookchar.errors import MAX_POINT, ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
     infinite_spherical_value,
@@ -74,6 +74,11 @@ class TestFiniteCoefficients:
             SphericalModel(3, 4)
         with pytest.raises(ValueError):
             SphericalModel(3, -1)
+
+    def test_ground_set_guard(self):
+        assert SphericalModel(MAX_POINT, 0).n == MAX_POINT
+        with pytest.raises(ResourceGuardError, match=f"MAX_POINT = {MAX_POINT}"):
+            SphericalModel(MAX_POINT + 1, 0)
 
     def test_basis_guard(self):
         with pytest.raises(ResourceGuardError):
