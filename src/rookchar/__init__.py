@@ -27,6 +27,7 @@ _EXPORTS = {
         "compose",
         "cycle",
         "enumerate_rn",
+        "from_orbits",
         "idempotent",
         "identity",
         "parse_element",

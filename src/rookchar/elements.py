@@ -65,9 +65,9 @@ class PartialBijection(Record):
             raise ValueError("not canonical: trailing fixed point")
         object.__setattr__(self, "images", images)
 
-    # Written out because decompose's cache hashes and compares every element
-    # it looks up.  The hash is the one a frozen dataclass gives, so set
-    # iteration order (conjugacy_orbit) stays as it was.
+    # Written out because elements are dict and set keys: FormalSum's terms,
+    # gram_matrix's distinctness check, conjugacy_orbit.  The hash is the one
+    # a frozen dataclass gives, so conjugacy_orbit's set order stays as it was.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.images == other.images
@@ -194,19 +194,40 @@ def identity() -> PartialBijection:
     return PartialBijection.identity()
 
 
+def from_orbits(chains: Iterable[Sequence[int]] = (),
+                cycles: Iterable[Sequence[int]] = ()) -> PartialBijection:
+    """The element that sends each point of an orbit to the next one.
+
+    The last point of a chain leaves the domain; the last point of a cycle
+    maps back to the first.  Points on no orbit are fixed.
+
+    >>> from_orbits(chains=[(1, 2, 3), (5,)], cycles=[(4, 6)]).literal()
+    '[2,3,_,6,_,4]'
+    """
+    points: list[int] = []
+    targets: list[int | None] = []
+    for orbits, closed in ((chains, False), (cycles, True)):
+        for o in filter(None, orbits):  # an empty orbit names no point
+            points.extend(o)
+            targets.extend(o[1:])
+            targets.append(o[0] if closed else None)
+    if not points:
+        return PartialBijection.identity()
+    if min(points) < 1:
+        raise ValueError(f"point {min(points)} out of range")
+    if max(points) > MAX_POINT:
+        raise ResourceGuardError(f"point {max(points)} exceeds the guard MAX_POINT = {MAX_POINT}")
+    if len(set(points)) != len(points):
+        raise ValueError("orbits must be disjoint")
+    images: list[int | None] = list(range(1, max(points) + 1))
+    for x, y in zip(points, targets):
+        images[x - 1] = y
+    return PartialBijection.from_images(images)
+
+
 def idempotent(points: Iterable[int]) -> PartialBijection:
     """epsilon_A: the partial identity whose domain omits ``points``."""
-    pts = sorted(set(points))
-    if not pts:
-        return PartialBijection.identity()
-    if pts[0] < 1:
-        raise ValueError(f"point {pts[0]} out of range")
-    if pts[-1] > MAX_POINT:
-        raise ResourceGuardError(f"point {pts[-1]} exceeds the guard MAX_POINT = {MAX_POINT}")
-    images: list[int | None] = list(range(1, pts[-1] + 1))
-    for p in pts:
-        images[p - 1] = None
-    return PartialBijection.from_images(images)
+    return from_orbits(chains=[(p,) for p in sorted(set(points))])
 
 
 def cycle(points: Sequence[int]) -> PartialBijection:
@@ -214,16 +235,7 @@ def cycle(points: Sequence[int]) -> PartialBijection:
     pts = list(points)
     if len(set(pts)) != len(pts):
         raise ValueError("cycle points must be distinct")
-    if not pts:
-        return PartialBijection.identity()
-    if min(pts) < 1:
-        raise ValueError(f"point {min(pts)} out of range")
-    if max(pts) > MAX_POINT:
-        raise ResourceGuardError(f"point {max(pts)} exceeds the guard MAX_POINT = {MAX_POINT}")
-    images: list[int | None] = list(range(1, max(pts) + 1))
-    for i, p in enumerate(pts):
-        images[p - 1] = pts[(i + 1) % len(pts)]
-    return PartialBijection.from_images(images)
+    return from_orbits(cycles=[pts])
 
 
 def transposition(a: int, b: int) -> PartialBijection:

@@ -126,6 +126,14 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     so the comparisons and signs the rule reads are those of the rational
     elimination: the pivot sequence, permutation, factors and witness do not
     depend on the content reduction.
+
+    >>> cert = psd_certificate(RationalMatrix.from_rows([[2, 1], [1, 2]]))
+    >>> cert.verdict, [str(p) for p in cert.pivots]
+    ('PSD', ['2', '3/2'])
+    >>> m = RationalMatrix.from_rows([[1, 2], [2, 1]])
+    >>> cert = psd_certificate(m)
+    >>> cert.verdict, [str(w) for w in cert.witness], str(m.quadratic_form(cert.witness))
+    ('NotPSD', ['-2', '1'], '-3')
     """
     n = m.n
     scale = lcm(*(x.denominator for row in m.entries for x in row))

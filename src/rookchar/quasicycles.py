@@ -21,16 +21,10 @@ parts ascending, which makes the decomposition a canonical form.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
-from .elements import (
-    PartialBijection,
-    compose,
-    cycle as make_cycle,
-    idempotent,
-    parse_element,  # for the doctests
-    symmetric_group,
-)
+from .elements import PartialBijection, compose, from_orbits, symmetric_group
+from .elements import parse_element  # for the doctests
 from .errors import Record
 
 QUASI = "quasi"
@@ -52,8 +46,7 @@ class QuasiCycle(Record):
             raise ValueError("a trivial quasi-cycle has a single point")
         if kind != TRIVIAL and len(orbit) < 2:
             raise ValueError(f"a {kind} part needs an orbit of length >= 2")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "orbit", orbit)
+        self._set(kind, orbit)
 
     @property
     def length(self) -> int:
@@ -61,13 +54,6 @@ class QuasiCycle(Record):
 
     def support(self) -> frozenset[int]:
         return frozenset(self.orbit)
-
-    def element(self) -> PartialBijection:
-        if self.kind == TRIVIAL:
-            return idempotent(self.orbit)
-        if self.kind == CYCLE:
-            return make_cycle(self.orbit)
-        return compose(make_cycle(self.orbit), idempotent((self.orbit[-1],)))
 
     def literal(self) -> str:
         if self.kind == TRIVIAL:
@@ -84,15 +70,14 @@ class QuasiCycleDecomposition(Record):
     __slots__ = _fields = ("parts", "invariant")
 
     def __init__(self, parts: tuple[QuasiCycle, ...], invariant: ConjugacyInvariant):
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "invariant", invariant)
+        self._set(parts, invariant)
 
     def element(self) -> PartialBijection:
-        """The product of the parts (any order; supports are disjoint)."""
-        out = PartialBijection.identity()
-        for part in self.parts:
-            out = compose(out, part.element())
-        return out
+        """The product of the parts: quasi and trivial parts are chains."""
+        return from_orbits(
+            chains=[p.orbit for p in self.parts if p.kind != CYCLE],
+            cycles=[p.orbit for p in self.parts if p.kind == CYCLE],
+        )
 
     def literal(self) -> str:
         return " ".join(p.literal() for p in self.parts) if self.parts else "e"
@@ -115,6 +100,21 @@ class ConjugacyInvariant(Record):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def product(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]) -> Any:
+        """``cycle(n)`` multiplied over the plain cycles of n points and
+        ``quasi(n)`` over the quasi-cycles, a trivial part counting as ``quasi(1)``.
+
+        >>> inv = conjugacy_invariant(parse_element("(1 2 3)e{3}(4 5)e{6}"))
+        >>> inv.literal(), inv.product(cycle=lambda n: 10 * n, quasi=lambda n: n + 1)
+        ('((3),(2),1)', 160)
+        """
+        value = quasi(1) ** self.trivial_count
+        for n in self.c_partition:
+            value *= cycle(n)
+        for n in self.q_partition:
+            value *= quasi(n)
+        return value
 
     def literal(self) -> str:
         q = ",".join(map(str, self.q_partition))
@@ -181,39 +181,27 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     '((),(2),1)'
     """
     images = r.images
-    imgs = list(images)
-    hit = set(images)
-    quasi: list[QuasiCycle] = []
-    trivial: list[QuasiCycle] = []
-    a = 0
-    for y in images:
-        a += 1
-        if a in hit:
-            continue
-        if y is None:
-            trivial.append(QuasiCycle(TRIVIAL, (a,)))
-            continue
-        imgs[a - 1] = None
-        orbit = [a]
-        while y is not None:
-            orbit.append(y)
-            imgs[y - 1], y = None, imgs[y - 1]
-        quasi.append(QuasiCycle(QUASI, tuple(orbit)))
-    # What is left of imgs is the bijective part; walking the starts in
-    # ascending order meets each plain cycle at its smallest point.
-    cycles: list[QuasiCycle] = []
-    a = 0
-    for y in imgs:
-        a += 1
-        if y is None or y == a:
-            continue
-        orbit = [a]
-        while y != a:
-            orbit.append(y)
-            imgs[y - 1], y = None, imgs[y - 1]
-        cycles.append(QuasiCycle(CYCLE, tuple(orbit)))
-    quasi.sort(key=lambda p: min(p.orbit))
-    return QuasiCycleDecomposition((*quasi, *cycles, *trivial), images_invariant(images))
+
+    def orbit(a: int) -> tuple[int, ...]:
+        """a, r(a), r(r(a)), ... until the walk leaves the domain or returns to a."""
+        points, y = [a], images[a - 1]
+        while y is not None and y != a:
+            points.append(y)
+            y = images[y - 1]
+        return tuple(points)
+
+    # Chains start outside the range; a chain of one point is a trivial part.
+    chains = [orbit(a) for a in r.range_gaps()]
+    seen = {p for chain in chains for p in chain}
+    cycles = []
+    for a, y in enumerate(images, start=1):
+        if y is not None and y != a and a not in seen:  # a is the cycle's smallest point
+            cycles.append(orbit(a))
+            seen.update(cycles[-1])
+    quasi = sorted((c for c in chains if len(c) > 1), key=min)
+    parts = [QuasiCycle(QUASI, c) for c in quasi] + [QuasiCycle(CYCLE, c) for c in cycles]
+    parts += [QuasiCycle(TRIVIAL, c) for c in chains if len(c) == 1]
+    return QuasiCycleDecomposition(tuple(parts), images_invariant(images))
 
 
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:

@@ -101,11 +101,10 @@ class ValueTable:
     value; it is emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries.  On a
     miss, the element's invariant is counted from its images and looked up
     in ``by_class``, which maps each conjugacy invariant met so far to its
-    value.  A new class's value is the product of the cycle factors,
-    ``t * base**n`` for each quasi-cycle of n points and
-    ``(t * base)**trivial_count``.  The mark ``(i, t)`` must name an alpha
-    entry, and ``base`` is that entry ``alpha_i``; with no mark, t and base
-    are 0.
+    value.  A new class's value is the invariant's ``product`` of the cycle
+    factors and ``t * base**n`` for a quasi-cycle of n points.  The mark
+    ``(i, t)`` must name an alpha entry, and ``base`` is that entry
+    ``alpha_i``; with no mark, t and base are 0.
     """
 
     __slots__ = ("alpha", "beta", "t", "base", "by_class", "by_images")
@@ -141,16 +140,9 @@ class ValueTable:
     __call__ = value
 
     def _class_value(self, invariant: ConjugacyInvariant) -> Fraction:
-        value = Fraction(1)
-        for n in invariant.c_partition:
-            value *= _cycle_value(self.alpha, self.beta, n)
-        if invariant.q_partition or invariant.trivial_count:
-            if not self.t:
-                return Fraction(0)
-            for n in invariant.q_partition:
-                value *= self.t * self.base**n
-            value *= (self.t * self.base) ** invariant.trivial_count
-        return value
+        return invariant.product(
+            lambda n: _cycle_value(self.alpha, self.beta, n), lambda n: self.t * self.base**n
+        )
 
 
 class State(Record):

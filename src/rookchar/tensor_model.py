@@ -7,8 +7,8 @@ stay rational), a set of *regular* coordinates that absorb the leftover mass
 
 Two independent evaluation routes are provided:
 
-* :func:`phi_closed_form` multiplies per-part traces over the part lengths
-  of the element's conjugacy invariant -- exact rationals throughout;
+* :func:`phi_closed_form` takes the conjugacy invariant's ``product`` of
+  per-part traces over the part lengths -- exact rationals throughout;
 * :func:`phi_model` applies the generator embedding on the N-fold tensor
   power along a generator word (an axis swap with a sign twist over the
   negative spectral block for each adjacent transposition, the rank-1
@@ -213,19 +213,15 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     """Exact state value from the per-part trace formulas.
 
     The value is a product over the parts of r's quasi-cycle decomposition,
-    and each factor depends only on a part's kind and length, so it is read
-    off r's conjugacy invariant: Tr(q |A|) for each trivial point,
+    and each factor depends only on a part's kind and length, so it is the
+    product over r's conjugacy invariant: Tr(q |A|) for each trivial point,
     Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
     plain cycle.
     """
     _require_valid(p)
-    inv = images_invariant(r.images)
-    value = _tr_q_pow_abs(p, 0) ** inv.trivial_count
-    for length in inv.q_partition:
-        value *= _tr_q_pow_abs(p, length - 1)
-    for length in inv.c_partition:
-        value *= _tr_cycle(p, length)
-    return value
+    return images_invariant(r.images).product(
+        lambda n: _tr_cycle(p, n), lambda n: _tr_q_pow_abs(p, n - 1)
+    )
 
 
 def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction:
@@ -274,7 +270,7 @@ class TensorEmbedding:
     ``generator_eps1`` are the reference they are tested against.
     """
 
-    def __init__(self, params: ModelParams, *, twist: bool = True):
+    def __init__(self, params: ModelParams):
         _require_valid(params)
         self.params = params
         self.d = params.d
@@ -289,7 +285,7 @@ class TensorEmbedding:
         self._a = a
         self._v = np.sqrt([float(q) for q in params.v_sq])
         neg = a < 0
-        self._swap_sign = np.where(twist & np.outer(neg, neg), -1.0, 1.0)
+        self._swap_sign = np.where(np.outer(neg, neg), -1.0, 1.0)
 
         leftover = 1.0 - float(params.spectral_mass)
         slot_rhos = []
@@ -413,6 +409,8 @@ class OkounkovReport(Record):
 def _okounkov_setup(p: ModelParams, k: int, x: PartialBijection, y: PartialBijection,
                     embedding: TensorEmbedding | None) -> tuple:
     """The embedding, the admissible slots n, the images of x and y, and the A-insertion."""
+    if k < 1:
+        raise ValueError(f"slot index {k} out of range: slots start at 1")
     emb = embedding if embedding is not None else TensorEmbedding(p)
     blocked = x.support() | y.support() | {k}
     if max(blocked) > emb.slots - 1:

@@ -426,6 +426,14 @@ class TestOkounkov:
         data = json.loads(out)
         assert float(data["max_deviation"]) <= 1e-12
 
+    @pytest.mark.parametrize("k", ["0", "-1", "-4"])
+    def test_slot_below_one_exits_2(self, capsys, tmp_path, k):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(ORACLE_PARAMS, N=4)))
+        code, out, err = run(capsys, "okounkov", "--params", str(path), "--k", k)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"slot index {k} out of range" in err
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import rookchar.algebra
 import rookchar.elements
+import rookchar.linalg
 import rookchar.quasicycles
 import rookchar.spherical
 import rookchar.states
@@ -17,6 +18,7 @@ import rookchar.words
     [
         rookchar.algebra,
         rookchar.elements,
+        rookchar.linalg,
         rookchar.quasicycles,
         rookchar.spherical,
         rookchar.states,

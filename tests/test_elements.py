@@ -12,6 +12,7 @@ from rookchar.elements import (
     compose,
     cycle,
     enumerate_rn,
+    from_orbits,
     idempotent,
     identity,
     parse_element,
@@ -80,13 +81,18 @@ class TestPointGuard:
     """Cycles and idempotents store an image for every point up to their largest."""
 
     @pytest.mark.parametrize(
-        "text", ["(1 4000000)", "e{3000000}", f"(1 {MAX_POINT + 1})", f"e{{2,{MAX_POINT + 1}}}"]
+        "text",
+        [
+            "(1 4000000)", "e{3000000}", f"(1 {MAX_POINT + 1})", f"e{{2,{MAX_POINT + 1}}}",
+            pytest.param({"chains": [(1, 2), (MAX_POINT + 1,)]}, id="from_orbits-chain"),
+            pytest.param({"cycles": [(3, MAX_POINT + 1, 2)]}, id="from_orbits-cycle"),
+        ],
     )
     def test_refused_before_any_list_is_built(self, text):
         tracemalloc.start()
         try:
             with pytest.raises(ResourceGuardError, match=f"MAX_POINT = {MAX_POINT}"):
-                parse_element(text)
+                parse_element(text) if isinstance(text, str) else from_orbits(**text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -96,6 +102,20 @@ class TestPointGuard:
         assert cycle((1, MAX_POINT)).bound == MAX_POINT
         assert idempotent([MAX_POINT]).bound == MAX_POINT
         assert parse_element(f"(1 {MAX_POINT})") == cycle((1, MAX_POINT))
+
+
+class TestFromOrbits:
+    def test_chains_and_cycles(self):
+        r = from_orbits(chains=[(1, 2, 3), (5,)], cycles=[(4, 6)])
+        assert r == parse_element("(1 2 3)e{3}e{5}(4 6)")
+        assert from_orbits() == from_orbits(chains=[()], cycles=[()]) == identity()
+        assert from_orbits(cycles=[(7,)]) == identity()
+
+    def test_bad_orbits(self):
+        with pytest.raises(ValueError, match="point 0 out of range"):
+            from_orbits(chains=[(2, 0)])
+        with pytest.raises(ValueError, match="orbits must be disjoint"):
+            from_orbits(chains=[(1, 2)], cycles=[(2, 3)])
 
 
 class TestCompose:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -61,6 +62,15 @@ class TestDecompose:
             for p in parts:
                 assert not (seen & p.support())
                 seen |= p.support()
+
+    def test_roundtrip_is_linear_in_the_bound(self):
+        # [2,1,_,...,_] at bound 10,000: one cycle and 9,998 trivial parts.
+        r = PartialBijection.from_images([2, 1] + [None] * 9998)
+        start = time.perf_counter()
+        d = decompose(r)
+        assert d.element() == r
+        assert time.perf_counter() - start < 1.0
+        assert len(d.parts) == 9999
 
     def test_part_validation(self):
         with pytest.raises(ValueError):

@@ -182,7 +182,9 @@ class TestEmbedding:
     @pytest.mark.parametrize("twist", [True, False])
     def test_structured_images_match_dense_products(self, twist):
         # Reference: the left-to-right product of the dense generator images.
-        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"], twist=twist)
+        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"])
+        if not twist:
+            emb._swap_sign[:] = 1.0
         x = np.random.default_rng(7).standard_normal((emb.dim, 3))
         for r in enumerate_rn(3):
             images = [
@@ -260,7 +262,8 @@ class TestOracleEquivalence:
 
     def test_broken_sign_twist_is_caught(self):
         p = ORACLE_PARAMS["t_half_beta"]
-        crooked = TensorEmbedding(p, twist=False)
+        crooked = TensorEmbedding(p)
+        crooked._swap_sign[:] = 1.0
         r = parse_element("(1 2)")
         assert abs(phi_model(p, r, crooked) - float(phi_closed_form(p, r))) > 0.2
 
@@ -361,6 +364,14 @@ class TestOkounkov:
         p = ORACLE_PARAMS["t_half_beta"]
         with pytest.raises(ValueError):
             okounkov_check(p, 4, identity(), identity())
+
+    @pytest.mark.parametrize("k", [0, -1, -4])
+    def test_slot_below_one_rejected(self, k):
+        projection = ModelParams.of(["1", "0", "0"], ["1/2", "1/2", "0"], [], 4)
+        with pytest.raises(ValueError, match=f"slot index {k} out of range"):
+            okounkov_check(ORACLE_PARAMS["t_half_beta"], k, identity(), identity())
+        with pytest.raises(ValueError, match=f"slot index {k} out of range"):
+            okounkov_projection_check(projection, k, identity(), identity())
 
     def test_projection_law(self):
         p = ModelParams.of(["1", "0", "0"], ["1/2", "1/2", "0"], [], 4)
