@@ -13,25 +13,25 @@ from rookchar import (
     phi_closed_form,
     phi_model,
 )
-from rookchar.tensor_model import ModelParams, validate_params
+from rookchar.tensor_model import ModelParams
 
 # Full spectral mass (no regular block needed): alpha = 2/3, beta = 1/3,
 # marked vector split half-and-half between alpha_1 and a kernel coordinate.
+# Building the parameters checks conditions (a)-(f); a failing set raises.
 params = ModelParams.of(["2/3", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [], 4)
-print("conditions:", {c: ok for c, ok, _ in validate_params(params).conditions})
 
 embedding = TensorEmbedding(params)
-print(f"\ndense dimension: {params.d}^{params.slots} = {embedding.dim}")
+print(f"dense dimension: {params.d}^{params.slots} = {embedding.dim}")
 worst = 0.0
 for r in enumerate_rn(3):
     exact = phi_closed_form(params, r)
-    dense = phi_model(params, r, embedding)
+    dense = phi_model(embedding, r)
     worst = max(worst, abs(float(exact) - dense))
 print("max |closed form - dense trace| over R_3:", worst)
 
 for lit in ["(1 2)", "(1 2)e{1}", "(1 2 3 4)e{1}e{3}", "e{1}e{2}"]:
     r = parse_element(lit)
-    print(f"  {lit:18s} closed {str(phi_closed_form(params, r)):>8s}  dense {phi_model(params, r, embedding):.12f}")
+    print(f"  {lit:18s} closed {str(phi_closed_form(params, r)):>8s}  dense {phi_model(embedding, r):.12f}")
 
 # Any state of the family has a model whose closed form matches it exactly.
 state = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
@@ -40,7 +40,7 @@ print("\nbridged params:", bridge.to_json())
 
 # Transposition images stabilize immediately on the truncated model: every
 # admissible slot already realizes the weak limit.
-report = okounkov_check(params, 1, parse_element("e"), parse_element("e"))
+report = okounkov_check(embedding, 1, parse_element("e"), parse_element("e"))
 print("\nOkounkov target:", report.target)
 print("values by far slot:", dict(report.values))
 print("max deviation:", report.max_deviation)

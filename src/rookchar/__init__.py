@@ -77,7 +77,6 @@ _EXPORTS = {
         "okounkov_projection_check",
         "phi_closed_form",
         "phi_model",
-        "validate_params",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -48,16 +48,8 @@ class FormalSum:
         return FormalSum(((element, coeff),))
 
     @staticmethod
-    def zero() -> "FormalSum":
-        return FormalSum()
-
-    @staticmethod
     def one() -> "FormalSum":
         return FormalSum.of(PartialBijection.identity())
-
-    @property
-    def terms(self) -> dict[PartialBijection, Fraction]:
-        return dict(self._terms)
 
     def coefficient(self, element: PartialBijection) -> Fraction:
         return self._terms.get(element, Fraction(0))

@@ -137,7 +137,7 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for r in enumerate_rn(args.n):
         exact = tensor_model.phi_closed_form(params, r)
-        dense = tensor_model.phi_model(params, r, embedding)
+        dense = tensor_model.phi_model(embedding, r)
         diff = abs(float(exact) - dense)
         worst = max(worst, diff)
         rows.append(
@@ -196,15 +196,14 @@ def cmd_spherical(args) -> int:
 def cmd_okounkov(args) -> int:
     from . import tensor_model
 
-    params = tensor_model.load_params(args.params)
-    embedding = tensor_model.TensorEmbedding(params)
+    embedding = tensor_model.TensorEmbedding(tensor_model.load_params(args.params))
     xs = [parse_element(args.x)] if args.x else list(enumerate_rn(2))
     ys = [parse_element(args.y)] if args.y else list(enumerate_rn(2))
     reports = []
     worst = 0.0
     for x in xs:
         for y in ys:
-            rep = tensor_model.okounkov_check(params, args.k, x, y, embedding)
+            rep = tensor_model.okounkov_check(embedding, args.k, x, y)
             worst = max(worst, rep.max_deviation)
             reports.append(rep.to_json())
     _emit({"slot": args.k, "checks": reports, "max_deviation": worst, "tolerance": args.tol})

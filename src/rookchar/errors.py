@@ -12,7 +12,7 @@ MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
 STAR_JI = "starJI"
 I_STAR_J = "iStarJ"
 
-# The most violations a sweep records, and a report prints.
+# The most violations a sweep records.
 MAX_VIOLATIONS = 20
 
 # The largest point a cycle or idempotent may name, and the largest ground set
@@ -115,7 +115,7 @@ class CheckReport(Record):
             "n": self.n,
             "checked": self.checked,
             "ok": self.ok,
-            "violations": list(self.violations[:MAX_VIOLATIONS]),
+            "violations": list(self.violations),
         }
         if self.basis is not None:
             payload.update(basis=self.basis, distinct_products=self.distinct_products)

@@ -3,13 +3,16 @@
 The data is a self-adjoint operator A stored in its eigenbasis (``a_diag``),
 a marked unit vector v (stored through its squared entries so closed forms
 stay rational), a set of *regular* coordinates that absorb the leftover mass
-1 - sum|a| slot by slot, and a truncation depth N.
+1 - sum|a| slot by slot, and a truncation depth N.  A :class:`ModelParams`
+checks the admissibility conditions (a)-(f) when it is built, so every
+instance is valid and nothing downstream checks them again.
 
 Two independent evaluation routes are provided:
 
 * :func:`phi_closed_form` takes the conjugacy invariant's ``product`` of
   per-part traces over the part lengths -- exact rationals throughout;
-* :func:`phi_model` applies the generator embedding on the N-fold tensor
+* :func:`phi_model` takes a :class:`TensorEmbedding`, which holds its
+  parameters, and applies the generator images on the N-fold tensor
   power along a generator word (an axis swap with a sign twist over the
   negative spectral block for each adjacent transposition, the rank-1
   projection onto v in slot 1 for e{1}) and traces against the product
@@ -52,6 +55,22 @@ import numpy as np
 
 
 class ModelParams(Record):
+    """Admissible model parameters: every instance satisfies conditions (a)-(f).
+
+    The constructor checks the shapes, then the admissibility conditions (a)
+    Tr|A| <= 1, (b) |v| = 1, (c) and (d) regular coordinates exactly when
+    Tr|A| < 1, (e) v = 0 on the negative block, (f) v = 0 on the regular
+    coordinates, (range) eigenvalues in [-1, 1] and (regular-kernel) A = 0 on
+    the regular coordinates, and names every condition that fails:
+
+    >>> ModelParams.of(["2/3", "-1/3", "0"], ["1/2", "0", "1/2"]).spectral_mass
+    Fraction(1, 1)
+    >>> ModelParams.of(["3/4", "-2/5"], ["1", "0"], slots=2)
+    Traceback (most recent call last):
+    ...
+    ValueError: invalid model parameters: (a) trace norm of A is 23/20; (d) leftover spectral mass needs at least one regular coordinate
+    """
+
     __slots__ = _fields = ("a_diag", "v_sq", "regular", "slots")
 
     def __init__(self, a_diag: tuple[Fraction, ...], v_sq: tuple[Fraction, ...],
@@ -65,6 +84,44 @@ class ModelParams(Record):
             raise ValueError("regular coordinates must be distinct indices in 1..d")
         if any(q < 0 for q in v_sq):
             raise ValueError("squared vector entries must be nonnegative")
+        mass = sum((abs(a) for a in a_diag), Fraction(0))
+        conditions = (
+            ("a", mass <= 1, f"trace norm of A is {mass}"),
+            ("b", sum(v_sq) == 1, f"v has squared norm {sum(v_sq)}"),
+            (
+                "c",
+                mass < 1 or not regular,
+                "full spectral mass leaves no room for regular coordinates",
+            ),
+            (
+                "d",
+                mass == 1 or bool(regular),
+                "leftover spectral mass needs at least one regular coordinate",
+            ),
+            (
+                "e",
+                all(q == 0 for a, q in zip(a_diag, v_sq) if a < 0),
+                "v must vanish on the negative spectral block",
+            ),
+            (
+                "f",
+                all(v_sq[j - 1] == 0 for j in regular),
+                "v must vanish on the regular coordinates",
+            ),
+            (
+                "range",
+                all(-1 <= a <= 1 for a in a_diag),
+                "eigenvalues must lie in [-1, 1]",
+            ),
+            (
+                "regular-kernel",
+                all(a_diag[j - 1] == 0 for j in regular),
+                "regular coordinates must carry eigenvalue 0",
+            ),
+        )
+        failures = [f"({code}) {detail}" for code, ok, detail in conditions if not ok]
+        if failures:
+            raise ValueError("invalid model parameters: " + "; ".join(failures))
         self._set(a_diag, v_sq, regular, slots)
 
     @staticmethod
@@ -130,67 +187,6 @@ def load_params(path: str) -> ModelParams:
         return ModelParams.from_json(json.load(fh))
 
 
-class ModelValidation(Record):
-    __slots__ = _fields = ("conditions",)
-
-    def __init__(self, conditions: tuple[tuple[str, bool, str], ...]):
-        self._set(conditions)
-
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.conditions)
-
-    def failures(self) -> tuple[str, ...]:
-        return tuple(f"({code}) {detail}" for code, ok, detail in self.conditions if not ok)
-
-
-def validate_params(p: ModelParams) -> ModelValidation:
-    """Report-style check of the admissibility conditions (a)-(f)."""
-    mass = p.spectral_mass
-    regular = set(p.regular)
-    conditions = [
-        ("a", mass <= 1, f"trace norm of A is {mass}"),
-        ("b", sum(p.v_sq) == 1, f"v has squared norm {sum(p.v_sq)}"),
-        (
-            "c",
-            mass < 1 or not regular,
-            "full spectral mass leaves no room for regular coordinates",
-        ),
-        (
-            "d",
-            mass == 1 or bool(regular),
-            "leftover spectral mass needs at least one regular coordinate",
-        ),
-        (
-            "e",
-            all(q == 0 for a, q in zip(p.a_diag, p.v_sq) if a < 0),
-            "v must vanish on the negative spectral block",
-        ),
-        (
-            "f",
-            all(p.v_sq[j - 1] == 0 for j in regular),
-            "v must vanish on the regular coordinates",
-        ),
-        (
-            "range",
-            all(-1 <= a <= 1 for a in p.a_diag),
-            "eigenvalues must lie in [-1, 1]",
-        ),
-        (
-            "regular-kernel",
-            all(p.a_diag[j - 1] == 0 for j in regular),
-            "regular coordinates must carry eigenvalue 0",
-        ),
-    ]
-    return ModelValidation(tuple(conditions))
-
-
-def _require_valid(p: ModelParams):
-    report = validate_params(p)
-    if not report.ok:
-        raise ValueError("invalid model parameters: " + "; ".join(report.failures()))
-
-
 # --- closed-form route --------------------------------------------------------
 
 
@@ -218,7 +214,6 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
     plain cycle.
     """
-    _require_valid(p)
     return images_invariant(r.images).product(
         lambda n: _tr_cycle(p, n), lambda n: _tr_q_pow_abs(p, n - 1)
     )
@@ -233,7 +228,6 @@ def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction
     cycle trace.  It factors through the decomposition of the same element,
     which the tests cross-check.
     """
-    _require_valid(p)
     pos = sorted(set(marks))
     if pos and not (1 <= pos[0] and pos[-1] <= k):
         raise ValueError("marked positions must lie on the cycle")
@@ -271,7 +265,6 @@ class TensorEmbedding:
     """
 
     def __init__(self, params: ModelParams):
-        _require_valid(params)
         self.params = params
         self.d = params.d
         self.slots = params.slots
@@ -375,14 +368,9 @@ class TensorEmbedding:
         return float(self._rho_s @ np.einsum("ij,ij->j", ty, diag[:, None] * tx))
 
 
-def phi_model(
-    p: ModelParams,
-    r: PartialBijection,
-    embedding: TensorEmbedding | None = None,
-) -> float:
+def phi_model(embedding: TensorEmbedding, r: PartialBijection) -> float:
     """The dense-trace state value; the independent oracle for the closed form."""
-    emb = embedding if embedding is not None else TensorEmbedding(p)
-    return emb.state_value(r)
+    return embedding.state_value(r)
 
 
 # --- Okounkov operators ---------------------------------------------------------
@@ -406,27 +394,22 @@ class OkounkovReport(Record):
         }
 
 
-def _okounkov_setup(p: ModelParams, k: int, x: PartialBijection, y: PartialBijection,
-                    embedding: TensorEmbedding | None) -> tuple:
-    """The embedding, the admissible slots n, the images of x and y, and the A-insertion."""
+def _okounkov_setup(emb: TensorEmbedding, k: int, x: PartialBijection,
+                    y: PartialBijection) -> tuple:
+    """The admissible slots n, the images of x and y, and the A-insertion."""
     if k < 1:
         raise ValueError(f"slot index {k} out of range: slots start at 1")
-    emb = embedding if embedding is not None else TensorEmbedding(p)
     blocked = x.support() | y.support() | {k}
     if max(blocked) > emb.slots - 1:
         raise ValueError("supports of x, y and the slot must stay below N")
     admissible = [n for n in range(1, emb.slots + 1) if n not in blocked]
     tx, ty = emb.image(x), emb.image(y)
     target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
-    return emb, admissible, tx, ty, target
+    return admissible, tx, ty, target
 
 
 def okounkov_check(
-    p: ModelParams,
-    k: int,
-    x: PartialBijection,
-    y: PartialBijection,
-    embedding: TensorEmbedding | None = None,
+    embedding: TensorEmbedding, k: int, x: PartialBijection, y: PartialBijection
 ) -> OkounkovReport:
     """Compare <pi((k n)) x xi, y xi> across admissible n with the A-insertion.
 
@@ -434,18 +417,14 @@ def okounkov_check(
     truncated model every admissible n already gives the limit value, so the
     report's deviation is expected to be ~1e-16.
     """
-    emb, admissible, tx, ty, target = _okounkov_setup(p, k, x, y, embedding)
-    values = [(n, emb.pair_value((transposition(k, n),), tx, ty)) for n in admissible]
+    admissible, tx, ty, target = _okounkov_setup(embedding, k, x, y)
+    values = [(n, embedding.pair_value((transposition(k, n),), tx, ty)) for n in admissible]
     max_dev = max((abs(v - target) for _, v in values), default=0.0)
     return OkounkovReport(k, x.literal(), y.literal(), target, tuple(values), max_dev)
 
 
 def okounkov_projection_check(
-    p: ModelParams,
-    k: int,
-    x: PartialBijection,
-    y: PartialBijection,
-    embedding: TensorEmbedding | None = None,
+    embedding: TensorEmbedding, k: int, x: PartialBijection, y: PartialBijection
 ) -> float:
     """Max deviation of double-transposition values from the single target.
 
@@ -453,16 +432,16 @@ def okounkov_projection_check(
     satisfy P^2 = P, so <pi((k n)) pi((k m)) x xi, y xi> equals the single
     insertion for distinct admissible n, m.
     """
-    if any(a not in (0, 1) for a in p.a_diag):
+    if any(a not in (0, 1) for a in embedding.params.a_diag):
         raise ValueError("projection law requires eigenvalues in {0, 1}")
-    emb, admissible, tx, ty, target = _okounkov_setup(p, k, x, y, embedding)
+    admissible, tx, ty, target = _okounkov_setup(embedding, k, x, y)
     devs = [0.0]
     for n in admissible:
         for m in admissible:
             if n == m:
                 continue
             mids = (transposition(k, n), transposition(k, m))
-            devs.append(abs(emb.pair_value(mids, tx, ty) - target))
+            devs.append(abs(embedding.pair_value(mids, tx, ty) - target))
     return max(devs)
 
 

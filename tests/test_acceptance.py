@@ -170,7 +170,7 @@ def test_criterion_07_oracle_equivalence_r4():
             embedding = TensorEmbedding(params)
             for r in elems:
                 exact = float(phi_closed_form(params, r))
-                dense = phi_model(params, r, embedding)
+                dense = phi_model(embedding, r)
                 assert abs(exact - dense) <= 1e-10, (params, r.literal())
         assert len(ORACLE_PARAMS) >= 3
         assert beta_sets >= 1 and degenerate_sets >= 1
@@ -237,7 +237,7 @@ def test_criterion_12_okounkov_stabilization():
         vectors = list(enumerate_rn(2))
         for x in vectors:
             for y in vectors:
-                report = okounkov_check(params, 3, x, y, embedding)
+                report = okounkov_check(embedding, 3, x, y)
                 assert report.values
                 assert report.max_deviation <= 1e-12
         projection = ModelParams.of(["1", "0", "0", "0"], ["1/2", "1/2", "0", "0"], [], 5)
@@ -245,7 +245,7 @@ def test_criterion_12_okounkov_stabilization():
         spot_vectors = [identity(), idempotent([1]), parse_element("(1 2)"), parse_element("[2,_]")]
         for x in spot_vectors:
             for y in spot_vectors:
-                dev = okounkov_projection_check(projection, 3, x, y, proj_embedding)
+                dev = okounkov_projection_check(proj_embedding, 3, x, y)
                 assert dev <= 1e-12
 
 

@@ -458,7 +458,6 @@ TENSOR_NAMES = (
     "okounkov_projection_check",
     "phi_closed_form",
     "phi_model",
-    "validate_params",
 )
 RUN_MAIN = """
 import contextlib, io, sys
@@ -599,7 +598,9 @@ class TestImportBoundary:
         assert not hasattr(rookchar.elements, "permutation_from_images")
         assert not hasattr(rookchar.states, "load_state")
         assert not hasattr(rookchar.RationalMatrix, "from_json_rows")
-        assert not hasattr(tensor_model.ModelValidation, "to_json")
+        assert not hasattr(tensor_model, "ModelValidation")
+        for name in ("validate_params", "_require_valid"):
+            assert not hasattr(tensor_model, name) and not hasattr(rookchar, name)
         assert not hasattr(tensor_model.OkounkovReport, "stabilized")
 
 

@@ -10,6 +10,7 @@ import rookchar.linalg
 import rookchar.quasicycles
 import rookchar.spherical
 import rookchar.states
+import rookchar.tensor_model
 import rookchar.words
 
 
@@ -22,6 +23,7 @@ import rookchar.words
         rookchar.quasicycles,
         rookchar.spherical,
         rookchar.states,
+        rookchar.tensor_model,
         rookchar.words,
     ],
     ids=lambda m: m.__name__,

@@ -12,7 +12,7 @@ from rookchar.linalg import RationalMatrix, psd_certificate
 from rookchar.quasicycles import QuasiCycle, decompose
 from rookchar.spherical import SphericalModel
 from rookchar.states import ThomaParams, evaluate, make_state
-from rookchar.tensor_model import ModelParams, okounkov_check, validate_params
+from rookchar.tensor_model import ModelParams, TensorEmbedding, okounkov_check
 
 RUNNING = parse_element("[2,3,_,4,_]")
 MATRIX = RationalMatrix.from_rows([[1, Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]])
@@ -30,9 +30,9 @@ RECORDS = {
     "RationalMatrix": (MATRIX, "entries"),
     "PsdCertificate": (psd_certificate(MATRIX), "pivots"),
     "ModelParams": (PARAMS, "slots"),
-    "ModelValidation": (validate_params(PARAMS), "conditions"),
     "OkounkovReport": (
-        okounkov_check(PARAMS, 3, parse_element("(1 2)"), parse_element("e{1}")), "values"
+        okounkov_check(TensorEmbedding(PARAMS), 3, parse_element("(1 2)"), parse_element("e{1}")),
+        "values",
     ),
 }
 STATE = RECORDS["State"][0]

@@ -15,6 +15,7 @@ from rookchar.elements import (
     symmetric_group,
 )
 from rookchar import states
+from rookchar.errors import MAX_VIOLATIONS
 from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose
 from rookchar.states import (
     I_STAR_J,
@@ -361,3 +362,21 @@ class TestSweeps:
         report = check_centrality(bad, 2)
         assert not report.ok
         assert report.violations
+
+    # r -> bound(r) is neither central nor multiplicative: at n = 3 it fails
+    # 44 of the 204 centrality and conjugation cases and 42 of the 49
+    # multiplicativity cases, more than a report keeps.
+    @pytest.mark.parametrize(
+        "check, checked, first",
+        [
+            (check_centrality, 204, "r=[3,_,_] s=[2,3,1]"),
+            (check_conjugation_invariance, 204, "r=[1,_,_] s=[3,1,2]"),
+            (check_multiplicativity, 49, "r1=[_,_,_] r2=e"),
+        ],
+        ids=["centrality", "conjugation", "multiplicativity"],
+    )
+    def test_violations_are_named_and_capped(self, check, checked, first):
+        report = check(lambda r: Fraction(r.bound), 3)
+        assert report.checked == checked
+        assert len(report.violations) == MAX_VIOLATIONS == 20
+        assert report.violations[0] == first

@@ -1,6 +1,8 @@
 """Closed-form vs dense product-state oracles, embeddings, Okounkov limits."""
 
+import inspect
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 from functools import reduce
@@ -30,7 +32,6 @@ from rookchar.tensor_model import (
     okounkov_projection_check,
     phi_closed_form,
     phi_model,
-    validate_params,
 )
 from conftest import ORACLE_PARAMS, SUITE_STATES
 
@@ -54,48 +55,71 @@ def decomposed_closed_form(p, r):
     return value
 
 
+def rejects(code, a_diag, v_sq, regular, slots=2):
+    """Building these parameters raises ValueError naming condition ``code``."""
+    with pytest.raises(ValueError, match=re.escape(f"({code}) ")):
+        ModelParams.of(a_diag, v_sq, regular, slots)
+
+
 class TestValidation:
     def test_running_params_pass(self):
-        assert validate_params(RUNNING).ok
+        assert ModelParams(RUNNING.a_diag, RUNNING.v_sq, RUNNING.regular, 4) == RUNNING
 
     def test_mass_bound(self):
-        p = ModelParams.of(["3/4", "-2/5"], ["1", "0"], [], 2)
-        report = validate_params(p)
-        assert not report.ok
-        assert any(code == "a" and not ok for code, ok, _ in report.conditions)
+        # A trace norm above 1 cannot satisfy both (c) and (d).
+        with pytest.raises(ValueError) as exc:
+            ModelParams.of(["3/4", "-2/5"], ["1", "0"], [], 2)
+        assert str(exc.value) == (
+            "invalid model parameters: (a) trace norm of A is 23/20; "
+            "(d) leftover spectral mass needs at least one regular coordinate"
+        )
+
+    # The conditions without a named test below.  A trace norm above 1 fails
+    # (c) or (d) too, and an eigenvalue outside [-1, 1] breaks (a) as well.
+    @pytest.mark.parametrize(
+        "code, a_diag, v_sq, regular",
+        [
+            ("a", ["3/4", "-2/5", "0"], ["1", "0", "0"], [3]),
+            ("b", ["1", "0"], ["1/2", "0"], []),
+            ("range", ["3/2"], ["1"], []),
+            ("regular-kernel", ["1/2", "1/4"], ["1", "0"], [2]),
+        ],
+        ids=["a", "b", "range", "regular-kernel"],
+    )
+    def test_failing_condition_is_rejected(self, code, a_diag, v_sq, regular):
+        rejects(code, a_diag, v_sq, regular)
 
     def test_weight_on_negative_block_fails(self):
-        p = ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "1/2", "0", "0"], [4], 4)
-        report = validate_params(p)
-        assert any(code == "e" and not ok for code, ok, _ in report.conditions)
+        rejects("e", ["1/2", "-1/3", "0", "0"], ["1/2", "1/2", "0", "0"], [4], 4)
 
     def test_weight_on_regular_fails(self):
-        p = ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "0", "0", "1/2"], [4], 4)
-        report = validate_params(p)
-        assert any(code == "f" and not ok for code, ok, _ in report.conditions)
+        rejects("f", ["1/2", "-1/3", "0", "0"], ["1/2", "0", "0", "1/2"], [4], 4)
 
     def test_leftover_mass_needs_regular(self):
-        p = ModelParams.of(["1/2", "0"], ["1", "0"], [], 2)
-        report = validate_params(p)
-        assert any(code == "d" and not ok for code, ok, _ in report.conditions)
+        rejects("d", ["1/2", "0"], ["1", "0"], [])
 
     def test_full_mass_forbids_regular(self):
-        p = ModelParams.of(["1", "0"], ["1", "0"], [2], 2)
-        report = validate_params(p)
-        assert any(code == "c" and not ok for code, ok, _ in report.conditions)
+        rejects("c", ["1", "0"], ["1", "0"], [2])
 
     def test_oracle_sets_pass(self, oracle_params):
-        assert validate_params(oracle_params).ok
+        p = oracle_params
+        assert ModelParams(p.a_diag, p.v_sq, p.regular, p.slots) == p
 
     def test_closed_form_rejects_invalid(self):
-        p = ModelParams.of(["3/4", "-2/5"], ["1", "0"], [], 2)
-        with pytest.raises(ValueError):
-            phi_closed_form(p, identity())
+        # The closed form cannot be reached with invalid parameters: they
+        # are refused when the parameters are built.
+        with pytest.raises(ValueError, match="invalid model parameters"):
+            ModelParams.of(["1/2", "-1/2"], ["1/2", "1/2"], [], 2)
 
     def test_json_roundtrip(self):
         again = ModelParams.from_json(RUNNING.to_json())
         assert again == RUNNING
         assert RUNNING.to_json()["v"] == ["sqrt(1/2)", "0", "sqrt(1/2)", "0"]
+
+    def test_json_input_is_checked(self):
+        data = dict(RUNNING.to_json(), regular=[])
+        with pytest.raises(ValueError, match=re.escape("(d) leftover spectral mass")):
+            ModelParams.from_json(data)
 
 
 class TestClosedForm:
@@ -246,18 +270,18 @@ class TestEmbedding:
 class TestOracleEquivalence:
     def test_normalization(self, oracle_params):
         emb = TensorEmbedding(oracle_params)
-        assert phi_model(oracle_params, identity(), emb) == pytest.approx(1.0)
+        assert phi_model(emb, identity()) == pytest.approx(1.0)
 
     def test_sixteen_by_sixteen_sign_twist(self):
         p = ModelParams.of(["1/2", "1/12", "-1/3", "-1/12"], ["1", "0", "0", "0"], [], 2)
         emb = TensorEmbedding(p)
         assert emb.dim == 16
-        value = phi_model(p, parse_element("(1 2)"), emb)
+        value = phi_model(emb, parse_element("(1 2)"))
         assert value == pytest.approx(5 / 36, abs=1e-14)
 
     def test_epsilon_value_with_running_params(self):
         emb = TensorEmbedding(RUNNING)
-        assert phi_model(RUNNING, idempotent([1]), emb) == pytest.approx(0.25, abs=1e-14)
+        assert phi_model(emb, idempotent([1])) == pytest.approx(0.25, abs=1e-14)
         assert phi_closed_form(RUNNING, idempotent([1])) == Fraction(1, 4)
 
     def test_broken_sign_twist_is_caught(self):
@@ -265,12 +289,12 @@ class TestOracleEquivalence:
         crooked = TensorEmbedding(p)
         crooked._swap_sign[:] = 1.0
         r = parse_element("(1 2)")
-        assert abs(phi_model(p, r, crooked) - float(phi_closed_form(p, r))) > 0.2
+        assert abs(phi_model(crooked, r) - float(phi_closed_form(p, r))) > 0.2
 
     def test_r3_agreement(self, oracle_params):
         emb = TensorEmbedding(oracle_params)
         for r in enumerate_rn(3):
-            assert phi_model(oracle_params, r, emb) == pytest.approx(
+            assert phi_model(emb, r) == pytest.approx(
                 float(phi_closed_form(oracle_params, r)), abs=1e-10
             )
 
@@ -278,16 +302,16 @@ class TestOracleEquivalence:
         p = ORACLE_PARAMS["t_half_beta"]
         emb = TensorEmbedding(p)
         elems = list(enumerate_rn(3))
-        values = {r: phi_model(p, r, emb) for r in elems}
+        values = {r: phi_model(emb, r) for r in elems}
         for s in symmetric_group(3):
             for r in elems:
-                assert phi_model(p, compose(s, r), emb) == pytest.approx(
-                    phi_model(p, compose(r, s), emb), abs=1e-12
+                assert phi_model(emb, compose(s, r)) == pytest.approx(
+                    phi_model(emb, compose(r, s)), abs=1e-12
                 )
         for r1, r2 in itertools.combinations(elems, 2):
             if r1.support() & r2.support():
                 continue
-            assert phi_model(p, compose(r1, r2), emb) == pytest.approx(
+            assert phi_model(emb, compose(r1, r2)) == pytest.approx(
                 values[r1] * values[r2], abs=1e-10
             )
 
@@ -298,11 +322,11 @@ class TestOracleEquivalence:
         emb = TensorEmbedding(RUNNING)
         r = parse_element("(1 2)")
         leftover = 1 - float(RUNNING.spectral_mass)
-        assert phi_model(RUNNING, r, emb) == pytest.approx(
+        assert phi_model(emb, r) == pytest.approx(
             float(phi_closed_form(RUNNING, r)) + leftover**2, abs=1e-12
         )
         q = parse_element("(1 2)e{1}")
-        assert phi_model(RUNNING, q, emb) == pytest.approx(
+        assert phi_model(emb, q) == pytest.approx(
             float(phi_closed_form(RUNNING, q)), abs=1e-12
         )
 
@@ -310,7 +334,6 @@ class TestOracleEquivalence:
 class TestStateFamilyBridge:
     def test_exact_equality_r3(self, suite_state):
         params = model_from_state(suite_state, slots=3)
-        assert validate_params(params).ok
         for r in enumerate_rn(3):
             assert phi_closed_form(params, r) == evaluate(suite_state, r)
 
@@ -324,7 +347,7 @@ class TestStateFamilyBridge:
         assert all(params.a_diag[j - 1] == 0 == params.v_sq[j - 1] for j in params.regular)
         emb = TensorEmbedding(params)
         for r in enumerate_rn(3):
-            assert phi_model(params, r, emb) == pytest.approx(
+            assert phi_model(emb, r) == pytest.approx(
                 float(phi_closed_form(params, r)), abs=1e-12
             )
 
@@ -338,7 +361,7 @@ class TestStateFamilyBridge:
 class TestOkounkov:
     def test_identity_pair_reproduces_two_cycle_value(self):
         p = ORACLE_PARAMS["t_half_beta"]
-        rep = okounkov_check(p, 1, identity(), identity())
+        rep = okounkov_check(TensorEmbedding(p), 1, identity(), identity())
         expected = float(phi_closed_form(p, parse_element("(1 2)")))
         assert rep.target == pytest.approx(expected, abs=1e-12)
         assert rep.max_deviation <= 1e-12
@@ -347,7 +370,7 @@ class TestOkounkov:
     def test_epsilon_pair(self):
         p = ORACLE_PARAMS["t_half_beta"]
         eps = idempotent([1])
-        rep = okounkov_check(p, 2, eps, eps)
+        rep = okounkov_check(TensorEmbedding(p), 2, eps, eps)
         expected = float(phi_closed_form(p, parse_element("(2 3)e{1}")))
         assert rep.target == pytest.approx(expected, abs=1e-12)
         assert rep.max_deviation <= 1e-12
@@ -357,31 +380,39 @@ class TestOkounkov:
         emb = TensorEmbedding(p)
         for x in enumerate_rn(2):
             for y in enumerate_rn(2):
-                rep = okounkov_check(p, 3, x, y, emb)
+                rep = okounkov_check(emb, 3, x, y)
                 assert rep.max_deviation <= 1e-12
 
     def test_support_bound_enforced(self):
         p = ORACLE_PARAMS["t_half_beta"]
         with pytest.raises(ValueError):
-            okounkov_check(p, 4, identity(), identity())
+            okounkov_check(TensorEmbedding(p), 4, identity(), identity())
 
     @pytest.mark.parametrize("k", [0, -1, -4])
     def test_slot_below_one_rejected(self, k):
         projection = ModelParams.of(["1", "0", "0"], ["1/2", "1/2", "0"], [], 4)
         with pytest.raises(ValueError, match=f"slot index {k} out of range"):
-            okounkov_check(ORACLE_PARAMS["t_half_beta"], k, identity(), identity())
+            okounkov_check(TensorEmbedding(ORACLE_PARAMS["t_half_beta"]), k, identity(), identity())
         with pytest.raises(ValueError, match=f"slot index {k} out of range"):
-            okounkov_projection_check(projection, k, identity(), identity())
+            okounkov_projection_check(TensorEmbedding(projection), k, identity(), identity())
 
     def test_projection_law(self):
         p = ModelParams.of(["1", "0", "0"], ["1/2", "1/2", "0"], [], 4)
         emb = TensorEmbedding(p)
         for x in enumerate_rn(1):
             for y in enumerate_rn(1):
-                assert okounkov_projection_check(p, 2, x, y, emb) <= 1e-12
+                assert okounkov_projection_check(emb, 2, x, y) <= 1e-12
 
     def test_projection_law_requires_projection(self):
-        with pytest.raises(ValueError):
+        # The precondition is read from the embedding the check runs on, so a
+        # non-projection model cannot be checked under a projection's name.
+        with pytest.raises(ValueError, match="projection law requires eigenvalues"):
             okounkov_projection_check(
-                ORACLE_PARAMS["t_half_beta"], 1, identity(), identity()
+                TensorEmbedding(ORACLE_PARAMS["t_half_beta"]), 1, identity(), identity()
             )
+
+    @pytest.mark.parametrize("fn", [phi_model, okounkov_check, okounkov_projection_check])
+    def test_dense_route_takes_only_the_embedding(self, fn):
+        params = inspect.signature(fn).parameters.values()
+        assert next(iter(params)).name == "embedding"
+        assert all(p.default is inspect.Parameter.empty for p in params)

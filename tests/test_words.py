@@ -2,7 +2,9 @@
 
 import pytest
 
+from rookchar import words
 from rookchar.elements import enumerate_rn, idempotent, parse_element, transposition
+from rookchar.errors import MAX_VIOLATIONS
 from rookchar.words import (
     EPS1,
     S,
@@ -68,3 +70,13 @@ def test_popova_relations_hold(n):
 
 def test_popova_counts_scale():
     assert verify_popova_relations(5).checked > verify_popova_relations(2).checked
+
+
+def test_popova_violations_are_capped(monkeypatch):
+    # Read as raw tuples, the two sides of every relation differ, so each of
+    # the 39 relations at n = 8 fails; the report keeps the first 20.
+    monkeypatch.setattr(words, "word_to_element", lambda w: w)
+    report = verify_popova_relations(8)
+    assert report.checked == 39
+    assert len(report.violations) == MAX_VIOLATIONS == 20
+    assert report.violations[0] == "involution s_1: (1, 1) != ()"
