@@ -12,7 +12,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
-from .errors import MAX_VIOLATIONS, CheckReport
+from .errors import CheckReport, tally
 
 
 class FormalSum:
@@ -136,12 +136,7 @@ def check_gelfand_pair(n: int) -> CheckReport:
         u = p * FormalSum.of(e) * p
         sandwiches.setdefault(frozenset(u._terms.items()), (e, u))
 
-    violations: list[str] = []
-    pairs = 0
-    for (ea, ua), (eb, ub) in itertools.combinations(sandwiches.values(), 2):
-        pairs += 1
-        if ua * ub != ub * ua and len(violations) < MAX_VIOLATIONS:
-            violations.append(f"p {ea.literal()} p vs p {eb.literal()} p")
-    return CheckReport(
-        "gelfand", n, pairs, tuple(violations), basis=len(basis), distinct_products=len(sandwiches)
-    )
+    return tally("gelfand", n, (
+        f"p {ea.literal()} p vs p {eb.literal()} p" if ua * ub != ub * ua else None
+        for (ea, ua), (eb, ub) in itertools.combinations(sandwiches.values(), 2)
+    ), basis=len(basis), distinct_products=len(sandwiches))

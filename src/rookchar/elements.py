@@ -248,26 +248,6 @@ def symmetric_group(n: int) -> Iterator[PartialBijection]:
         yield PartialBijection.from_images(perm)
 
 
-def sign(s: PartialBijection) -> int:
-    """The sign of a finitary permutation."""
-    if not s.is_permutation():
-        raise ValueError("sign is defined for permutations only")
-    images = list(s.images)
-    parity = 0
-    seen = [False] * len(images)
-    for start in range(len(images)):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x] - 1
-            length += 1
-        parity += length - 1
-    return -1 if parity % 2 else 1
-
-
 # --- literals ---------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Shared by every layer: exceptions, JSON integer reading, the record base, the sweep report, guard limits."""
+"""Shared by every layer: exceptions, integer reading, the record base, the sweep report and its tally, guard limits."""
 
 # Bound on the dense tensor dimension d^N, overridable through the environment.
 # Kept here, free of numpy, so the CLI help can print it without loading the
@@ -27,10 +27,23 @@ class ParseError(ValueError):
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of JSON input: an int, an integral float or a decimal string.
+    """An integer from outside the program: an int, an integral float or a decimal string.
 
-    ``int()`` alone would truncate ``1.9`` to 1 and read ``true`` as 1; a bool,
+    Every integer that reaches the library from JSON input or from a caller's
+    arguments (a mark index, regular coordinates, a slot count) is read here.
+    ``int()`` alone would truncate ``1.9`` to 1 and read ``True`` as 1; a bool,
     a float with a fractional part or any other value raises ParseError.
+
+    >>> json_int(3, "N"), json_int(3.0, "N"), json_int("3", "N")
+    (3, 3, 3)
+    >>> json_int(1.9, "N")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: N must be an integer, got 1.9
+    >>> json_int(True, "N")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: N must be an integer, got True
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -120,3 +133,22 @@ class CheckReport(Record):
         if self.basis is not None:
             payload.update(basis=self.basis, distinct_products=self.distinct_products)
         return payload
+
+
+def tally(suite: str, n: int, failures, **extra) -> CheckReport:
+    """Count a sweep's cases and keep its first ``MAX_VIOLATIONS`` violation texts, in order.
+
+    ``failures`` yields one item per case: ``None`` if it passed, the violation
+    text if it failed.  ``extra`` goes to :class:`CheckReport` unchanged.
+
+    >>> report = tally("demo", 3, (None if i % 6 == 0 else f"case {i}" for i in range(30)))
+    >>> report.checked, len(report.violations), report.violations[0], report.ok
+    (30, 20, 'case 1', False)
+    """
+    checked = 0
+    violations: list[str] = []
+    for failure in failures:
+        checked += 1
+        if failure is not None and len(violations) < MAX_VIOLATIONS:
+            violations.append(failure)
+    return CheckReport(suite, n, checked, tuple(violations), **extra)

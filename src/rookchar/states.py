@@ -34,13 +34,13 @@ from . import linalg  # through the module, so linalg runs only when a Gram is b
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from .errors import (
     I_STAR_J,
-    MAX_VIOLATIONS,
     STAR_JI,
     CheckReport,
     ParseError,
     Record,
     ResourceGuardError,
     json_int,
+    tally,
 )
 from .quasicycles import ConjugacyInvariant, images_invariant
 
@@ -212,7 +212,7 @@ def make_state(alpha: Iterable = (), beta: Iterable = (), mark=None) -> State:
     """Validate and build a state; raises ValueError on bad parameters."""
     if mark is not None:
         i, t = mark
-        mark = (int(i), Fraction(t))
+        mark = (json_int(i, "mark index"), Fraction(t))
     return State(ThomaParams.of(alpha, beta), mark)
 
 
@@ -339,58 +339,40 @@ def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
 def check_centrality(state, n: int) -> CheckReport:
     """f(r s) = f(s r) for every r in R_n and permutation s of 1..n."""
     f = _value_fn(state)
-    checked = 0
-    violations: list[str] = []
     perms = list(symmetric_group(n))
-    for r in enumerate_rn(n):
-        for s in perms:
-            checked += 1
-            if f(compose(r, s)) != f(compose(s, r)) and len(violations) < MAX_VIOLATIONS:
-                violations.append(f"r={r.literal()} s={s.literal()}")
-    return CheckReport("centrality", n, checked, tuple(violations))
+    return tally("centrality", n, (
+        f"r={r.literal()} s={s.literal()}" if f(compose(r, s)) != f(compose(s, r)) else None
+        for r in enumerate_rn(n)
+        for s in perms
+    ))
 
 
 def check_multiplicativity(state, n: int) -> CheckReport:
     """f(r1 r2) = f(r1) f(r2) whenever the supports are disjoint."""
     f = _value_fn(state)
-    elems = list(enumerate_rn(n))
-    supports = [e.support() for e in elems]
-    values = [f(e) for e in elems]
-    checked = 0
-    violations: list[str] = []
-    for i, r1 in enumerate(elems):
-        for j in range(i, len(elems)):
-            if supports[i] & supports[j]:
-                continue
-            checked += 1
-            if f(compose(r1, elems[j])) != values[i] * values[j]:
-                if len(violations) < MAX_VIOLATIONS:
-                    violations.append(f"r1={r1.literal()} r2={elems[j].literal()}")
-    return CheckReport("multiplicativity", n, checked, tuple(violations))
+    elems = [(e, e.support(), f(e)) for e in enumerate_rn(n)]
+    return tally("multiplicativity", n, (
+        f"r1={r1.literal()} r2={r2.literal()}" if f(compose(r1, r2)) != v1 * v2 else None
+        for i, (r1, s1, v1) in enumerate(elems)
+        for r2, s2, v2 in elems[i:]
+        if not s1 & s2
+    ))
 
 
 def check_star_symmetry(state, n: int) -> CheckReport:
     """f(r*) = f(r); values are real rationals, so conjugation is trivial."""
     f = _value_fn(state)
-    checked = 0
-    violations: list[str] = []
-    for r in enumerate_rn(n):
-        checked += 1
-        if f(r.star()) != f(r) and len(violations) < MAX_VIOLATIONS:
-            violations.append(r.literal())
-    return CheckReport("star-symmetry", n, checked, tuple(violations))
+    failures = (r.literal() if f(r.star()) != f(r) else None for r in enumerate_rn(n))
+    return tally("star-symmetry", n, failures)
 
 
 def check_conjugation_invariance(state, n: int) -> CheckReport:
     """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n."""
     f = _value_fn(state)
-    checked = 0
-    violations: list[str] = []
     perms = [(s, s.star()) for s in symmetric_group(n)]
-    for r in enumerate_rn(n):
-        base = f(r)
-        for s, s_inv in perms:
-            checked += 1
-            if f(compose(compose(s, r), s_inv)) != base and len(violations) < MAX_VIOLATIONS:
-                violations.append(f"r={r.literal()} s={s.literal()}")
-    return CheckReport("conjugation-invariance", n, checked, tuple(violations))
+    return tally("conjugation-invariance", n, (
+        f"r={r.literal()} s={s.literal()}" if f(compose(compose(s, r), s_inv)) != base else None
+        for r in enumerate_rn(n)
+        for base in (f(r),)
+        for s, s_inv in perms
+    ))

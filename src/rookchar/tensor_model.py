@@ -129,8 +129,8 @@ class ModelParams(Record):
         return ModelParams(
             tuple(Fraction(a) for a in a_diag),
             tuple(Fraction(q) for q in v_sq),
-            tuple(sorted(int(j) for j in regular)),
-            int(slots),
+            tuple(sorted(json_int(j, "regular coordinate") for j in regular)),
+            json_int(slots, "slots"),
         )
 
     @property
@@ -430,19 +430,23 @@ def okounkov_projection_check(
 
     When A is a projection (eigenvalues in {0, 1}) the limit operator must
     satisfy P^2 = P, so <pi((k n)) pi((k m)) x xi, y xi> equals the single
-    insertion for distinct admissible n, m.
+    insertion for distinct admissible n, m.  Fewer than two admissible slots
+    leave no pair to compare and raise ValueError.
     """
     if any(a not in (0, 1) for a in embedding.params.a_diag):
         raise ValueError("projection law requires eigenvalues in {0, 1}")
     admissible, tx, ty, target = _okounkov_setup(embedding, k, x, y)
-    devs = [0.0]
-    for n in admissible:
-        for m in admissible:
-            if n == m:
-                continue
-            mids = (transposition(k, n), transposition(k, m))
-            devs.append(abs(embedding.pair_value(mids, tx, ty) - target))
-    return max(devs)
+    if len(admissible) < 2:
+        raise ValueError(
+            f"the projection law needs two admissible slots outside the supports of x, y "
+            f"and the slot, found {len(admissible)}"
+        )
+    return max(
+        abs(embedding.pair_value((transposition(k, n), transposition(k, m)), tx, ty) - target)
+        for n in admissible
+        for m in admissible
+        if n != m
+    )
 
 
 # --- bridge from the state family ---------------------------------------------

@@ -11,8 +11,10 @@ c e{1} c^-1 with c = s_{k-1} ... s_1, a word of length 2k - 1.
 
 from __future__ import annotations
 
+import itertools
+
 from .elements import PartialBijection, compose, idempotent, transposition
-from .errors import MAX_VIOLATIONS, CheckReport
+from .errors import CheckReport, tally
 
 EPS1 = 0
 Word = tuple[int, ...]
@@ -75,23 +77,18 @@ def verify_popova_relations(n: int) -> CheckReport:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    checked = 0
-    violations: list[str] = []
-
-    def expect(label: str, lhs: Word, rhs: Word):
-        nonlocal checked
-        checked += 1
-        if word_to_element(lhs) != word_to_element(rhs) and len(violations) < MAX_VIOLATIONS:
-            violations.append(f"{label}: {lhs} != {rhs}")
-
-    for i in range(1, n + 1):
-        expect(f"involution s_{i}", (i, i), ())
-    for i in range(1, n + 1):
-        for j in range(i + 2, n + 1):
-            expect(f"commutation s_{i} s_{j}", (i, j), (j, i))
-    for i in range(1, n):
-        expect(f"braid s_{i} s_{i + 1}", (i, i + 1, i), (i + 1, i, i + 1))
-    expect("idempotent e1", (EPS1, EPS1), (EPS1,))
-    expect("mixed e1 s1 e1 s1", (EPS1, 1, EPS1, 1), (1, EPS1, 1, EPS1))
-    expect("mixed e1 s1 e1", (EPS1, 1, EPS1, 1), (EPS1, 1, EPS1))
-    return CheckReport("popova", n, checked, tuple(violations))
+    relations = itertools.chain(
+        ((f"involution s_{i}", (i, i), ()) for i in range(1, n + 1)),
+        ((f"commutation s_{i} s_{j}", (i, j), (j, i))
+         for i in range(1, n + 1) for j in range(i + 2, n + 1)),
+        ((f"braid s_{i} s_{i + 1}", (i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n)),
+        (
+            ("idempotent e1", (EPS1, EPS1), (EPS1,)),
+            ("mixed e1 s1 e1 s1", (EPS1, 1, EPS1, 1), (1, EPS1, 1, EPS1)),
+            ("mixed e1 s1 e1", (EPS1, 1, EPS1, 1), (EPS1, 1, EPS1)),
+        ),
+    )
+    return tally("popova", n, (
+        f"{label}: {lhs} != {rhs}" if word_to_element(lhs) != word_to_element(rhs) else None
+        for label, lhs, rhs in relations
+    ))

@@ -1,8 +1,8 @@
-"""Shared fixtures: the acceptance suite states and oracle parameter sets."""
+"""Shared fixtures: the acceptance suite states, oracle parameter sets and the sign reference."""
 
 import pytest
 
-from rookchar.elements import enumerate_rn
+from rookchar.elements import PartialBijection, enumerate_rn
 from rookchar.states import make_state
 from rookchar.tensor_model import ModelParams
 
@@ -33,6 +33,28 @@ ORACLE_PARAMS = {
     "alpha1_spherical": ModelParams.of(["1", "0", "0", "0"], ["1/3", "2/3", "0", "0"], [], 4),
     "t0": ModelParams.of(["3/5", "2/5", "0", "0"], ["0", "0", "1", "0"], [], 4),
 }
+
+
+# The sign of a permutation, counted from its cycles: the reference values of
+# the sign state (alpha = (), beta = (1,)).
+def sign(s: PartialBijection) -> int:
+    """The sign of a finitary permutation."""
+    if not s.is_permutation():
+        raise ValueError("sign is defined for permutations only")
+    images = list(s.images)
+    parity = 0
+    seen = [False] * len(images)
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = images[x] - 1
+            length += 1
+        parity += length - 1
+    return -1 if parity % 2 else 1
 
 
 @pytest.fixture(params=sorted(SUITE_STATES))

@@ -6,6 +6,7 @@ import pytest
 
 import rookchar.algebra
 import rookchar.elements
+import rookchar.errors
 import rookchar.linalg
 import rookchar.quasicycles
 import rookchar.spherical
@@ -19,6 +20,7 @@ import rookchar.words
     [
         rookchar.algebra,
         rookchar.elements,
+        rookchar.errors,
         rookchar.linalg,
         rookchar.quasicycles,
         rookchar.spherical,

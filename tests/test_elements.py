@@ -17,11 +17,11 @@ from rookchar.elements import (
     identity,
     parse_element,
     rn_size,
-    sign,
     symmetric_group,
     transposition,
 )
 from rookchar.errors import MAX_POINT, ParseError, ResourceGuardError
+from conftest import sign
 
 
 @st.composite

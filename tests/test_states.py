@@ -11,7 +11,6 @@ from rookchar.elements import (
     idempotent,
     identity,
     parse_element,
-    sign,
     symmetric_group,
 )
 from rookchar import states
@@ -39,7 +38,7 @@ from rookchar.states import (
     unchecked_value_fn,
 )
 from rookchar.linalg import NOT_PSD, verify_certificate
-from conftest import R4_GRAM_ELEMENTS, SUITE_STATES
+from conftest import R4_GRAM_ELEMENTS, SUITE_STATES, sign
 
 
 def cycle_type_via_orbits(perm):
@@ -103,6 +102,19 @@ class TestMakeState:
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError):
             make_state(alpha=["1/2", "0"], mark=(1, 1))
+
+    # int() would read 1.9 and True as the index 1.
+    @pytest.mark.parametrize(
+        "index, accepted",
+        [(1, True), ("1", True), (1.0, True), (1.9, False), (True, False)],
+        ids=["int", "str", "float", "fractional", "bool"],
+    )
+    def test_mark_index_is_an_integer(self, index, accepted):
+        if accepted:
+            assert make_state(alpha=["1/2"], mark=(index, "1/2")).mark == (1, Fraction(1, 2))
+        else:
+            with pytest.raises(ValueError, match="mark index must be an integer"):
+                make_state(alpha=["1/2"], mark=(index, "1/2"))
 
     def test_json_roundtrip(self, suite_state):
         assert State.from_json(suite_state.to_json()) == suite_state
@@ -365,18 +377,21 @@ class TestSweeps:
 
     # r -> bound(r) is neither central nor multiplicative: at n = 3 it fails
     # 44 of the 204 centrality and conjugation cases and 42 of the 49
-    # multiplicativity cases, more than a report keeps.
+    # multiplicativity cases.  r -> r(1) is not star-symmetric: it fails on
+    # 120 of the 209 elements of R_4.  Each is more than a report keeps.
     @pytest.mark.parametrize(
-        "check, checked, first",
+        "check, f, n, checked, first",
         [
-            (check_centrality, 204, "r=[3,_,_] s=[2,3,1]"),
-            (check_conjugation_invariance, 204, "r=[1,_,_] s=[3,1,2]"),
-            (check_multiplicativity, 49, "r1=[_,_,_] r2=e"),
+            (check_centrality, lambda r: Fraction(r.bound), 3, 204, "r=[3,_,_] s=[2,3,1]"),
+            (check_conjugation_invariance, lambda r: Fraction(r.bound), 3, 204,
+             "r=[1,_,_] s=[3,1,2]"),
+            (check_multiplicativity, lambda r: Fraction(r.bound), 3, 49, "r1=[_,_,_] r2=e"),
+            (check_star_symmetry, lambda r: Fraction(r(1) or 0), 4, 209, "[2,_,_,_]"),
         ],
-        ids=["centrality", "conjugation", "multiplicativity"],
+        ids=["centrality", "conjugation", "multiplicativity", "star-symmetry"],
     )
-    def test_violations_are_named_and_capped(self, check, checked, first):
-        report = check(lambda r: Fraction(r.bound), 3)
+    def test_violations_are_named_and_capped(self, check, f, n, checked, first):
+        report = check(f, n)
         assert report.checked == checked
         assert len(report.violations) == MAX_VIOLATIONS == 20
         assert report.violations[0] == first

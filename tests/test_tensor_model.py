@@ -65,6 +65,22 @@ class TestValidation:
     def test_running_params_pass(self):
         assert ModelParams(RUNNING.a_diag, RUNNING.v_sq, RUNNING.regular, 4) == RUNNING
 
+    # int() would truncate 4.5 to 4 and read True as 1.
+    @pytest.mark.parametrize(
+        "value, accepted",
+        [(4, True), ("4", True), (4.0, True), (4.5, False), (True, False)],
+        ids=["int", "str", "float", "fractional", "bool"],
+    )
+    def test_regular_and_slots_are_integers(self, value, accepted):
+        a_diag, v_sq = RUNNING.a_diag, RUNNING.v_sq
+        if accepted:
+            assert ModelParams.of(a_diag, v_sq, [value], value) == RUNNING
+        else:
+            with pytest.raises(ValueError, match="regular coordinate must be an integer"):
+                ModelParams.of(a_diag, v_sq, [value], 4)
+            with pytest.raises(ValueError, match="slots must be an integer"):
+                ModelParams.of(a_diag, v_sq, [4], value)
+
     def test_mass_bound(self):
         # A trace norm above 1 cannot satisfy both (c) and (d).
         with pytest.raises(ValueError) as exc:
@@ -402,6 +418,17 @@ class TestOkounkov:
         for x in enumerate_rn(1):
             for y in enumerate_rn(1):
                 assert okounkov_projection_check(emb, 2, x, y) <= 1e-12
+
+    # Slot 4 alone is admissible beside (1 2) and slot 3; slot 2 alone beside
+    # slot 1 with N = 2.  One slot gives no pair to compare.
+    @pytest.mark.parametrize(
+        "slots, k, x", [(4, 3, "(1 2)"), (2, 1, "e")], ids=["N4-k3", "N2-k1"]
+    )
+    def test_projection_law_needs_two_admissible_slots(self, slots, k, x):
+        p = ModelParams.of(["1", "0", "0", "0"], ["1/2", "1/2", "0", "0"], [], slots)
+        x = parse_element(x)
+        with pytest.raises(ValueError, match="needs two admissible slots .* found 1"):
+            okounkov_projection_check(TensorEmbedding(p), k, x, x)
 
     def test_projection_law_requires_projection(self):
         # The precondition is read from the embedding the check runs on, so a
