@@ -1,4 +1,4 @@
-"""Closed-form values against the dense product-state model.
+"""Closed-form values against the tensor product-state model.
 
 Run:  python demos/04_tensor_oracle.py
 """
@@ -21,17 +21,17 @@ from rookchar.tensor_model import ModelParams
 params = ModelParams.of(["2/3", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [], 4)
 
 embedding = TensorEmbedding(params)
-print(f"dense dimension: {params.d}^{params.slots} = {embedding.dim}")
+print(f"tensor dimension: {params.d}^{params.slots} = {embedding.dim}")
 worst = 0.0
 for r in enumerate_rn(3):
     exact = phi_closed_form(params, r)
-    dense = phi_model(embedding, r)
-    worst = max(worst, abs(float(exact) - dense))
-print("max |closed form - dense trace| over R_3:", worst)
+    model = phi_model(embedding, r)
+    worst = max(worst, abs(float(exact) - model))
+print("max |closed form - tensor model| over R_3:", worst)
 
 for lit in ["(1 2)", "(1 2)e{1}", "(1 2 3 4)e{1}e{3}", "e{1}e{2}"]:
     r = parse_element(lit)
-    print(f"  {lit:18s} closed {str(phi_closed_form(params, r)):>8s}  dense {phi_model(embedding, r):.12f}")
+    print(f"  {lit:18s} closed {str(phi_closed_form(params, r)):>8s}  tensor model {phi_model(embedding, r):.12f}")
 
 # Any state of the family has a model whose closed form matches it exactly.
 state = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))

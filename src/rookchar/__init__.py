@@ -3,13 +3,14 @@
 Element arithmetic and quasi-cycle decomposition, the central state family
 with exact PSD certification, and finite-dimensional tensor oracles.
 
-Everything but the tensor oracles is exact and free of numpy.  Importing the
-package runs none of its modules: each submodule but ``cli`` is registered in
-``sys.modules`` unexecuted, and its body runs on first use of one of its
-attributes.  The public names below are served from the table ``_EXPORTS``
-(submodule -> names), so ``rookchar.compose`` runs ``elements`` and
-``rookchar.TensorEmbedding`` runs ``tensor_model`` (and loads numpy), while a
-command pays only for the modules it uses.  Modules reach a dependency that
+Everything but the tensor oracles' float values is exact, and the package
+needs nothing beyond the standard library.  Importing the package runs none
+of its modules: each submodule but ``cli`` is registered in ``sys.modules``
+unexecuted, and its body runs on first use of one of its attributes.  The
+public names below are served from the table ``_EXPORTS`` (submodule ->
+names), so ``rookchar.compose`` runs ``elements`` and
+``rookchar.TensorEmbedding`` runs ``tensor_model``, while a command pays only
+for the modules it uses.  Modules reach a dependency that
 only some of their functions need through the module object (``states`` calls
 ``linalg.psd_certificate``), since a top-level ``from .linalg import ...``
 would run it.  ``cli`` is imported normally: ``python -m rookchar.cli`` would
@@ -71,7 +72,6 @@ _EXPORTS = {
     "tensor_model": (
         "ModelParams",
         "TensorEmbedding",
-        "marked_cycle_value",
         "model_from_state",
         "okounkov_check",
         "okounkov_projection_check",

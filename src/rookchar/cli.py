@@ -137,14 +137,14 @@ def cmd_oracle(args) -> int:
     worst = 0.0
     for r in enumerate_rn(args.n):
         exact = tensor_model.phi_closed_form(params, r)
-        dense = tensor_model.phi_model(embedding, r)
-        diff = abs(float(exact) - dense)
+        model = tensor_model.phi_model(embedding, r)
+        diff = abs(float(exact) - model)
         worst = max(worst, diff)
         rows.append(
             {
                 "element": r.literal(),
                 "closed_form": str(exact),
-                "model": _csv_cell(dense),
+                "model": _csv_cell(model),
                 "diff": diff,
             }
         )
@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Exit codes: 0 success, 2 usage/parse error, 3 property violation, "
             "4 resource guard. The ROOKCHAR_MAX_DIM environment variable bounds "
-            f"the dense tensor dimension d^N (default {DEFAULT_MAX_DIM})."
+            f"the tensor dimension d^N (default {DEFAULT_MAX_DIM})."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="closed form vs dense tensor model over R_n")
+    p = sub.add_parser("oracle", help="closed form vs tensor model over R_n")
     p.add_argument("--params", required=True, help="model parameter JSON file")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--tol", type=float, default=1e-10)

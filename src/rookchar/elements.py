@@ -116,10 +116,6 @@ class PartialBijection(Record):
             return x
         return self.images[x - 1]
 
-    def is_permutation(self) -> bool:
-        """True when the element is a (finitary) bijection of the whole set."""
-        return None not in self.images
-
     def is_identity(self) -> bool:
         return not self.images
 

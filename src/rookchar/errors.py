@@ -1,8 +1,8 @@
 """Shared by every layer: exceptions, integer reading, the record base, the sweep report and its tally, guard limits."""
 
-# Bound on the dense tensor dimension d^N, overridable through the environment.
-# Kept here, free of numpy, so the CLI help can print it without loading the
-# tensor oracle.
+# Bound on the tensor dimension d^N, and so on the product state's support
+# |S| <= d^N, overridable through the environment.  Kept here so the CLI help
+# can print it without running the tensor oracle module.
 DEFAULT_MAX_DIM = 4096
 MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
 
@@ -14,6 +14,10 @@ I_STAR_J = "iStarJ"
 
 # The most violations a sweep records.
 MAX_VIOLATIONS = 20
+
+# The largest generator index the Popova relation sweep checks.  Its O(n^2)
+# relations each compose elements of bound ~n, so the sweep grows as n^3.
+MAX_POPOVA_N = 128
 
 # The largest point a cycle or idempotent may name, and the largest ground set
 # of a spherical model.  An element stores an image for every point up to its

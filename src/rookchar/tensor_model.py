@@ -13,13 +13,13 @@ Two independent evaluation routes are provided:
   per-part traces over the part lengths -- exact rationals throughout;
 * :func:`phi_model` takes a :class:`TensorEmbedding`, which holds its
   parameters, and applies the generator images on the N-fold tensor
-  power along a generator word (an axis swap with a sign twist over the
+  power along a generator word (a slot swap with a sign twist over the
   negative spectral block for each adjacent transposition, the rank-1
   projection onto v in slot 1 for e{1}) and traces against the product
-  state.  Each letter is a row operation on the ``(d,)*N`` tensor, so no
-  dense ``d^N x d^N`` product is formed and no element image is cached.  The
-  word is applied only to the columns where the product state is nonzero,
-  the only ones its trace reads.
+  state.  Only the basis columns where the product state is nonzero are
+  walked, and each stays a scalar times a product tensor under every
+  letter, so the walk keeps N factor labels per column and forms no
+  ``d^N``-long vector.
 
 At finite truncation a genuinely infinite regular block is unavailable, so
 slot k recycles regular coordinate k mod #regular.  With one regular
@@ -28,18 +28,15 @@ slots share one, and the two routes agree on every element.  With fewer,
 plain cycles whose slots collide on one regular coordinate pick up a
 spurious (1 - sum|a|)^len term; with sum|a| = 1 (empty regular set) there is
 nothing to recycle.
-
-This is the only module that imports numpy.  The package registers it
-without running it, so the exact layers and commands start without numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 from fractions import Fraction
-from functools import reduce
 from typing import Iterable, Sequence
 
 from . import states  # for an annotation only: its body does not run
@@ -47,11 +44,6 @@ from .elements import PartialBijection, transposition
 from .quasicycles import images_invariant
 from .words import EPS1, element_to_word
 from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, Record, ResourceGuardError, json_int
-
-# After the package's modules on purpose: they run lazily, and running their
-# bodies after numpy's import raised the oracle commands' peak RSS by
-# ~0.5 MB (heap layout), while running them first keeps it lower.
-import numpy as np
 
 
 class ModelParams(Record):
@@ -71,7 +63,9 @@ class ModelParams(Record):
     ValueError: invalid model parameters: (a) trace norm of A is 23/20; (d) leftover spectral mass needs at least one regular coordinate
     """
 
-    __slots__ = _fields = ("a_diag", "v_sq", "regular", "slots")
+    _fields = ("a_diag", "v_sq", "regular", "slots")
+    # _factors: the trace factors phi_closed_form has computed for these parameters.
+    __slots__ = _fields + ("_factors",)
 
     def __init__(self, a_diag: tuple[Fraction, ...], v_sq: tuple[Fraction, ...],
                  regular: tuple[int, ...], slots: int):
@@ -123,6 +117,7 @@ class ModelParams(Record):
         if failures:
             raise ValueError("invalid model parameters: " + "; ".join(failures))
         self._set(a_diag, v_sq, regular, slots)
+        object.__setattr__(self, "_factors", {})
 
     @staticmethod
     def of(a_diag: Iterable, v_sq: Iterable, regular: Iterable[int] = (), slots: int = 4) -> "ModelParams":
@@ -190,11 +185,6 @@ def load_params(path: str) -> ModelParams:
 # --- closed-form route --------------------------------------------------------
 
 
-def _tr_q_pow(p: ModelParams, m: int) -> Fraction:
-    """Tr(q A^m) = <A^m v, v>."""
-    return sum((a**m * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
-
-
 def _tr_q_pow_abs(p: ModelParams, m: int) -> Fraction:
     """Tr(q A^m |A|) = <A^m |A| v, v>."""
     return sum((a**m * abs(a) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
@@ -205,6 +195,22 @@ def _tr_cycle(p: ModelParams, k: int) -> Fraction:
     return sum((a ** (k - 1) * abs(a) for a in p.a_diag), Fraction(0))
 
 
+# Trace factors one parameter set keeps before its table starts over.
+MAX_FACTORS = 1024
+
+
+def _factor(p: ModelParams, trace, m: int) -> Fraction:
+    """``trace(p, m)``, computed once per parameter set."""
+    table = p._factors
+    key = (trace, m)
+    value = table.get(key)
+    if value is None:
+        if len(table) >= MAX_FACTORS:
+            table.clear()
+        value = table[key] = trace(p, m)
+    return value
+
+
 def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     """Exact state value from the per-part trace formulas.
 
@@ -212,34 +218,14 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     and each factor depends only on a part's kind and length, so it is the
     product over r's conjugacy invariant: Tr(q |A|) for each trivial point,
     Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
-    plain cycle.
+    plain cycle.  Each factor is computed once per parameter set.
     """
     return images_invariant(r.images).product(
-        lambda n: _tr_cycle(p, n), lambda n: _tr_q_pow_abs(p, n - 1)
+        lambda n: _factor(p, _tr_cycle, n), lambda n: _factor(p, _tr_q_pow_abs, n - 1)
     )
 
 
-def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction:
-    """Value on the k-cycle (1 2 ... k) with the points ``marks`` killed.
-
-    This is the multi-marked trace product: consecutive gaps between marked
-    positions contribute Tr(q A^gap) and the wrap-around gap contributes
-    Tr(q A^{k - a_last + a_first - 1} |A|); with no marks it is the plain
-    cycle trace.  It factors through the decomposition of the same element,
-    which the tests cross-check.
-    """
-    pos = sorted(set(marks))
-    if pos and not (1 <= pos[0] and pos[-1] <= k):
-        raise ValueError("marked positions must lie on the cycle")
-    if not pos:
-        return _tr_cycle(p, k)
-    value = Fraction(1)
-    for prev, nxt in zip(pos, pos[1:]):
-        value *= _tr_q_pow(p, nxt - prev)
-    return value * _tr_q_pow_abs(p, k - pos[-1] + pos[0] - 1)
-
-
-# --- dense tensor route ---------------------------------------------------------
+# --- product-tensor route ------------------------------------------------------
 
 
 def _max_dim() -> int:
@@ -249,109 +235,103 @@ def _max_dim() -> int:
 class TensorEmbedding:
     """Generator images on the N-fold tensor power and the product state.
 
-    ``apply(r, X)`` returns T(r) @ X by walking a word for r and applying
-    each generator image as a row operation: T(s_k) swaps tensor axes k and
-    k+1 under a (d, d) sign mask, T(e{1}) contracts slot 1 against v.  Work
-    per letter is O(dim * cols) and nothing is cached per element, so the
-    embedding itself holds only O(d^2 + dim) floats.
+    A basis column e_s = e_{s_1} (x) ... (x) e_{s_N} stays one scalar times a
+    product tensor c f_1 (x) ... (x) f_N under every generator, each factor a
+    basis vector e_i or the marked vector v.  It is stored as ``(c, factors)``
+    with a factor's label: i - 1 for e_i and ``d`` for v.  T(s_k) swaps
+    factors k and k+1 and negates c when both lie in the negative spectral
+    block; T(e{1}) replaces f_1 by <v, f_1> v.  By condition (e) v vanishes on
+    the negative block, so moving v past any factor needs no sign.
 
     The product state's k-th slot density is |A| + (1 - Tr|A|) e_jj on the
-    k-th recycled regular coordinate j.  A state value only reads the columns
-    S where the product density ``rho_vec`` is nonzero, so ``image(r)`` is
-    T(r) restricted to S, a (dim, |S|) array, and the state and pair values
-    are computed from such images weighted by ``rho_vec[S]``.  ``matrix``
-    (the full T(r)), ``psi`` and the dense ``generator_s`` and
-    ``generator_eps1`` are the reference they are tested against.
+    k-th recycled regular coordinate j.  A state value reads only the columns
+    S where the product density is nonzero, so ``image(r)`` is the list of
+    T(r) e_s over s in S, and the state and pair values are sums over S of
+    rho_s times inner products taken slot by slot: <e_i, e_j> = delta_ij,
+    <e_i, v> = v_i and <v, v> = 1.  The embedding holds O(|S| N) numbers and
+    a word of length L costs O(|S| L).
     """
 
     def __init__(self, params: ModelParams):
         self.params = params
-        self.d = params.d
+        self.d = d = params.d
         self.slots = params.slots
-        self.dim = self.d**self.slots
+        self.dim = d**self.slots
         if self.dim > _max_dim():
             raise ResourceGuardError(
-                f"tensor dimension {self.d}^{self.slots} = {self.dim} exceeds "
+                f"tensor dimension {d}^{self.slots} = {self.dim} exceeds "
                 f"the guard ({_max_dim()}); raise {MAX_DIM_ENV} to override"
             )
-        a = np.array([float(x) for x in params.a_diag])
-        self._a = a
-        self._v = np.sqrt([float(q) for q in params.v_sq])
-        neg = a < 0
-        self._swap_sign = np.where(np.outer(neg, neg), -1.0, 1.0)
+        self._a = [float(a) for a in params.a_diag]
+        v = [math.sqrt(float(q)) for q in params.v_sq]
+        self._neg = [a < 0 for a in params.a_diag] + [False]
+        # _inner[i][j] = <f_i, f_j> over factor labels; row and column d are v.
+        self._inner = [[float(i == j) for j in range(d)] + [v[i]] for i in range(d)]
+        self._inner.append(v + [1.0])
+        self._v = v
 
         leftover = 1.0 - float(params.spectral_mass)
-        slot_rhos = []
+        slot_weights = []
         for k in range(1, self.slots + 1):
-            rho = np.abs(a).copy()
+            rho = [abs(a) for a in self._a]
             if params.regular and leftover:
                 j = params.regular[(k - 1) % len(params.regular)]
                 rho[j - 1] += leftover
-            slot_rhos.append(rho)
-        self.rho_vec = reduce(np.kron, slot_rhos)
-        self._support = np.flatnonzero(self.rho_vec)
-        self._rho_s = self.rho_vec[self._support]
+            slot_weights.append([(i, w) for i, w in enumerate(rho) if w])
+        # The support S in row-major order of the d^N basis, each column at c = 1.
+        self._columns = []
+        self._rho_s = []
+        for combo in itertools.product(*slot_weights):
+            self._columns.append((1.0, tuple(i for i, _ in combo)))
+            self._rho_s.append(math.prod(w for _, w in combo))
 
-    def generator_s(self, k: int) -> np.ndarray:
-        """The dense image of the adjacent transposition (k k+1)."""
-        if not 1 <= k < self.slots:
-            raise ValueError(f"slot index {k} out of range for N={self.slots}")
-        d = self.d
-        pair = np.zeros((d * d, d * d))
-        for i in range(d):
-            for j in range(d):
-                pair[j * d + i, i * d + j] = self._swap_sign[i, j]
-        left = np.eye(d ** (k - 1))
-        right = np.eye(d ** (self.slots - k - 1))
-        return np.kron(np.kron(left, pair), right)
-
-    def generator_eps1(self) -> np.ndarray:
-        """The dense image of e{1}: the rank-1 projection onto v in the first slot."""
-        return np.kron(np.outer(self._v, self._v), np.eye(self.d ** (self.slots - 1)))
-
-    def apply(self, r: PartialBijection, x: np.ndarray) -> np.ndarray:
-        """T(r) @ x for a (dim, cols) array x, by row operations only."""
+    def apply(self, r: PartialBijection, columns: list) -> list:
+        """T(r) applied to each product tensor ``(c, factors)`` of ``columns``."""
         if r.bound > self.slots:
             raise ValueError(
                 f"support of {r.literal()} exceeds the {self.slots} tensor slots"
             )
-        d, n = self.d, self.slots
-        t = x.reshape((d,) * n + (-1,))
         # The rightmost letter of a word acts first.
-        for letter in reversed(element_to_word(r)):
-            if letter == EPS1:
-                t = np.multiply.outer(self._v, self._v @ t.reshape(d, -1)).reshape(t.shape)
-            else:
-                sign = self._swap_sign.reshape((d, d) + (1,) * (n - letter))
-                t = t.swapaxes(letter - 1, letter) * sign
-        return t.reshape(x.shape)
+        word = element_to_word(r)[::-1]
+        v_label, along_v, neg = self.d, self._inner[self.d], self._neg
+        out = []
+        for c, factors in columns:
+            f = list(factors)
+            for letter in word:
+                if letter == EPS1:
+                    c *= along_v[f[0]]
+                    f[0] = v_label
+                    if not c:  # the zero tensor: its factors no longer matter
+                        break
+                else:
+                    i, j = f[letter - 1], f[letter]
+                    if neg[i] and neg[j]:
+                        c = -c
+                    f[letter - 1], f[letter] = j, i
+            out.append((c, f))
+        return out
 
-    def matrix(self, r: PartialBijection) -> np.ndarray:
-        return self.apply(r, np.eye(self.dim))
+    def image(self, r: PartialBijection) -> list:
+        """T(r) e_s for each support column s in S, as product tensors."""
+        return self.apply(r, self._columns)
 
-    def image(self, r: PartialBijection) -> np.ndarray:
-        """T(r) on the support columns S of the product state: T(r) @ E_S."""
-        cols = np.zeros((self.dim, self._support.size))
-        cols[self._support, np.arange(self._support.size)] = 1.0
-        return self.apply(r, cols)
-
-    def slot_diag(self, k: int, values: np.ndarray) -> np.ndarray:
-        """The diagonal (as a vector) of diag(values) acting in slot k."""
-        parts = [np.ones(self.d)] * self.slots
-        parts[k - 1] = np.asarray(values, dtype=float)
-        return reduce(np.kron, parts)
-
-    def psi(self, m: np.ndarray) -> float:
-        return float(np.diagonal(m) @ self.rho_vec)
+    def _psi(self, ys: list, xs: list, tables: list) -> float:
+        """sum_s rho_s <y_s, M x_s> for the slot-wise operator M whose slot k
+        inner products ``tables[k - 1]`` holds."""
+        total = 0.0
+        for rho, (cy, fy), (cx, fx) in zip(self._rho_s, ys, xs):
+            value = rho * cy * cx
+            if value:
+                for table, i, j in zip(tables, fy, fx):
+                    value *= table[i][j]
+                total += value
+        return total
 
     def state_value(self, r: PartialBijection) -> float:
-        """psi(T(r)), summed over the support columns only."""
-        diag = self.image(r)[self._support, np.arange(self._support.size)]
-        return float(diag @ self._rho_s)
+        """psi(T(r)) = sum_s rho_s <e_s, T(r) e_s> over the support columns."""
+        return self._psi(self._columns, self.image(r), [self._inner] * self.slots)
 
-    def pair_value(
-        self, mids: Sequence[PartialBijection], tx: np.ndarray, ty: np.ndarray
-    ) -> float:
+    def pair_value(self, mids: Sequence[PartialBijection], tx: list, ty: list) -> float:
         """<pi(m_1 ... m_j) x xi, y xi> = psi(T(y)^T T(m_1) ... T(m_j) T(x)).
 
         ``tx`` and ``ty`` are the support-column images ``image(x)`` and
@@ -361,15 +341,23 @@ class TensorEmbedding:
         z = tx
         for m in reversed(mids):
             z = self.apply(m, z)
-        return float(self._rho_s @ np.einsum("ij,ij->j", ty, z))
+        return self._psi(ty, z, [self._inner] * self.slots)
 
-    def pair_value_diag(self, diag: np.ndarray, tx: np.ndarray, ty: np.ndarray) -> float:
-        """psi(T(y)^T diag(diag) T(x)) from the support-column images."""
-        return float(self._rho_s @ np.einsum("ij,ij->j", ty, diag[:, None] * tx))
+    def pair_value_diag(self, k: int, values: Sequence[float], tx: list, ty: list) -> float:
+        """psi(T(y)^T D T(x)) for D = diag(values) acting in slot k."""
+        d, v = self.d, self._v
+        # table[i][j] = <f_i, D f_j> over factor labels, as _inner is for D = 1.
+        table = [[values[i] if i == j else 0.0 for j in range(d)] + [values[i] * v[i]]
+                 for i in range(d)]
+        table.append([values[i] * v[i] for i in range(d)]
+                     + [sum(x * w * w for x, w in zip(values, v))])
+        tables = [self._inner] * self.slots
+        tables[k - 1] = table
+        return self._psi(ty, tx, tables)
 
 
 def phi_model(embedding: TensorEmbedding, r: PartialBijection) -> float:
-    """The dense-trace state value; the independent oracle for the closed form."""
+    """The product state of T(r) on the tensor power; the independent oracle for the closed form."""
     return embedding.state_value(r)
 
 
@@ -404,7 +392,7 @@ def _okounkov_setup(emb: TensorEmbedding, k: int, x: PartialBijection,
         raise ValueError("supports of x, y and the slot must stay below N")
     admissible = [n for n in range(1, emb.slots + 1) if n not in blocked]
     tx, ty = emb.image(x), emb.image(y)
-    target = emb.pair_value_diag(emb.slot_diag(k, emb._a), tx, ty)
+    target = emb.pair_value_diag(k, emb._a, tx, ty)
     return admissible, tx, ty, target
 
 
@@ -458,7 +446,7 @@ def model_from_state(state: states.State, slots: int = 4) -> ModelParams:
     The spectrum lists alpha then -beta; the marked vector splits its mass
     between the marked alpha coordinate (weight t) and a fresh kernel
     coordinate (weight 1 - t); leftover spectral mass gets one declared
-    regular coordinate per slot, so the dense model agrees with the closed
+    regular coordinate per slot, so the tensor model agrees with the closed
     form on every element that fits the slots.
     """
     a: list[Fraction] = list(state.thoma.alpha) + [-b for b in state.thoma.beta]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .elements import PartialBijection, compose, idempotent, transposition
-from .errors import CheckReport, tally
+from .errors import MAX_POPOVA_N, CheckReport, ResourceGuardError, tally
 
 EPS1 = 0
 Word = tuple[int, ...]
@@ -77,6 +77,10 @@ def verify_popova_relations(n: int) -> CheckReport:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_POPOVA_N:
+        raise ResourceGuardError(
+            f"popova relations up to n = {n} exceed the guard MAX_POPOVA_N = {MAX_POPOVA_N}"
+        )
     relations = itertools.chain(
         ((f"involution s_{i}", (i, i), ()) for i in range(1, n + 1)),
         ((f"commutation s_{i} s_{j}", (i, j), (j, i))

@@ -1,4 +1,4 @@
-"""Shared fixtures: the acceptance suite states, oracle parameter sets and the sign reference."""
+"""Shared fixtures: the acceptance suite states, oracle parameter sets, and the permutation and sign references."""
 
 import pytest
 
@@ -35,11 +35,16 @@ ORACLE_PARAMS = {
 }
 
 
+def is_permutation(s: PartialBijection) -> bool:
+    """True when the element is a (finitary) bijection of the whole set."""
+    return None not in s.images
+
+
 # The sign of a permutation, counted from its cycles: the reference values of
 # the sign state (alpha = (), beta = (1,)).
 def sign(s: PartialBijection) -> int:
     """The sign of a finitary permutation."""
-    if not s.is_permutation():
+    if not is_permutation(s):
         raise ValueError("sign is defined for permutations only")
     images = list(s.images)
     parity = 0

@@ -1,0 +1,115 @@
+"""Test-only references for the tensor oracle: dense numpy images and the multi-marked cycle value.
+
+The dense images are built from a ModelParams alone, never from a
+TensorEmbedding, so comparing the embedding's product-tensor walk with them
+checks the walk against an independent construction: T(s_k) is the
+``d^N x d^N`` permutation of slots k and k+1 with a sign over the negative
+spectral block, T(e{1}) is the rank-1 projection onto v in slot 1, and T(r) is
+their left-to-right product along ``element_to_word(r)``.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from itertools import product
+from typing import Sequence
+
+import numpy as np
+
+from rookchar.elements import PartialBijection
+from rookchar.tensor_model import ModelParams
+from rookchar.words import EPS1, element_to_word
+
+
+def marked_vector(p: ModelParams) -> np.ndarray:
+    return np.sqrt([float(q) for q in p.v_sq])
+
+
+def generator_s(p: ModelParams, k: int, twist: bool = True) -> np.ndarray:
+    """The dense image of the adjacent transposition (k k+1).
+
+    With ``twist=False`` the sign over the negative block is left out.
+    """
+    if not 1 <= k < p.slots:
+        raise ValueError(f"slot index {k} out of range for N={p.slots}")
+    d = p.d
+    neg = [a < 0 for a in p.a_diag]
+    pair = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            pair[j * d + i, i * d + j] = -1.0 if twist and neg[i] and neg[j] else 1.0
+    return np.kron(np.kron(np.eye(d ** (k - 1)), pair), np.eye(d ** (p.slots - k - 1)))
+
+
+def generator_eps1(p: ModelParams) -> np.ndarray:
+    """The dense image of e{1}: the rank-1 projection onto v in the first slot."""
+    v = marked_vector(p)
+    return np.kron(np.outer(v, v), np.eye(p.d ** (p.slots - 1)))
+
+
+def matrix(p: ModelParams, r: PartialBijection, twist: bool = True) -> np.ndarray:
+    """T(r): the product of the dense generator images along r's word."""
+    if r.bound > p.slots:
+        raise ValueError(f"support of {r.literal()} exceeds the {p.slots} tensor slots")
+    images = [
+        generator_eps1(p) if letter == EPS1 else generator_s(p, letter, twist)
+        for letter in element_to_word(r)
+    ]
+    return reduce(np.matmul, images, np.eye(p.d**p.slots))
+
+
+def rho_vec(p: ModelParams) -> np.ndarray:
+    """The product state's diagonal density: slot k is |A| plus the leftover
+    mass on the k-th recycled regular coordinate."""
+    leftover = 1.0 - float(p.spectral_mass)
+    slot_rhos = []
+    for k in range(1, p.slots + 1):
+        rho = np.abs([float(a) for a in p.a_diag])
+        if p.regular and leftover:
+            rho[p.regular[(k - 1) % len(p.regular)] - 1] += leftover
+        slot_rhos.append(rho)
+    return reduce(np.kron, slot_rhos)
+
+
+def psi(p: ModelParams, m: np.ndarray) -> float:
+    """The product state of a dense operator."""
+    return float(np.diagonal(m) @ rho_vec(p))
+
+
+def slot_diag(p: ModelParams, k: int, values: Sequence[float]) -> np.ndarray:
+    """The diagonal (as a vector) of diag(values) acting in slot k."""
+    parts = [np.ones(p.d)] * p.slots
+    parts[k - 1] = np.asarray(values, dtype=float)
+    return reduce(np.kron, parts)
+
+
+def basis_columns(p: ModelParams) -> list:
+    """Every basis column of the d^N space as a product tensor (1, factors), in row-major order."""
+    return [(1.0, s) for s in product(range(p.d), repeat=p.slots)]
+
+
+def dense(p: ModelParams, tensors: list) -> np.ndarray:
+    """The (d^N, len(tensors)) array of product tensors (c, factors); label d is v."""
+    vectors = list(np.eye(p.d)) + [marked_vector(p)]
+    return np.column_stack(
+        [c * reduce(np.kron, [vectors[f] for f in factors]) for c, factors in tensors]
+    )
+
+
+def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction:
+    """Value on the k-cycle (1 2 ... k) with the points ``marks`` killed.
+
+    This is the multi-marked trace product: consecutive gaps between marked
+    positions contribute Tr(q A^gap) and the wrap-around gap contributes
+    Tr(q A^{k - a_last + a_first - 1} |A|); with no marks it is the plain
+    cycle trace Tr(A^{k-1} |A|).
+    """
+    pos = sorted(set(marks))
+    if pos and not (1 <= pos[0] and pos[-1] <= k):
+        raise ValueError("marked positions must lie on the cycle")
+    if not pos:
+        return sum((a ** (k - 1) * abs(a) for a in p.a_diag), Fraction(0))
+    value = Fraction(1)
+    for prev, nxt in zip(pos, pos[1:]):
+        value *= sum((a ** (nxt - prev) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
+    gap = k - pos[-1] + pos[0] - 1
+    return value * sum((a**gap * abs(a) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))

@@ -13,6 +13,7 @@ import rookchar
 from rookchar import cli, elements, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
+from rookchar.errors import MAX_POPOVA_N
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -201,6 +202,7 @@ class TestVerify:
 # Exact stdout of each suite at small n, with the built-in state.
 VERIFY_GOLDEN = {
     ("popova", "3"): '{"checked": 9, "n": 3, "ok": true, "suite": "popova", "violations": []}',
+    ("popova", "5"): '{"checked": 18, "n": 5, "ok": true, "suite": "popova", "violations": []}',
     ("gelfand", "2"): (
         '{"basis": 7, "checked": 3, "distinct_products": 3, "n": 2, "ok": true, '
         '"suite": "gelfand", "violations": []}'
@@ -250,6 +252,13 @@ class TestVerifyGolden:
     def test_negative_n_exits_2(self, capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", "-3")
         assert (code, out, err) == (EXIT_USAGE, "", "error: n must be nonnegative\n")
+
+    def test_popova_over_the_cap_exits_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "popova", "--n", str(MAX_POPOVA_N + 1))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_GUARD, "")
+        assert f"MAX_POPOVA_N = {MAX_POPOVA_N}" in err
 
     def test_stateless_suites_ignore_state(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "popova", "--n", "3", "--state", "/nope")
@@ -448,11 +457,10 @@ class TestUsage:
         assert f"(default {tensor_model.DEFAULT_MAX_DIM})" in " ".join(out.split())
 
 
-# Only the tensor oracle needs numpy; everything else must start without it.
+# The tensor oracle's public names, which the package serves lazily.
 TENSOR_NAMES = (
     "ModelParams",
     "TensorEmbedding",
-    "marked_cycle_value",
     "model_from_state",
     "okounkov_check",
     "okounkov_projection_check",
@@ -521,11 +529,26 @@ class TestImportBoundary:
             ["verify", "--suite", "centrality", "--n", "3"],
             ["gram", "--n", "2"],
             ["spherical", "--n", "5", "--l", "2", "--all-idempotents"],
+            ["oracle", "--params", "PARAMS", "--n", "2"],
+            ["okounkov", "--params", "PARAMS", "--k", "2"],
         ],
         ids=lambda argv: argv[0],
     )
-    def test_exact_commands_leave_numpy_out(self, argv):
+    def test_exact_commands_leave_numpy_out(self, argv, params_file):
+        argv = [params_file if arg == "PARAMS" else arg for arg in argv]
         assert fresh_python(RUN_MAIN, *argv) == ["0", "False"]
+
+    def test_oracle_commands_run_without_site_packages(self, tmp_path):
+        # python -S leaves site-packages, where numpy lives, off sys.path.
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(dict(ORACLE_PARAMS, N=4)))
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+        for argv in (["oracle", "--n", "3"], ["okounkov", "--k", "3"]):
+            proc = subprocess.run(
+                [sys.executable, "-S", "-c", RUN_MAIN, argv[0], "--params", str(params), *argv[1:]],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert (proc.returncode, proc.stdout.split()) == (0, ["0", "False"]), proc.stderr
 
     def test_import_leaves_dataclasses_out(self):
         assert fresh_python("import sys, rookchar.cli\nprint('dataclasses' in sys.modules)") == [
@@ -564,10 +587,6 @@ class TestImportBoundary:
         assert {"tensor_model", "quasicycles", "words"} <= set(bodies)
         assert "states" not in bodies
 
-    def test_oracle_loads_numpy(self, params_file):
-        argv = ["oracle", "--params", params_file, "--n", "2"]
-        assert fresh_python(RUN_MAIN, *argv) == ["0", "True"]
-
     def test_lazy_names_are_the_oracle_objects(self):
         script = (
             "import sys, rookchar\n"
@@ -586,7 +605,7 @@ class TestImportBoundary:
             "from rookchar import *\n"
             "print(all(name in globals() for name in sys.argv[1:]), 'numpy' in sys.modules)\n"
         )
-        assert fresh_python(script, *TENSOR_NAMES) == ["True", "True"]
+        assert fresh_python(script, *TENSOR_NAMES) == ["True", "False"]
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
@@ -602,6 +621,11 @@ class TestImportBoundary:
         for name in ("validate_params", "_require_valid"):
             assert not hasattr(tensor_model, name) and not hasattr(rookchar, name)
         assert not hasattr(tensor_model.OkounkovReport, "stabilized")
+        # Test-only references live in tests/oracles.py and tests/conftest.py,
+        # and the oracle binds no numpy.
+        for name in ("marked_cycle_value", "np"):
+            assert not hasattr(tensor_model, name) and not hasattr(rookchar, name)
+        assert not hasattr(rookchar.PartialBijection, "is_permutation")
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"

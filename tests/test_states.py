@@ -38,7 +38,7 @@ from rookchar.states import (
     unchecked_value_fn,
 )
 from rookchar.linalg import NOT_PSD, verify_certificate
-from conftest import R4_GRAM_ELEMENTS, SUITE_STATES, sign
+from conftest import R4_GRAM_ELEMENTS, SUITE_STATES, is_permutation, sign
 
 
 def cycle_type_via_orbits(perm):
@@ -131,7 +131,7 @@ class TestEvaluate:
     def test_sign_state(self):
         st = SUITE_STATES["sign"]
         for r in enumerate_rn(4):
-            if r.is_permutation():
+            if is_permutation(r):
                 assert evaluate(st, r) == sign(r)
             else:
                 assert evaluate(st, r) == 0
@@ -139,12 +139,12 @@ class TestEvaluate:
     def test_markless_vanishes_off_the_group(self):
         st = SUITE_STATES["zero_extension"]
         for r in enumerate_rn(3):
-            if not r.is_permutation():
+            if not is_permutation(r):
                 assert evaluate(st, r) == 0
 
     def test_restriction_is_the_thoma_character(self, suite_state):
         for r in enumerate_rn(4):
-            if not r.is_permutation():
+            if not is_permutation(r):
                 continue
             expected = Fraction(1)
             for length in cycle_type_via_orbits(r):

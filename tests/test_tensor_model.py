@@ -1,14 +1,15 @@
-"""Closed-form vs dense product-state oracles, embeddings, Okounkov limits."""
+"""Closed-form vs product-tensor oracles, the walk against dense references, Okounkov limits."""
 
 import inspect
 import itertools
 import re
 import tracemalloc
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 import pytest
+
+import oracles
 
 from rookchar.elements import (
     compose,
@@ -19,14 +20,13 @@ from rookchar.elements import (
     symmetric_group,
     transposition,
 )
+from rookchar import tensor_model
 from rookchar.errors import ResourceGuardError
 from rookchar.quasicycles import CYCLE, decompose
 from rookchar.states import evaluate
-from rookchar.words import EPS1, element_to_word
 from rookchar.tensor_model import (
     ModelParams,
     TensorEmbedding,
-    marked_cycle_value,
     model_from_state,
     okounkov_check,
     okounkov_projection_check,
@@ -34,6 +34,7 @@ from rookchar.tensor_model import (
     phi_model,
 )
 from conftest import ORACLE_PARAMS, SUITE_STATES
+from oracles import marked_cycle_value
 
 # The worked example set: alpha = 1/2, beta = 1/3, t = 1/2, leftover mass on
 # one declared regular coordinate.
@@ -183,6 +184,22 @@ class TestClosedForm:
         for r in enumerate_rn(5):
             assert phi_closed_form(params, r) == decomposed_closed_form(params, r), r.literal()
 
+    def test_factors_are_computed_once_per_parameter_set(self, monkeypatch):
+        calls = []
+        for name in ("_tr_cycle", "_tr_q_pow_abs"):
+            trace = getattr(tensor_model, name)
+            monkeypatch.setattr(
+                tensor_model, name, lambda p, m, trace=trace: calls.append(m) or trace(p, m)
+            )
+        params = ModelParams.of(RUNNING.a_diag, RUNNING.v_sq, RUNNING.regular, RUNNING.slots)
+        elems = list(enumerate_rn(4))
+        first = [phi_closed_form(params, r) for r in elems]
+        computed = len(calls)
+        assert [phi_closed_form(params, r) for r in elems] == first
+        assert len(calls) == computed == len(params._factors)
+        # An equal parameter set keeps its own table, with the same values.
+        assert [phi_closed_form(RUNNING, r) for r in elems] == first
+
     def test_rank_one_spectral_relation(self, oracle_params):
         # <A^{m-1} v, v> = <A^{m-2}|A| v, v> when v avoids the negative block.
         p = oracle_params
@@ -193,69 +210,77 @@ class TestClosedForm:
 
 
 class TestEmbedding:
+    """The product-tensor walk against the dense images of ``tests/oracles.py``."""
+
     def test_swap_without_negative_block(self):
         p = ModelParams.of(["1/2", "1/2"], ["1", "0"], [], 2)
-        emb = TensorEmbedding(p)
         swap = np.zeros((4, 4))
         for i in range(2):
             for j in range(2):
                 swap[j * 2 + i, i * 2 + j] = 1.0
-        assert np.array_equal(emb.generator_s(1), swap)
+        assert np.array_equal(oracles.generator_s(p, 1), swap)
 
     def test_generators_square_correctly(self):
-        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"])
-        s1 = emb.generator_s(1)
-        assert np.allclose(s1 @ s1, np.eye(emb.dim))
-        q = emb.generator_eps1()
+        p = ORACLE_PARAMS["t_half_beta"]
+        s1 = oracles.generator_s(p, 1)
+        assert np.allclose(s1 @ s1, np.eye(p.d**p.slots))
+        q = oracles.generator_eps1(p)
         assert np.allclose(q @ q, q)
 
     def test_epsilon_k_is_slot_projection(self):
-        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"])
-        d, n = emb.params.d, emb.params.slots
-        qmat = np.outer(emb._v, emb._v)
+        p = ORACLE_PARAMS["t_half_beta"]
+        emb = TensorEmbedding(p)
+        d, n = p.d, p.slots
+        v = oracles.marked_vector(p)
+        qmat = np.outer(v, v)
         for k in range(1, n + 1):
             direct = np.kron(
                 np.kron(np.eye(d ** (k - 1)), qmat), np.eye(d ** (n - k))
             )
-            assert np.allclose(emb.matrix(idempotent([k])), direct, atol=1e-12)
+            walked = oracles.dense(p, emb.apply(idempotent([k]), oracles.basis_columns(p)))
+            assert np.allclose(walked, direct, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("twist", [True, False])
     def test_structured_images_match_dense_products(self, twist):
-        # Reference: the left-to-right product of the dense generator images.
-        emb = TensorEmbedding(ORACLE_PARAMS["t_half_beta"])
-        if not twist:
-            emb._swap_sign[:] = 1.0
-        x = np.random.default_rng(7).standard_normal((emb.dim, 3))
-        for r in enumerate_rn(3):
-            images = [
-                emb.generator_eps1() if letter == EPS1 else emb.generator_s(letter)
-                for letter in element_to_word(r)
-            ]
-            dense = reduce(np.matmul, images, np.eye(emb.dim))
-            assert np.allclose(emb.matrix(r), dense, rtol=0, atol=1e-12), r.literal()
-            assert np.allclose(emb.apply(r, x), dense @ x, rtol=0, atol=1e-12), r.literal()
+        # Every basis column of the d^N space, walked through every element of
+        # R_3, against the product of the dense generator images.  t1_beta has
+        # full support; without the twist the walk's negative block is cleared.
+        for name in ("t_half_beta", "t1_beta"):
+            p = ORACLE_PARAMS[name]
+            emb = TensorEmbedding(p)
+            if not twist:
+                emb._neg = [False] * len(emb._neg)
+            columns = oracles.basis_columns(p)
+            assert len(columns) == emb.dim == 256
+            for r in enumerate_rn(3):
+                walked = oracles.dense(p, emb.apply(r, columns))
+                dense = oracles.matrix(p, r, twist)
+                assert np.allclose(walked, dense, rtol=0, atol=1e-12), (name, r.literal())
 
     def test_pair_value_applies_middles_in_order(self):
-        # Reference: psi of the full matrix() products.  t1_beta's product
+        # Reference: psi of the dense matrix() products.  t1_beta's product
         # state has full support; t_half_beta's vanishes on all but 2^4 of
         # its 4^4 columns, which image() and the values drop.
         x, y = parse_element("(1 2)e{1}"), parse_element("[2,_]")
         mids = (parse_element("(1 3)"), parse_element("(1 2 3)e{2}"))
         for name, support_size in (("t1_beta", 256), ("t_half_beta", 16)):
-            emb = TensorEmbedding(ORACLE_PARAMS[name])
-            support = np.flatnonzero(emb.rho_vec)
-            assert support.size == support_size
+            p = ORACLE_PARAMS[name]
+            emb = TensorEmbedding(p)
+            support = np.flatnonzero(oracles.rho_vec(p))
+            assert support.size == support_size == len(emb.image(identity()))
             for r in (x, y, *mids):
-                full = emb.matrix(r)
-                assert np.allclose(emb.image(r), full[:, support], rtol=0, atol=1e-14)
-                assert emb.state_value(r) == pytest.approx(emb.psi(full), abs=1e-14)
+                full = oracles.matrix(p, r)
+                image = oracles.dense(p, emb.image(r))
+                assert np.allclose(image, full[:, support], rtol=0, atol=1e-14)
+                assert emb.state_value(r) == pytest.approx(oracles.psi(p, full), abs=1e-14)
             tx, ty = emb.image(x), emb.image(y)
-            mx, my = emb.matrix(x), emb.matrix(y)
-            dense = my.T @ emb.matrix(mids[0]) @ emb.matrix(mids[1]) @ mx
-            assert emb.pair_value(mids, tx, ty) == pytest.approx(emb.psi(dense), abs=1e-14)
-            diag = emb.slot_diag(2, emb._a)
-            expected = emb.psi(my.T @ np.diag(diag) @ mx)
-            assert emb.pair_value_diag(diag, tx, ty) == pytest.approx(expected, abs=1e-14)
+            mx, my = oracles.matrix(p, x), oracles.matrix(p, y)
+            dense = my.T @ oracles.matrix(p, mids[0]) @ oracles.matrix(p, mids[1]) @ mx
+            assert emb.pair_value(mids, tx, ty) == pytest.approx(oracles.psi(p, dense), abs=1e-14)
+            a = [float(x) for x in p.a_diag]
+            diag = oracles.slot_diag(p, 2, a)
+            expected = oracles.psi(p, my.T @ np.diag(diag) @ mx)
+            assert emb.pair_value_diag(2, a, tx, ty) == pytest.approx(expected, abs=1e-14)
 
     def test_state_value_builds_no_full_image(self):
         # finite_t1 has spectral mass 7/8; with one regular coordinate per
@@ -280,7 +305,7 @@ class TestEmbedding:
     def test_support_beyond_slots_rejected(self):
         emb = TensorEmbedding(ModelParams.of(["1", "0"], ["1", "0"], [], 2))
         with pytest.raises(ValueError):
-            emb.matrix(idempotent([3]))
+            emb.image(idempotent([3]))
 
 
 class TestOracleEquivalence:
@@ -303,7 +328,7 @@ class TestOracleEquivalence:
     def test_broken_sign_twist_is_caught(self):
         p = ORACLE_PARAMS["t_half_beta"]
         crooked = TensorEmbedding(p)
-        crooked._swap_sign[:] = 1.0
+        crooked._neg = [False] * len(crooked._neg)
         r = parse_element("(1 2)")
         assert abs(phi_model(crooked, r) - float(phi_closed_form(p, r))) > 0.2
 
@@ -357,7 +382,7 @@ class TestStateFamilyBridge:
     def test_bridge_declares_one_regular_coordinate_per_slot(self, name):
         # Spectral mass < 1: each slot gets its own zero-eigenvalue,
         # zero-v coordinate, so no two slots share leftover mass and the
-        # dense model matches the closed form on plain cycles too.
+        # tensor model matches the closed form on plain cycles too.
         params = model_from_state(SUITE_STATES[name], slots=3)
         assert len(params.regular) == 3
         assert all(params.a_diag[j - 1] == 0 == params.v_sq[j - 1] for j in params.regular)
