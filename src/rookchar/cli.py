@@ -19,7 +19,7 @@ from fractions import Fraction
 # bodies it uses (the package registers its submodules lazily).
 from . import algebra, quasicycles, spherical, states, words
 from .elements import PartialBijection, enumerate_rn, idempotent, parse_element, rn_size
-from .errors import DEFAULT_MAX_DIM, I_STAR_J, STAR_JI, ParseError, ResourceGuardError
+from .errors import I_STAR_J, STAR_JI, ParseError, ResourceGuardError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -216,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Partial-bijection arithmetic, central states, and tensor oracles.",
         epilog=(
             "Exit codes: 0 success, 2 usage/parse error, 3 property violation, "
-            "4 resource guard. The ROOKCHAR_MAX_DIM environment variable bounds "
-            f"the tensor dimension d^N (default {DEFAULT_MAX_DIM})."
+            "4 resource guard."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -65,9 +65,9 @@ class PartialBijection(Record):
             raise ValueError("not canonical: trailing fixed point")
         object.__setattr__(self, "images", images)
 
-    # Written out because elements are dict and set keys: FormalSum's terms,
-    # gram_matrix's distinctness check, conjugacy_orbit.  The hash is the one
-    # a frozen dataclass gives, so conjugacy_orbit's set order stays as it was.
+    # Written out because elements are dict and set keys: FormalSum's terms
+    # and gram_matrix's distinctness check.  The hash is the one a frozen
+    # dataclass gives, so a set of elements iterates in the order it did.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.images == other.images

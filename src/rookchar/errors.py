@@ -1,11 +1,5 @@
 """Shared by every layer: exceptions, integer reading, the record base, the sweep report and its tally, guard limits."""
 
-# Bound on the tensor dimension d^N, and so on the product state's support
-# |S| <= d^N, overridable through the environment.  Kept here so the CLI help
-# can print it without running the tensor oracle module.
-DEFAULT_MAX_DIM = 4096
-MAX_DIM_ENV = "ROOKCHAR_MAX_DIM"
-
 # Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
 # f(r_i r_j*) for I_STAR_J.  Kept here so the CLI parser can list them without
 # loading ``states``.
@@ -18,6 +12,11 @@ MAX_VIOLATIONS = 20
 # The largest generator index the Popova relation sweep checks.  Its O(n^2)
 # relations each compose elements of bound ~n, so the sweep grows as n^3.
 MAX_POPOVA_N = 128
+
+# The largest n the pair sweeps (centrality, conjugation invariance,
+# multiplicativity) check.  They compare |R_n| * n! or ~|R_n|^2 / 2 pairs:
+# 9.6 M centrality cases at n = 6, 660 M at n = 7.
+MAX_PAIR_SWEEP_N = 6
 
 # The largest point a cycle or idempotent may name, and the largest ground set
 # of a spherical model.  An element stores an image for every point up to its

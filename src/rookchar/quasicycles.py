@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Callable, Iterator
 
-from .elements import PartialBijection, compose, from_orbits, symmetric_group
+from .elements import PartialBijection, from_orbits
 from .elements import parse_element  # for the doctests
 from .errors import Record
 
@@ -248,11 +248,3 @@ def find_conjugator(
         if images[p - 1] is None:
             images[p - 1] = next(free_targets)
     return PartialBijection.from_images(images)
-
-
-def conjugacy_orbit(r: PartialBijection, n: int) -> frozenset[PartialBijection]:
-    """The orbit {s r s^-1 : s a permutation of 1..n}; the brute-force oracle."""
-    orbit = set()
-    for s in symmetric_group(n):
-        orbit.add(compose(compose(s, r), s.star()))
-    return frozenset(orbit)

@@ -99,33 +99,6 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
     return Fraction(kappa**2) ** len(r.domain_gaps())
 
 
-def slot_coefficient_table(
-    kappa_w: float, rs: Sequence[PartialBijection]
-) -> list[float]:
-    """Float slot simulation with an explicit (possibly negative) w-component.
-
-    Exists to check that coefficients depend on u only through |(u, w)|: the
-    tables for kappa_w and -kappa_w must agree to machine precision.
-    """
-    out = []
-    perp = math.sqrt(max(0.0, 1.0 - kappa_w * kappa_w))
-    # Overlaps with u = (kappa_w, perp): a projected slot holds P u = (kappa_w, 0).
-    projected = kappa_w * kappa_w
-    unprojected = kappa_w * kappa_w + perp * perp
-    for r in rs:
-        m = max(r.bound, 1)
-        line, killed = r.one_line(m), set(r.domain_gaps())
-        overlaps = [projected if x in killed else unprojected for x in range(1, m + 1)]
-        inverse = [0] * m
-        for x, y in enumerate(line, start=1):
-            inverse[y - 1] = x
-        value = 1.0
-        for j in range(1, m + 1):
-            value *= overlaps[inverse[j - 1] - 1]
-        out.append(value)
-    return out
-
-
 class LimitReport(Record):
     __slots__ = _fields = ("element", "killed", "infinite_value", "rows", "converging_scaling")
 

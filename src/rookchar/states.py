@@ -34,6 +34,7 @@ from . import linalg  # through the module, so linalg runs only when a Gram is b
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from .errors import (
     I_STAR_J,
+    MAX_PAIR_SWEEP_N,
     STAR_JI,
     CheckReport,
     ParseError,
@@ -336,8 +337,17 @@ def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
     return state.value if hasattr(state, "value") else state
 
 
+def _check_pair_sweep(suite: str, n: int) -> None:
+    """Raise ResourceGuardError before a pair sweep over R_n with n > ``MAX_PAIR_SWEEP_N``."""
+    if n > MAX_PAIR_SWEEP_N:
+        raise ResourceGuardError(
+            f"the {suite} sweep at n = {n} exceeds the guard MAX_PAIR_SWEEP_N = {MAX_PAIR_SWEEP_N}"
+        )
+
+
 def check_centrality(state, n: int) -> CheckReport:
     """f(r s) = f(s r) for every r in R_n and permutation s of 1..n."""
+    _check_pair_sweep("centrality", n)
     f = _value_fn(state)
     perms = list(symmetric_group(n))
     return tally("centrality", n, (
@@ -349,6 +359,7 @@ def check_centrality(state, n: int) -> CheckReport:
 
 def check_multiplicativity(state, n: int) -> CheckReport:
     """f(r1 r2) = f(r1) f(r2) whenever the supports are disjoint."""
+    _check_pair_sweep("multiplicativity", n)
     f = _value_fn(state)
     elems = [(e, e.support(), f(e)) for e in enumerate_rn(n)]
     return tally("multiplicativity", n, (
@@ -368,6 +379,7 @@ def check_star_symmetry(state, n: int) -> CheckReport:
 
 def check_conjugation_invariance(state, n: int) -> CheckReport:
     """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n."""
+    _check_pair_sweep("conjugation-invariance", n)
     f = _value_fn(state)
     perms = [(s, s.star()) for s in symmetric_group(n)]
     return tally("conjugation-invariance", n, (

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import os
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -43,7 +42,7 @@ from . import states  # for an annotation only: its body does not run
 from .elements import PartialBijection, transposition
 from .quasicycles import images_invariant
 from .words import EPS1, element_to_word
-from .errors import DEFAULT_MAX_DIM, MAX_DIM_ENV, ParseError, Record, ResourceGuardError, json_int
+from .errors import ParseError, Record, ResourceGuardError, json_int
 
 
 class ModelParams(Record):
@@ -228,8 +227,12 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
 # --- product-tensor route ------------------------------------------------------
 
 
-def _max_dim() -> int:
-    return int(os.environ.get(MAX_DIM_ENV, DEFAULT_MAX_DIM))
+# The most tensor slots N an embedding takes, checked before anything is
+# built per slot.  A column holds N labels, so with d = 1 (one column) the
+# Okounkov check still grows as N^3.
+MAX_SLOTS = 12
+# The most support columns |S| an embedding walks, counted before any is built.
+MAX_COLUMNS = 4096
 
 
 class TensorEmbedding:
@@ -249,19 +252,18 @@ class TensorEmbedding:
     T(r) e_s over s in S, and the state and pair values are sums over S of
     rho_s times inner products taken slot by slot: <e_i, e_j> = delta_ij,
     <e_i, v> = v_i and <v, v> = 1.  The embedding holds O(|S| N) numbers and
-    a word of length L costs O(|S| L).
+    a word of length L costs O(|S| L).  ``MAX_SLOTS`` bounds N and
+    ``MAX_COLUMNS`` bounds |S|; ``dim`` is d^N, which nothing allocates.
     """
 
     def __init__(self, params: ModelParams):
+        if params.slots > MAX_SLOTS:
+            raise ResourceGuardError(
+                f"N = {params.slots} tensor slots exceed the guard MAX_SLOTS = {MAX_SLOTS}"
+            )
         self.params = params
         self.d = d = params.d
         self.slots = params.slots
-        self.dim = d**self.slots
-        if self.dim > _max_dim():
-            raise ResourceGuardError(
-                f"tensor dimension {d}^{self.slots} = {self.dim} exceeds "
-                f"the guard ({_max_dim()}); raise {MAX_DIM_ENV} to override"
-            )
         self._a = [float(a) for a in params.a_diag]
         v = [math.sqrt(float(q)) for q in params.v_sq]
         self._neg = [a < 0 for a in params.a_diag] + [False]
@@ -278,6 +280,13 @@ class TensorEmbedding:
                 j = params.regular[(k - 1) % len(params.regular)]
                 rho[j - 1] += leftover
             slot_weights.append([(i, w) for i, w in enumerate(rho) if w])
+        columns = math.prod(len(weights) for weights in slot_weights)
+        if columns > MAX_COLUMNS:
+            raise ResourceGuardError(
+                f"the product state's support has {columns} columns, over the guard "
+                f"MAX_COLUMNS = {MAX_COLUMNS}"
+            )
+        self.dim = d**self.slots
         # The support S in row-major order of the d^N basis, each column at c = 1.
         self._columns = []
         self._rho_s = []

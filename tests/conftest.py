@@ -1,8 +1,11 @@
-"""Shared fixtures: the acceptance suite states, oracle parameter sets, and the permutation and sign references."""
+"""Shared fixtures: the acceptance suite states, oracle parameter sets, and the brute-force references (permutation, sign, conjugacy orbit, spherical slot table)."""
+
+import math
+from typing import Sequence
 
 import pytest
 
-from rookchar.elements import PartialBijection, enumerate_rn
+from rookchar.elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from rookchar.states import make_state
 from rookchar.tensor_model import ModelParams
 
@@ -60,6 +63,41 @@ def sign(s: PartialBijection) -> int:
             length += 1
         parity += length - 1
     return -1 if parity % 2 else 1
+
+
+def conjugacy_orbit(r: PartialBijection, n: int) -> frozenset[PartialBijection]:
+    """The orbit {s r s^-1 : s a permutation of 1..n}; the brute-force oracle."""
+    orbit = set()
+    for s in symmetric_group(n):
+        orbit.add(compose(compose(s, r), s.star()))
+    return frozenset(orbit)
+
+
+def slot_coefficient_table(
+    kappa_w: float, rs: Sequence[PartialBijection]
+) -> list[float]:
+    """Float slot simulation with an explicit (possibly negative) w-component.
+
+    Exists to check that coefficients depend on u only through |(u, w)|: the
+    tables for kappa_w and -kappa_w must agree to machine precision.
+    """
+    out = []
+    perp = math.sqrt(max(0.0, 1.0 - kappa_w * kappa_w))
+    # Overlaps with u = (kappa_w, perp): a projected slot holds P u = (kappa_w, 0).
+    projected = kappa_w * kappa_w
+    unprojected = kappa_w * kappa_w + perp * perp
+    for r in rs:
+        m = max(r.bound, 1)
+        line, killed = r.one_line(m), set(r.domain_gaps())
+        overlaps = [projected if x in killed else unprojected for x in range(1, m + 1)]
+        inverse = [0] * m
+        for x, y in enumerate(line, start=1):
+            inverse[y - 1] = x
+        value = 1.0
+        for j in range(1, m + 1):
+            value *= overlaps[inverse[j - 1] - 1]
+        out.append(value)
+    return out
 
 
 @pytest.fixture(params=sorted(SUITE_STATES))

@@ -25,7 +25,6 @@ from rookchar.quasicycles import (
     QUASI,
     TRIVIAL,
     conjugacy_invariant,
-    conjugacy_orbit,
     decompose,
     find_conjugator,
 )
@@ -57,7 +56,7 @@ from rookchar.tensor_model import (
     phi_model,
 )
 from rookchar.words import verify_popova_relations, word_to_element, element_to_word
-from conftest import ORACLE_PARAMS, SUITE_STATES
+from conftest import ORACLE_PARAMS, SUITE_STATES, conjugacy_orbit
 
 
 @contextmanager

@@ -6,14 +6,15 @@ import pathlib
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
 import rookchar
-from rookchar import cli, elements, tensor_model
+from rookchar import cli, elements, states, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
-from rookchar.errors import MAX_POPOVA_N
+from rookchar.errors import MAX_PAIR_SWEEP_N, MAX_POPOVA_N
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -26,6 +27,13 @@ ORACLE_PARAMS = {
     "v": ["sqrt(1/2)", "0", "sqrt(1/2)", "0"],
     "regular": [],
     "N": 3,
+}
+# The benchmark's oracle parameters: 16 support columns of d^N = 5^4 = 625.
+BENCH_PARAMS = {
+    "a_diag": ["2/3", "-1/3", "0", "0", "0"],
+    "v": ["sqrt(1/2)", "0", "sqrt(1/2)", "0", "0"],
+    "regular": [],
+    "N": 4,
 }
 
 
@@ -260,6 +268,24 @@ class TestVerifyGolden:
         assert (code, out) == (EXIT_GUARD, "")
         assert f"MAX_POPOVA_N = {MAX_POPOVA_N}" in err
 
+    @pytest.mark.parametrize("suite", ["centrality", "conjugation", "multiplicativity"])
+    def test_pair_sweeps_over_the_cap_exit_4(self, capsys, monkeypatch, suite):
+        def refuse(n):
+            raise AssertionError(f"a sweep enumerated at n = {n}")
+
+        monkeypatch.setattr(states, "enumerate_rn", refuse)
+        monkeypatch.setattr(states, "symmetric_group", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(MAX_PAIR_SWEEP_N + 1))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_GUARD, "")
+        assert f"MAX_PAIR_SWEEP_N = {MAX_PAIR_SWEEP_N}" in err
+
+    def test_star_sweep_runs_past_the_pair_cap(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "star", "--n", str(MAX_PAIR_SWEEP_N + 1))
+        assert code == EXIT_OK
+        assert json.loads(out)["checked"] == elements.rn_size(MAX_PAIR_SWEEP_N + 1)
+
     def test_stateless_suites_ignore_state(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "popova", "--n", "3", "--state", "/nope")
         assert (code, out) == (EXIT_OK, VERIFY_GOLDEN["popova", "3"] + "\n")
@@ -287,7 +313,12 @@ MALFORMED_JSON = [
     ("oracle", "--params", dict(ORACLE_PARAMS, N=True)),
     ("oracle", "--params", dict(ORACLE_PARAMS, regular=[1.5])),
 ]
-COMMAND_TAIL = {"eval": ["--elem", "e"], "gram": ["--n", "2"], "oracle": ["--n", "2"]}
+COMMAND_TAIL = {
+    "eval": ["--elem", "e"],
+    "gram": ["--n", "2"],
+    "oracle": ["--n", "2"],
+    "okounkov": ["--k", "1", "--x", "e", "--y", "e"],
+}
 
 
 @pytest.mark.parametrize(
@@ -342,6 +373,32 @@ def test_integral_json_numbers_still_accepted(capsys, tmp_path, mark_i, slots):
     assert code == EXIT_OK and len(json.loads(out)["rows"]) == 2
 
 
+# Parameters each tensor-oracle guard refuses, with the guard it names.
+GUARDED_PARAMS = [
+    # d = 1: one support column at every N, so only the slot guard stops it.
+    ({"a_diag": ["1"], "v": ["1"], "regular": [], "N": 13}, "MAX_SLOTS = 12"),
+    # Checked before d^N, a number of ~18 million digits, is formed.
+    (dict(BENCH_PARAMS, N=30000000), "MAX_SLOTS = 12"),
+    # Four nonzero weights per slot: 4^7 = 16384 support columns.
+    (
+        {"a_diag": ["1/4", "1/4", "-1/4", "-1/4"], "v": ["1", "0", "0", "0"], "N": 7},
+        "MAX_COLUMNS = 4096",
+    ),
+]
+
+
+def assert_finite_t1_oracle_passes(capsys, tmp_path, slots):
+    """``oracle --n 3`` on finite_t1 bridged at ``slots`` slots agrees with the closed form."""
+    params = tensor_model.model_from_state(SUITE_STATES["finite_t1"], slots)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params.to_json()))
+    code, out, _ = run(capsys, "oracle", "--params", str(path), "--n", "3")
+    assert code == EXIT_OK
+    data = json.loads(out)
+    assert float(data["max_diff"]) <= 1e-10
+    assert len(data["rows"]) == 34
+
+
 class TestOracle:
     def test_agreement_table(self, capsys, params_file):
         code, out, _ = run(capsys, "oracle", "--params", params_file, "--n", "3")
@@ -350,18 +407,15 @@ class TestOracle:
         assert float(data["max_diff"]) <= 1e-10
         assert len(data["rows"]) == 34
 
-    def test_spectral_mass_below_one_within_default_guard(self, capsys, tmp_path, monkeypatch):
-        # finite_t1 (Tr|A| = 7/8) bridges to d = 7 with one regular
-        # coordinate per slot: dim 2401 passes the default guard of 4096.
-        monkeypatch.delenv("ROOKCHAR_MAX_DIM", raising=False)
-        params = tensor_model.model_from_state(SUITE_STATES["finite_t1"])
-        path = tmp_path / "params.json"
-        path.write_text(json.dumps(params.to_json()))
-        code, out, _ = run(capsys, "oracle", "--params", str(path), "--n", "3")
-        assert code == EXIT_OK
-        data = json.loads(out)
-        assert float(data["max_diff"]) <= 1e-10
-        assert len(data["rows"]) == 34
+    def test_spectral_mass_below_one_within_default_guard(self, capsys, tmp_path):
+        # finite_t1 (Tr|A| = 7/8) bridges to d = 3 + N with one regular
+        # coordinate per slot, so each slot has 4 nonzero weights: |S| = 4^4 =
+        # 256 support columns at N = 4, within MAX_COLUMNS = 4096.
+        assert_finite_t1_oracle_passes(capsys, tmp_path, 4)
+
+    def test_support_columns_not_dimension_bound_the_walk(self, capsys, tmp_path):
+        # At N = 5, d^N = 8^5 = 32768, but |S| = 4^5 = 1024 columns.
+        assert_finite_t1_oracle_passes(capsys, tmp_path, 5)
 
     def test_csv_format(self, capsys, params_file):
         code, out, _ = run(
@@ -371,18 +425,29 @@ class TestOracle:
         header = out.splitlines()[0]
         assert header == "closed_form,diff,element,model"
 
-    def test_resource_guard_exits_4(self, capsys, tmp_path):
-        path = tmp_path / "huge.json"
-        params = dict(ORACLE_PARAMS, N=12)
-        path.write_text(json.dumps(params))
-        code, _, err = run(capsys, "oracle", "--params", path.as_posix(), "--n", "2")
-        assert code == EXIT_GUARD and "guard" in err
+    def test_resource_guard_exits_4(self, capsys, tmp_path, monkeypatch):
+        def refuse(*slot_weights):
+            raise AssertionError("a support column was built")
 
-    def test_guard_reads_environment(self, capsys, params_file, monkeypatch):
-        # d^N = 4^3 = 64 passes the default guard but not a bound of 63.
-        monkeypatch.setenv("ROOKCHAR_MAX_DIM", "63")
-        code, _, err = run(capsys, "oracle", "--params", params_file, "--n", "2")
-        assert code == EXIT_GUARD and "ROOKCHAR_MAX_DIM" in err
+        monkeypatch.setattr(tensor_model, "itertools", types.SimpleNamespace(product=refuse))
+        path = tmp_path / "params.json"
+        for params, guard in GUARDED_PARAMS:
+            path.write_text(json.dumps(params))
+            for command in ("oracle", "okounkov"):
+                start = time.perf_counter()
+                code, out, err = run(capsys, command, "--params", str(path), *COMMAND_TAIL[command])
+                assert time.perf_counter() - start < 0.5, (params, command)
+                assert (code, out) == (EXIT_GUARD, ""), (params, command)
+                assert guard in err
+
+    def test_environment_is_not_read(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(BENCH_PARAMS))
+        monkeypatch.delenv("ROOKCHAR_MAX_DIM", raising=False)
+        plain = run(capsys, "oracle", "--params", str(path), "--n", "3")
+        monkeypatch.setenv("ROOKCHAR_MAX_DIM", "1")
+        assert run(capsys, "oracle", "--params", str(path), "--n", "3") == plain
+        assert plain[0] == EXIT_OK
 
 
 class TestSpherical:
@@ -450,11 +515,6 @@ class TestUsage:
 
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == EXIT_OK
-
-    def test_help_prints_the_oracle_guard_default(self, capsys):
-        code, out, _ = run(capsys, "--help")
-        assert code == EXIT_OK
-        assert f"(default {tensor_model.DEFAULT_MAX_DIM})" in " ".join(out.split())
 
 
 # The tensor oracle's public names, which the package serves lazily.
@@ -626,6 +686,12 @@ class TestImportBoundary:
         for name in ("marked_cycle_value", "np"):
             assert not hasattr(tensor_model, name) and not hasattr(rookchar, name)
         assert not hasattr(rookchar.PartialBijection, "is_permutation")
+        assert not hasattr(rookchar.quasicycles, "conjugacy_orbit")
+        assert not hasattr(rookchar.spherical, "slot_coefficient_table")
+        # The tensor oracle's guards are constants: no environment knob.
+        for name in ("DEFAULT_MAX_DIM", "MAX_DIM_ENV"):
+            assert not hasattr(rookchar.errors, name) and not hasattr(tensor_model, name)
+        assert not hasattr(tensor_model, "_max_dim")
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"

@@ -22,11 +22,10 @@ from rookchar.quasicycles import (
     ConjugacyInvariant,
     QuasiCycle,
     conjugacy_invariant,
-    conjugacy_orbit,
     decompose,
     find_conjugator,
 )
-from conftest import is_permutation
+from conftest import conjugacy_orbit, is_permutation
 
 
 class TestDecompose:

@@ -18,11 +18,11 @@ from rookchar.errors import MAX_POINT, ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
     infinite_spherical_value,
-    slot_coefficient_table,
     spherical_coeff,
     spherical_coeff_closed_form,
     spherical_limit_check,
 )
+from conftest import slot_coefficient_table
 
 
 def dense_spherical_coeff(model, r):

@@ -298,8 +298,18 @@ class TestEmbedding:
         assert peak < full_image_bytes / 2
 
     def test_guard(self):
-        p = ModelParams.of(["1", "0", "0", "0"], ["1", "0", "0", "0"], [], 12)
-        with pytest.raises(ResourceGuardError):
+        # d = 1 has one support column at every N; only MAX_SLOTS stops it.
+        p = ModelParams.of(["1"], ["1"], [], tensor_model.MAX_SLOTS + 1)
+        with pytest.raises(ResourceGuardError, match="MAX_SLOTS = 12"):
+            TensorEmbedding(p)
+        # a = (1, 0, 0, 0) at N = 12 has one support column of d^N = 4^12, so it passes.
+        emb = TensorEmbedding(ModelParams.of(["1", "0", "0", "0"], ["1", "0", "0", "0"], [], 12))
+        assert emb.dim == 4**12
+        r = parse_element("(1 12)e{3}")
+        assert phi_model(emb, r) == pytest.approx(float(phi_closed_form(emb.params, r)))
+        # Four nonzero weights per slot at N = 7: 4^7 = 16384 columns.
+        p = ModelParams.of(["1/4", "1/4", "-1/4", "-1/4"], ["1", "0", "0", "0"], [], 7)
+        with pytest.raises(ResourceGuardError, match="16384 columns.*MAX_COLUMNS = 4096"):
             TensorEmbedding(p)
 
     def test_support_beyond_slots_rejected(self):
