@@ -12,7 +12,7 @@ from fractions import Fraction
 from numbers import Rational
 
 from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
-from .errors import CheckReport, tally
+from .errors import MAX_GELFAND_N, CheckReport, ResourceGuardError, tally
 
 
 class FormalSum:
@@ -125,10 +125,12 @@ def check_gelfand_pair(n: int) -> CheckReport:
     Every product is a :class:`FormalSum` product, so all arithmetic is
     exact.  Equal sandwiches commute iff their representatives do, so only
     the distinct ones are compared, each through the first element that
-    gave it.
+    gave it.  n above ``MAX_GELFAND_N`` raises ResourceGuardError.
     """
-    if n > 3:
-        raise ValueError("the exact commutativity sweep is limited to n <= 3")
+    if n > MAX_GELFAND_N:
+        raise ResourceGuardError(
+            f"the gelfand sweep at n = {n} exceeds the guard MAX_GELFAND_N = {MAX_GELFAND_N}"
+        )
     basis = list(enumerate_rn(n))
     p = symmetrizer(n)
     sandwiches: dict[frozenset, tuple[PartialBijection, FormalSum]] = {}

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import MAX_POINT, ParseError, Record, ResourceGuardError
 
@@ -153,11 +154,7 @@ class PartialBijection(Record):
 
     def star(self) -> "PartialBijection":
         """The involution: matrix transposition, i.e. the inverse partial map."""
-        inv: list[int | None] = [None] * len(self.images)
-        for x, y in enumerate(self.images, start=1):
-            if y is not None:
-                inv[y - 1] = x
-        return PartialBijection._canonical(inv)
+        return PartialBijection._canonical(invert_images(self.images))
 
     def __mul__(self, other: "PartialBijection") -> "PartialBijection":
         if not isinstance(other, PartialBijection):
@@ -184,6 +181,38 @@ def compose(r1: PartialBijection, r2: PartialBijection) -> PartialBijection:
     elif n2 < n1:
         inner += tuple(range(n2 + 1, n1 + 1))
     return PartialBijection._canonical([None if y is None else outer[y - 1] for y in inner])
+
+
+def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """``seq -> tuple(seq[i] for i in indices)``, one C call per use.
+
+    ``operator.itemgetter`` with several indices; it would return a bare item
+    for one index and refuse none, so those two cases are wrapped.  The sweeps
+    multiply image tuples of one length with it: ``gather([y - 1 for y in s])(r)``
+    is the product r s for a permutation s, and ``gather(rz)((None,) + s)`` is
+    s r, where ``rz`` is r's images with 0 for each point outside its domain.
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def invert_images(images: Sequence[int | None]) -> tuple[int | None, ...]:
+    """The inverse partial map of an image tuple, at the same length.
+
+    >>> invert_images((2, None, 1))
+    (3, 1, None)
+    """
+    inverse: list[int | None] = [None] * len(images)
+    x = 0
+    for y in images:
+        x += 1
+        if y is not None:
+            inverse[y - 1] = x
+    return tuple(inverse)
 
 
 def identity() -> PartialBijection:
@@ -335,12 +364,16 @@ def rn_size(n: int) -> int:
     return sum(math.comb(n, k) ** 2 * math.factorial(k) for k in range(n + 1))
 
 
-def enumerate_rn(n: int) -> Iterator[PartialBijection]:
-    """Every element of R_n exactly once, in a deterministic order.
+def padded_rn(n: int) -> Iterator[tuple[int | None, ...]]:
+    """Every element of R_n exactly once, as its image tuple padded to length n.
 
-    Streams injective maps from each domain subset (by size, then
-    lexicographically) onto each image subset, images in lexicographic
-    permutation order.
+    ``None`` marks the points outside the domain, and fixed points stay in
+    place, so every tuple has length n.  Streams injective maps from each
+    domain subset (by size, then lexicographically) onto each image subset,
+    images in lexicographic permutation order.
+
+    >>> list(padded_rn(2))
+    [(None, None), (1, None), (2, None), (None, 1), (None, 2), (1, 2), (2, 1)]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -352,9 +385,16 @@ def enumerate_rn(n: int) -> Iterator[PartialBijection]:
     points = range(1, n + 1)
     for k in range(n + 1):
         for dom in itertools.combinations(points, k):
+            # Point x reads its image from the assignment, or the None after it.
+            slots = [k] * n
+            for i, x in enumerate(dom):
+                slots[x - 1] = i
+            pad = gather(slots)
             for img in itertools.combinations(points, k):
-                for assignment in itertools.permutations(img):
-                    images: list[int | None] = [None] * n
-                    for x, y in zip(dom, assignment):
-                        images[x - 1] = y
-                    yield PartialBijection._canonical(images)
+                yield from map(pad, map(tuple.__add__, itertools.permutations(img),
+                                        itertools.repeat((None,))))
+
+
+def enumerate_rn(n: int) -> Iterator[PartialBijection]:
+    """Every element of R_n exactly once, in :func:`padded_rn`'s order."""
+    return map(PartialBijection._canonical, padded_rn(n))

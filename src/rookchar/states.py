@@ -23,15 +23,24 @@ and a bounded memo from image tuple to value.  An element met before costs
 one dictionary lookup; a new one costs an orbit-length count of its image
 tuple (:func:`~rookchar.quasicycles.images_invariant`) plus a class lookup,
 and no decomposition is built.
+
+The four state sweeps (centrality, conjugation invariance, multiplicativity,
+star symmetry) run on image tuples padded to length n
+(:func:`~rookchar.elements.padded_rn`).  Products are gathers over those
+tuples (:func:`~rookchar.elements.gather`), stars are
+:func:`~rookchar.elements.invert_images`, and values are read with
+:meth:`ValueTable.of_images`; any other value function is handed the element
+with those images.  An element is built only to name a violation.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg  # through the module, so linalg runs only when a Gram is built
-from .elements import PartialBijection, compose, enumerate_rn, symmetric_group
+from .elements import PartialBijection, compose, gather, invert_images, padded_rn
 from .errors import (
     I_STAR_J,
     MAX_PAIR_SWEEP_N,
@@ -98,8 +107,8 @@ def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int
 class ValueTable:
     """The family's value function for one parameter set, memoised twice.
 
-    ``by_images`` maps the image tuple of each element met so far to its
-    value; it is emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries.  On a
+    ``by_images`` maps each image tuple met so far (an element's, or one
+    padded to n by a sweep) to its value; it is emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries.  On a
     miss, the element's invariant is counted from its images and looked up
     in ``by_class``, which maps each conjugacy invariant met so far to its
     value.  A new class's value is the invariant's ``product`` of the cycle
@@ -123,7 +132,14 @@ class ValueTable:
         self.by_images: dict[tuple[int | None, ...], Fraction] = {}
 
     def value(self, r: PartialBijection) -> Fraction:
-        images = r.images
+        return self.of_images(r.images)
+
+    def of_images(self, images: tuple[int | None, ...]) -> Fraction:
+        """The value of the element with these images, trimmed or padded.
+
+        Padding with fixed points changes neither the conjugacy invariant nor
+        the value, so both forms may be looked up (as separate memo entries).
+        """
         value = self.by_images.get(images)
         if value is not None:
             return value
@@ -331,10 +347,33 @@ def gram_matrix(
 
 
 # --- property sweeps ----------------------------------------------------------
+#
+# The sweeps run on padded image tuples (see the module docstring).
 
 
 def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
     return state.value if hasattr(state, "value") else state
+
+
+def _images_fn(state) -> Callable[[tuple[int | None, ...]], Fraction]:
+    """``images -> value``: a State or ValueTable reads its table, any other
+    value function gets the element with those images."""
+    if isinstance(state, State):
+        return state.table.of_images
+    if isinstance(state, ValueTable):
+        return state.of_images
+    f, element = _value_fn(state), PartialBijection._canonical
+    return lambda images: f(element(images))
+
+
+def _literal(images: tuple[int | None, ...]) -> str:
+    return PartialBijection._canonical(images).literal()
+
+
+def _zero_padded(images: tuple[int | None, ...]) -> tuple[int, ...]:
+    """The images with 0 for each point outside the domain: gather indices
+    into ``(None,) + s``, whose entry 0 is None."""
+    return tuple([0 if y is None else y for y in images])
 
 
 def _check_pair_sweep(suite: str, n: int) -> None:
@@ -346,45 +385,83 @@ def _check_pair_sweep(suite: str, n: int) -> None:
 
 
 def check_centrality(state, n: int) -> CheckReport:
-    """f(r s) = f(s r) for every r in R_n and permutation s of 1..n."""
+    """f(r s) = f(s r) for every r in R_n and permutation s of 1..n.
+
+    Values are rationals, compared by identity first and by ``==`` only when
+    the objects differ: a table returns the one Fraction it holds per class.
+    """
     _check_pair_sweep("centrality", n)
-    f = _value_fn(state)
-    perms = list(symmetric_group(n))
-    return tally("centrality", n, (
-        f"r={r.literal()} s={s.literal()}" if f(compose(r, s)) != f(compose(s, r)) else None
-        for r in enumerate_rn(n)
-        for s in perms
-    ))
+    f = _images_fn(state)
+    # Permutations of 1..n as image tuples, in symmetric_group's order.
+    perms = [(s, gather([y - 1 for y in s]), (None,) + s)
+             for s in itertools.permutations(range(1, n + 1))]
+
+    def failures():
+        for r in padded_rn(n):
+            left = gather(_zero_padded(r))  # (None,) + s -> s r
+            for s, right, s_ext in perms:  # right: r -> r s
+                a, b = f(right(r)), f(left(s_ext))
+                yield None if a is b or a == b else f"r={_literal(r)} s={_literal(s)}"
+
+    return tally("centrality", n, failures())
 
 
 def check_multiplicativity(state, n: int) -> CheckReport:
-    """f(r1 r2) = f(r1) f(r2) whenever the supports are disjoint."""
+    """f(r1 r2) = f(r1) f(r2) whenever the supports are disjoint.
+
+    The product of two values is a new Fraction, so it compares by ``==``.
+    """
     _check_pair_sweep("multiplicativity", n)
-    f = _value_fn(state)
-    elems = [(e, e.support(), f(e)) for e in enumerate_rn(n)]
-    return tally("multiplicativity", n, (
-        f"r1={r1.literal()} r2={r2.literal()}" if f(compose(r1, r2)) != v1 * v2 else None
-        for i, (r1, s1, v1) in enumerate(elems)
-        for r2, s2, v2 in elems[i:]
-        if not s1 & s2
-    ))
+    f = _images_fn(state)
+    elems = [
+        (r, (None,) + r, gather(_zero_padded(r)),
+         sum(1 << x for x, y in enumerate(r, start=1) if y != x), f(r))
+        for r in padded_rn(n)
+    ]
+
+    def failures():
+        for i, (r1, r1_ext, _, support1, v1) in enumerate(elems):
+            for r2, _, times_r2, support2, v2 in elems[i:]:  # times_r2: (None,) + r1 -> r1 r2
+                if not support1 & support2:
+                    yield (None if f(times_r2(r1_ext)) == v1 * v2
+                           else f"r1={_literal(r1)} r2={_literal(r2)}")
+
+    return tally("multiplicativity", n, failures())
 
 
 def check_star_symmetry(state, n: int) -> CheckReport:
-    """f(r*) = f(r); values are real rationals, so conjugation is trivial."""
-    f = _value_fn(state)
-    failures = (r.literal() if f(r.star()) != f(r) else None for r in enumerate_rn(n))
-    return tally("star-symmetry", n, failures)
+    """f(r*) = f(r); values are real rationals, so conjugation is trivial.
+
+    Values are rationals, compared by identity first and by ``==`` only when
+    the objects differ: a table returns the one Fraction it holds per class.
+    """
+    f = _images_fn(state)
+
+    def failures():
+        for r in padded_rn(n):
+            a, b = f(invert_images(r)), f(r)
+            yield None if a is b or a == b else _literal(r)
+
+    return tally("star-symmetry", n, failures())
 
 
 def check_conjugation_invariance(state, n: int) -> CheckReport:
-    """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n."""
+    """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n.
+
+    Values are rationals, compared by identity first and by ``==`` only when
+    the objects differ: a table returns the one Fraction it holds per class.
+    """
     _check_pair_sweep("conjugation-invariance", n)
-    f = _value_fn(state)
-    perms = [(s, s.star()) for s in symmetric_group(n)]
-    return tally("conjugation-invariance", n, (
-        f"r={r.literal()} s={s.literal()}" if f(compose(compose(s, r), s_inv)) != base else None
-        for r in enumerate_rn(n)
-        for base in (f(r),)
-        for s, s_inv in perms
-    ))
+    f = _images_fn(state)
+    perms = [(s, (None,) + s, gather([y - 1 for y in invert_images(s)]))
+             for s in itertools.permutations(range(1, n + 1))]
+
+    def failures():
+        for r in padded_rn(n):
+            base = f(r)
+            left = gather(_zero_padded(r))  # (None,) + s -> s r
+            for s, s_ext, right_inv in perms:  # right_inv: x -> x s^-1
+                a = f(right_inv(left(s_ext)))
+                yield None if a is base or a == base else f"r={_literal(r)} s={_literal(s)}"
+
+    return tally("conjugation-invariance", n, failures())

@@ -1,4 +1,5 @@
-"""Test-only references for the tensor oracle: dense numpy images and the multi-marked cycle value.
+"""Test-only references: dense numpy images and the multi-marked cycle value
+for the tensor oracle, and element-by-element bodies of the four state sweeps.
 
 The dense images are built from a ModelParams alone, never from a
 TensorEmbedding, so comparing the embedding's product-tensor walk with them
@@ -6,6 +7,10 @@ checks the walk against an independent construction: T(s_k) is the
 ``d^N x d^N`` permutation of slots k and k+1 with a sign over the negative
 spectral block, T(e{1}) is the rank-1 projection onto v in slot 1, and T(r) is
 their left-to-right product along ``element_to_word(r)``.
+
+The sweep references list R_n as elements and multiply with ``compose``, and
+read values through the element, never through an image tuple, so they check
+the library's sweeps on padded image tuples case for case.
 """
 
 from fractions import Fraction
@@ -15,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from rookchar.elements import PartialBijection
+from rookchar.elements import PartialBijection, compose, enumerate_rn, symmetric_group
+from rookchar.errors import CheckReport, tally
 from rookchar.tensor_model import ModelParams
 from rookchar.words import EPS1, element_to_word
 
@@ -113,3 +119,48 @@ def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction
         value *= sum((a ** (nxt - prev) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
     gap = k - pos[-1] + pos[0] - 1
     return value * sum((a**gap * abs(a) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
+
+
+# --- state sweeps, one element at a time ----------------------------------------
+
+
+def _value_fn(state):
+    return state.value if hasattr(state, "value") else state
+
+
+def centrality(state, n: int) -> CheckReport:
+    f = _value_fn(state)
+    perms = list(symmetric_group(n))
+    return tally("centrality", n, (
+        f"r={r.literal()} s={s.literal()}" if f(compose(r, s)) != f(compose(s, r)) else None
+        for r in enumerate_rn(n)
+        for s in perms
+    ))
+
+
+def multiplicativity(state, n: int) -> CheckReport:
+    f = _value_fn(state)
+    elems = [(e, e.support(), f(e)) for e in enumerate_rn(n)]
+    return tally("multiplicativity", n, (
+        f"r1={r1.literal()} r2={r2.literal()}" if f(compose(r1, r2)) != v1 * v2 else None
+        for i, (r1, s1, v1) in enumerate(elems)
+        for r2, s2, v2 in elems[i:]
+        if not s1 & s2
+    ))
+
+
+def star_symmetry(state, n: int) -> CheckReport:
+    f = _value_fn(state)
+    failures = (r.literal() if f(r.star()) != f(r) else None for r in enumerate_rn(n))
+    return tally("star-symmetry", n, failures)
+
+
+def conjugation_invariance(state, n: int) -> CheckReport:
+    f = _value_fn(state)
+    perms = [(s, s.star()) for s in symmetric_group(n)]
+    return tally("conjugation-invariance", n, (
+        f"r={r.literal()} s={s.literal()}" if f(compose(compose(s, r), s_inv)) != base else None
+        for r in enumerate_rn(n)
+        for base in (f(r),)
+        for s, s_inv in perms
+    ))

@@ -273,3 +273,12 @@ def test_criterion_14_dense_r4_certificate():
         nonzero = [p for p in cert.pivots if p]
         assert len(nonzero) == 209
         assert math.prod(nonzero) == R4_RUNNING_GRAM_DET
+
+
+# Measured at 7.6-10.2 s in process on a 2-core host with Python 3.11; the
+# budget leaves about 2x for a slower or busier machine.
+def test_criterion_15_centrality_r6():
+    with criterion(15, "centrality at n = 6 for the running state: 9,595,440 cases", 20.0):
+        report = check_centrality(SUITE_STATES["running"], 6)
+        assert report.ok, report.violations
+        assert report.checked == 13327 * 720 == 9_595_440

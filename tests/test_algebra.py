@@ -7,7 +7,7 @@ import pytest
 from rookchar import algebra
 from rookchar.algebra import FormalSum, check_gelfand_pair, symmetrizer
 from rookchar.elements import enumerate_rn, idempotent, identity, parse_element
-from rookchar.errors import MAX_VIOLATIONS
+from rookchar.errors import MAX_GELFAND_N, MAX_VIOLATIONS, ResourceGuardError
 
 
 def test_identity_is_neutral():
@@ -76,8 +76,8 @@ def test_gelfand_sweep_reports_noncommuting_sandwiches(monkeypatch):
 
 
 def test_gelfand_guard():
-    with pytest.raises(ValueError):
-        check_gelfand_pair(4)
+    with pytest.raises(ResourceGuardError, match="MAX_GELFAND_N = 3"):
+        check_gelfand_pair(MAX_GELFAND_N + 1)
 
 
 def test_sandwich_products_computed_directly():

@@ -14,7 +14,7 @@ import rookchar
 from rookchar import cli, elements, states, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
-from rookchar.errors import MAX_PAIR_SWEEP_N, MAX_POPOVA_N
+from rookchar.errors import MAX_GELFAND_N, MAX_PAIR_SWEEP_N, MAX_POPOVA_N
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -273,13 +273,24 @@ class TestVerifyGolden:
         def refuse(n):
             raise AssertionError(f"a sweep enumerated at n = {n}")
 
-        monkeypatch.setattr(states, "enumerate_rn", refuse)
-        monkeypatch.setattr(states, "symmetric_group", refuse)
+        # The sweeps list R_n through padded_rn; every other listing is
+        # refused as well, so nothing at all is listed before the guard.
+        monkeypatch.setattr(states, "padded_rn", refuse)
+        monkeypatch.setattr(elements, "enumerate_rn", refuse)
+        monkeypatch.setattr(elements, "padded_rn", refuse)
+        monkeypatch.setattr(elements, "symmetric_group", refuse)
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", "--suite", suite, "--n", str(MAX_PAIR_SWEEP_N + 1))
         assert time.perf_counter() - start < 0.5
         assert (code, out) == (EXIT_GUARD, "")
         assert f"MAX_PAIR_SWEEP_N = {MAX_PAIR_SWEEP_N}" in err
+
+    def test_gelfand_over_the_cap_exits_4(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--suite", "gelfand", "--n", str(MAX_GELFAND_N + 1))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (EXIT_GUARD, "")
+        assert f"MAX_GELFAND_N = {MAX_GELFAND_N}" in err
 
     def test_star_sweep_runs_past_the_pair_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "star", "--n", str(MAX_PAIR_SWEEP_N + 1))

@@ -13,8 +13,11 @@ from rookchar.elements import (
     cycle,
     enumerate_rn,
     from_orbits,
+    gather,
     idempotent,
     identity,
+    invert_images,
+    padded_rn,
     parse_element,
     rn_size,
     symmetric_group,
@@ -271,6 +274,41 @@ class TestEnumeration:
         assert elems == list(reference(5))
         for x in elems:
             assert PartialBijection(x.images) == x
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_padded_listing_is_the_element_listing(self, n):
+        # One enumeration: enumerate_rn trims padded_rn's tuples, in order.
+        padded = list(padded_rn(n))
+        assert all(len(images) == n for images in padded)
+        assert [PartialBijection.from_images(images) for images in padded] == list(enumerate_rn(n))
+
+    def test_padded_guard(self):
+        with pytest.raises(ResourceGuardError):
+            next(padded_rn(8))
+        with pytest.raises(ValueError):
+            next(padded_rn(-1))
+
+
+class TestImageTupleKernels:
+    """gather and invert_images: the sweeps' products and stars on padded tuples."""
+
+    @pytest.mark.parametrize("indices", [(), (2,), (0, 2), (2, 0, 1)])
+    def test_gather_always_returns_a_tuple(self, indices):
+        assert gather(indices)("abc") == tuple("abc"[i] for i in indices)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_products_and_stars_on_padded_tuples(self, n):
+        padded = list(padded_rn(n))
+        for r in padded:
+            rz = tuple(0 if y is None else y for y in r)
+            element = PartialBijection.from_images(r)
+            assert PartialBijection.from_images(invert_images(r)) == element.star()
+            for s in padded:
+                other = PartialBijection.from_images(s)
+                assert PartialBijection.from_images(gather(rz)((None,) + s)) == compose(other, element)
+                if None not in s:  # r s by a gather over the permutation s
+                    assert PartialBijection.from_images(gather([y - 1 for y in s])(r)) == compose(
+                        element, other)
 
 
 class TestPermutations:

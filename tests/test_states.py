@@ -39,6 +39,7 @@ from rookchar.states import (
 )
 from rookchar.linalg import NOT_PSD, verify_certificate
 from conftest import R4_GRAM_ELEMENTS, SUITE_STATES, is_permutation, sign
+import oracles
 
 
 def cycle_type_via_orbits(perm):
@@ -395,3 +396,33 @@ class TestSweeps:
         assert report.checked == checked
         assert len(report.violations) == MAX_VIOLATIONS == 20
         assert report.violations[0] == first
+
+
+# Every kind of value function a sweep reads: the suite states (their tables),
+# an unchecked table, and plain functions that break each property.
+SWEPT_FUNCTIONS = {
+    **{f"state-{name}": state for name, state in SUITE_STATES.items()},
+    "unchecked-mass-4/3": unchecked_value_fn(TestFactorMemo.OVERWEIGHT),
+    "bound": lambda r: Fraction(r.bound),
+    "image-of-1": lambda r: Fraction(r(1) or 0),
+    "corrupted-at-e{1}": _Corrupted(SUITE_STATES["running"], idempotent([1])),
+}
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (check_centrality, oracles.centrality),
+        (check_conjugation_invariance, oracles.conjugation_invariance),
+        (check_multiplicativity, oracles.multiplicativity),
+        (check_star_symmetry, oracles.star_symmetry),
+    ],
+    ids=["centrality", "conjugation", "multiplicativity", "star-symmetry"],
+)
+@pytest.mark.parametrize("name", sorted(SWEPT_FUNCTIONS))
+def test_sweeps_match_the_element_reference(name, check, reference, n):
+    # The sweeps run on padded image tuples; the reference composes elements.
+    got, want = check(SWEPT_FUNCTIONS[name], n), reference(SWEPT_FUNCTIONS[name], n)
+    assert (got.suite, got.n, got.checked, got.violations, got.ok) == (
+        want.suite, want.n, want.checked, want.violations, want.ok)
