@@ -11,13 +11,14 @@ as their ``repr``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from fractions import Fraction
 
 # Reached through the module objects, so a command runs only the module
 # bodies it uses (the package registers its submodules lazily).
-from . import algebra, quasicycles, spherical, states, words
+from . import algebra, quasicycles, spherical, states, tensor_model, words
 from .elements import PartialBijection, enumerate_rn, idempotent, parse_element, rn_size
 from .errors import I_STAR_J, STAR_JI, ParseError, ResourceGuardError
 
@@ -129,8 +130,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    from . import tensor_model
-
     params = tensor_model.load_params(args.params)
     embedding = tensor_model.TensorEmbedding(params)
     rows = []
@@ -155,8 +154,6 @@ def cmd_oracle(args) -> int:
 def cmd_spherical(args) -> int:
     model = spherical.SphericalModel(args.n, args.l)
     if args.all_idempotents:
-        import itertools
-
         # SphericalModel has bounded n by MAX_POINT, so 2^n takes at most 8 KB.
         if 2**args.n - 1 > spherical.MAX_BASIS:
             raise ResourceGuardError(
@@ -194,8 +191,6 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_okounkov(args) -> int:
-    from . import tensor_model
-
     embedding = tensor_model.TensorEmbedding(tensor_model.load_params(args.params))
     xs = [parse_element(args.x)] if args.x else list(enumerate_rn(2))
     ys = [parse_element(args.y)] if args.y else list(enumerate_rn(2))

@@ -379,8 +379,8 @@ def padded_rn(n: int) -> Iterator[tuple[int | None, ...]]:
         raise ValueError("n must be nonnegative")
     if n > MAX_ENUMERATION_GROUND_SET:
         raise ResourceGuardError(
-            f"R_{n} has {rn_size(n)} elements; the enumeration guard is "
-            f"n <= {MAX_ENUMERATION_GROUND_SET}"
+            f"R_{n} has {rn_size(n)} elements; n = {n} exceeds the guard "
+            f"MAX_ENUMERATION_GROUND_SET = {MAX_ENUMERATION_GROUND_SET}"
         )
     points = range(1, n + 1)
     for k in range(n + 1):

@@ -1,4 +1,6 @@
-"""Shared by every layer: exceptions, integer reading, the record base, the sweep report and its tally, guard limits."""
+"""Shared by every layer: exceptions, JSON number reading, the record base, the sweep report and its tally, guard limits."""
+
+from fractions import Fraction
 
 # Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
 # f(r_i r_j*) for I_STAR_J.  Kept here so the CLI parser can list them without
@@ -63,6 +65,25 @@ def json_int(value, what: str) -> int:
         except ValueError:
             pass
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def json_fraction(value, what: str) -> Fraction:
+    """A rational from JSON input: an int, a float or a string such as ``"1/3"``.
+
+    ``Fraction()`` alone would read ``true`` as 1 and ``false`` as 0; a bool
+    raises ParseError.  Any other value goes to ``Fraction()``, which raises
+    TypeError, ValueError or ZeroDivisionError for one it cannot read.
+
+    >>> json_fraction("1/3", "t"), json_fraction(2, "t"), json_fraction(0.5, "t")
+    (Fraction(1, 3), Fraction(2, 1), Fraction(1, 2))
+    >>> json_fraction(True, "t")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: t must be a rational number, got True
+    """
+    if isinstance(value, bool):
+        raise ParseError(f"{what} must be a rational number, got {value!r}")
+    return Fraction(value)
 
 
 class ResourceGuardError(RuntimeError):

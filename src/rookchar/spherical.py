@@ -69,7 +69,9 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     n, l = model.n, model.l
     size = math.comb(n, l)
     if size > MAX_BASIS:
-        raise ResourceGuardError(f"basis of size C({n},{l}) = {size} exceeds the guard")
+        raise ResourceGuardError(
+            f"basis of size C({n},{l}) = {size} exceeds the guard MAX_BASIS = {MAX_BASIS}"
+        )
     line, kills = r.one_line(n), r.domain_gaps()
     if len(kills) > l:
         return Fraction(0)

@@ -49,6 +49,7 @@ from .errors import (
     ParseError,
     Record,
     ResourceGuardError,
+    json_fraction,
     json_int,
     tally,
 )
@@ -215,9 +216,10 @@ def _json_params(
     try:
         mark = data.get("mark")
         return (
-            tuple(Fraction(a) for a in data.get("alpha", ())),
-            tuple(Fraction(b) for b in data.get("beta", ())),
-            None if mark is None else (json_int(mark["i"], "mark 'i'"), Fraction(mark["t"])),
+            tuple(json_fraction(a, "alpha entry") for a in data.get("alpha", ())),
+            tuple(json_fraction(b, "beta entry") for b in data.get("beta", ())),
+            None if mark is None
+            else (json_int(mark["i"], "mark 'i'"), json_fraction(mark["t"], "mark 't'")),
         )
     except KeyError as exc:  # only the mark's fields are looked up by key
         raise ParseError(f"malformed state JSON: mark needs {exc}") from exc

@@ -42,7 +42,7 @@ from . import states  # for an annotation only: its body does not run
 from .elements import PartialBijection, transposition
 from .quasicycles import images_invariant
 from .words import EPS1, element_to_word
-from .errors import ParseError, Record, ResourceGuardError, json_int
+from .errors import ParseError, Record, ResourceGuardError, json_fraction, json_int
 
 
 class ModelParams(Record):
@@ -146,7 +146,7 @@ class ModelParams(Record):
     @staticmethod
     def from_json(data: dict) -> "ModelParams":
         try:
-            a_diag = tuple(Fraction(a) for a in data["a_diag"])
+            a_diag = tuple(json_fraction(a, "a_diag entry") for a in data["a_diag"])
             v_sq = tuple(_parse_sqrt(tok) for tok in data["v"])
             regular = tuple(
                 sorted(json_int(j, "regular coordinate") for j in data.get("regular", ()))

@@ -292,6 +292,11 @@ class TestVerifyGolden:
         assert (code, out) == (EXIT_GUARD, "")
         assert f"MAX_GELFAND_N = {MAX_GELFAND_N}" in err
 
+    def test_star_over_the_enumeration_guard_exits_4(self, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "star", "--n", "8")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "R_8 has 1441729 elements" in err and "MAX_ENUMERATION_GROUND_SET = 7" in err
+
     def test_star_sweep_runs_past_the_pair_cap(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "star", "--n", str(MAX_PAIR_SWEEP_N + 1))
         assert code == EXIT_OK
@@ -370,6 +375,29 @@ def test_missing_field_is_named(capsys, tmp_path, command, flag, data, message):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
     assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+# A JSON boolean is not a rational, though Fraction(True) is 1.
+JSON_BOOLEANS = [
+    ("eval", "--state", dict(RUNNING_STATE, alpha=[True]), "alpha entry", True),
+    ("eval", "--state", dict(RUNNING_STATE, beta=[False]), "beta entry", False),
+    ("eval", "--state", dict(RUNNING_STATE, mark={"i": 1, "t": False}), "mark 't'", False),
+    ("oracle", "--params", dict(ORACLE_PARAMS, a_diag=[True, "0", "0", "0"]), "a_diag entry", True),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, field, value",
+    JSON_BOOLEANS,
+    ids=[f"{command} {json.dumps(data)}" for command, _, data, _, _ in JSON_BOOLEANS],
+)
+def test_json_booleans_are_not_rationals(capsys, tmp_path, command, flag, data, field, value):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: malformed ")
+    assert err.endswith(f": {field} must be a rational number, got {value}\n")
 
 
 @pytest.mark.parametrize("mark_i, slots", [(1.0, 3.0), ("1", "3")])
@@ -495,6 +523,11 @@ class TestSpherical:
         assert (code, out) == (EXIT_GUARD, "")
         assert "n = 2000000" in err and "MAX_POINT = 65536" in err
 
+    def test_basis_guard_exits_4(self, capsys):
+        code, out, err = run(capsys, "spherical", "--n", "20", "--l", "10", "--elem", "e")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "C(20,10) = 184756" in err and "MAX_BASIS = 20000" in err
+
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "spherical", "--n", "4", "--l", "2")
         assert code == EXIT_USAGE and err
@@ -528,16 +561,66 @@ class TestUsage:
         assert main(["--help"]) == EXIT_OK
 
 
-# The tensor oracle's public names, which the package serves lazily.
-TENSOR_NAMES = (
-    "ModelParams",
-    "TensorEmbedding",
-    "model_from_state",
-    "okounkov_check",
-    "okounkov_projection_check",
-    "phi_closed_form",
-    "phi_model",
-)
+# The package's public names, which it serves lazily, by the submodule that
+# defines them.
+PUBLIC_NAMES = {
+    "elements": (
+        "PartialBijection",
+        "compose",
+        "cycle",
+        "enumerate_rn",
+        "from_orbits",
+        "idempotent",
+        "identity",
+        "parse_element",
+        "rn_size",
+        "symmetric_group",
+        "transposition",
+    ),
+    "errors": ("CheckReport", "ParseError", "ResourceGuardError"),
+    "quasicycles": (
+        "ConjugacyInvariant",
+        "QuasiCycle",
+        "QuasiCycleDecomposition",
+        "conjugacy_invariant",
+        "decompose",
+        "find_conjugator",
+    ),
+    "algebra": ("FormalSum", "check_gelfand_pair", "symmetrizer"),
+    "words": ("EPS1", "S", "element_to_word", "verify_popova_relations", "word_to_element"),
+    "linalg": ("PsdCertificate", "RationalMatrix", "psd_certificate", "verify_certificate"),
+    "states": (
+        "GramReport",
+        "State",
+        "ThomaParams",
+        "check_centrality",
+        "check_conjugation_invariance",
+        "check_multiplicativity",
+        "check_star_symmetry",
+        "classify_factor_type",
+        "evaluate",
+        "gram_matrix",
+        "make_state",
+        "thoma_character",
+    ),
+    "spherical": (
+        "SphericalModel",
+        "infinite_spherical_value",
+        "spherical_coeff",
+        "spherical_coeff_closed_form",
+        "spherical_limit_check",
+    ),
+    "tensor_model": (
+        "ModelParams",
+        "TensorEmbedding",
+        "model_from_state",
+        "okounkov_check",
+        "okounkov_projection_check",
+        "phi_closed_form",
+        "phi_model",
+    ),
+}
+TENSOR_NAMES = PUBLIC_NAMES["tensor_model"]
 RUN_MAIN = """
 import contextlib, io, sys
 from rookchar.cli import main
@@ -659,16 +742,52 @@ class TestImportBoundary:
         assert "states" not in bodies
 
     def test_lazy_names_are_the_oracle_objects(self):
+        # Every public name, each the object its defining module holds.
+        script = (
+            "import importlib, sys, rookchar\n"
+            "pairs = [arg.split(':') for arg in sys.argv[1:]]\n"
+            "names = [name for _, name in pairs]\n"
+            "print(sorted(rookchar.__all__) == sorted(names), set(names) <= set(dir(rookchar)))\n"
+            "got = [getattr(rookchar, name) for name in names]\n"
+            "print('numpy' in sys.modules)\n"
+            "print(all(g is getattr(importlib.import_module('rookchar.' + m), n)\n"
+            "          for g, (m, n) in zip(got, pairs)))\n"
+        )
+        pairs = [f"{module}:{name}" for module, names in PUBLIC_NAMES.items() for name in names]
+        assert len(pairs) == 56
+        assert fresh_python(script, *pairs) == ["True", "True", "False", "True"]
+
+    def test_import_registers_every_module_but_cli(self):
+        # The tracer (perfbench/tracing.py) patches each module through
+        # sys.modules; cli stays out so that ``python -m`` runs its body once.
         script = (
             "import sys, rookchar\n"
-            "names = sys.argv[1:]\n"
-            "listed = set(names) <= set(dir(rookchar)) and set(names) <= set(rookchar.__all__)\n"
-            "print(listed, 'numpy' in sys.modules)\n"
-            "got = [getattr(rookchar, name) for name in names]\n"
-            "from rookchar import tensor_model\n"
-            "print(all(g is getattr(tensor_model, n) for g, n in zip(got, names)))\n"
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'rookchar'))\n"
         )
-        assert fresh_python(script, *TENSOR_NAMES) == ["True", "False", "True"]
+        package = pathlib.Path(rookchar.__file__).parent
+        expected = sorted(
+            f"rookchar.{p.stem}" for p in package.glob("*.py") if p.stem not in ("__init__", "cli")
+        )
+        assert fresh_python(script) == ["rookchar", *expected]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "[2,3,_,4,_]"],
+            ["eval", "--elem", "(1 2)e{1}"],
+            *(["verify", "--suite", suite, "--n", "3"] for suite in VERIFY_SUITES),
+            ["gram", "--n", "2"],
+            ["spherical", "--n", "5", "--l", "2", "--all-idempotents"],
+            ["oracle", "--params", "PARAMS", "--n", "2"],
+            ["okounkov", "--params", "PARAMS", "--k", "2"],
+        ],
+        ids=lambda argv: f"verify-{argv[2]}" if argv[0] == "verify" else argv[0],
+    )
+    def test_every_command_leaves_numpy_and_dataclasses_out(self, argv, params_file):
+        argv = [params_file if arg == "PARAMS" else arg for arg in argv]
+        script = RUN_AS_MAIN + "print('numpy' in sys.modules)\n"
+        code, dataclasses, *_, numpy = fresh_python(script, *argv)
+        assert (code, dataclasses, numpy) == ("0", "False", "False")
 
     def test_star_import_loads_the_lazy_names(self):
         script = (
