@@ -68,9 +68,11 @@ def json_int(value, what: str) -> int:
 
 
 def json_fraction(value, what: str) -> Fraction:
-    """A rational from JSON input: an int, a float or a string such as ``"1/3"``.
+    """A rational from outside the program: an int, a float or a string such as ``"1/3"``.
 
-    ``Fraction()`` alone would read ``true`` as 1 and ``false`` as 0; a bool
+    Every rational that reaches the library from JSON input or from a caller's
+    arguments (alpha, beta, a mark weight, a_diag, squared v) is read here.
+    ``Fraction()`` alone would read ``True`` as 1 and ``False`` as 0; a bool
     raises ParseError.  Any other value goes to ``Fraction()``, which raises
     TypeError, ValueError or ZeroDivisionError for one it cannot read.
 
@@ -84,6 +86,31 @@ def json_fraction(value, what: str) -> Fraction:
     if isinstance(value, bool):
         raise ParseError(f"{what} must be a rational number, got {value!r}")
     return Fraction(value)
+
+
+def json_array(value, what: str) -> list:
+    """A list field of JSON input, which must be a JSON array.
+
+    Iterating a string would read its characters as entries, and iterating an
+    object its keys; anything but a list raises ParseError.
+
+    >>> json_array(["1/2", 0], "alpha")
+    ['1/2', 0]
+    >>> json_array("10", "a_diag")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: a_diag must be a JSON array, got '10'
+    """
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array, got {value!r}")
+    return value
+
+
+def json_object(value, what: str) -> dict:
+    """A JSON object from JSON input; anything but a dict raises ParseError naming ``what``."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 class ResourceGuardError(RuntimeError):

@@ -1,4 +1,4 @@
-"""Quasi-cycle decomposition and conjugacy under the symmetric group.
+"""Quasi-cycle decomposition, conjugacy under the symmetric group, and class functions.
 
 Every element factors uniquely (up to order) into pairwise disjoint parts of
 three kinds:
@@ -170,6 +170,54 @@ def images_invariant(images: tuple[int | None, ...]) -> ConjugacyInvariant:
     return _interned_invariant(tuple(quasi), tuple(cycles), trivial)
 
 
+# Entries each memo of a ClassFunction holds before it starts over; the same
+# bound as decompose's cache.  Each image-tuple entry keeps its tuple alive.
+MAX_MEMO_ELEMENTS = 65536
+
+
+class ClassFunction:
+    """The class function ``invariant.product(cycle, quasi)``, memoised twice.
+
+    ``by_images`` maps each image tuple met so far (an element's, or one
+    padded to n by a sweep) to its value; on a miss, the invariant counted
+    from the images is looked up in ``by_class``.  Each dict is emptied when it
+    reaches ``MAX_MEMO_ELEMENTS`` entries; until then a class has one value object.
+
+    >>> f = ClassFunction(cycle=lambda n: 10 * n, quasi=lambda n: n + 1)
+    >>> f(parse_element("(1 2 3)e{3}(4 5)e{6}")), len(f.by_class)
+    (160, 1)
+    """
+
+    __slots__ = ("cycle", "quasi", "by_class", "by_images")
+
+    def __init__(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]):
+        self.cycle, self.quasi = cycle, quasi
+        self.by_class: dict[ConjugacyInvariant, Any] = {}
+        self.by_images: dict[tuple[int | None, ...], Any] = {}
+
+    def value(self, r: PartialBijection) -> Any:
+        return self.of_images(r.images)
+
+    def of_images(self, images: tuple[int | None, ...]) -> Any:
+        """The value of the element with these images, trimmed or padded with
+        fixed points, which change neither invariant nor value (two memo entries)."""
+        value = self.by_images.get(images)
+        if value is not None:
+            return value
+        invariant = images_invariant(images)
+        value = self.by_class.get(invariant)
+        if value is None:
+            if len(self.by_class) >= MAX_MEMO_ELEMENTS:
+                self.by_class.clear()
+            value = self.by_class[invariant] = invariant.product(self.cycle, self.quasi)
+        if len(self.by_images) >= MAX_MEMO_ELEMENTS:
+            self.by_images.clear()
+        self.by_images[images] = value
+        return value
+
+    __call__ = value  # evaluate and the sweeps call the method, which is faster
+
+
 @functools.lru_cache(maxsize=65536)
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
@@ -235,9 +283,10 @@ def find_conjugator(
     def sort_key(part: QuasiCycle) -> tuple[int, int]:
         return (-part.length, min(part.orbit))
 
+    parts1, parts2 = decompose(r1).parts, decompose(r2).parts
     for kind in (QUASI, CYCLE, TRIVIAL):
-        sources = sorted((p for p in decompose(r2).parts if p.kind == kind), key=sort_key)
-        targets = sorted((p for p in decompose(r1).parts if p.kind == kind), key=sort_key)
+        sources = sorted((p for p in parts2 if p.kind == kind), key=sort_key)
+        targets = sorted((p for p in parts1 if p.kind == kind), key=sort_key)
         for src, dst in zip(sources, targets):
             for p, q in zip(src.orbit, dst.orbit):
                 images[p - 1] = q

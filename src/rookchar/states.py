@@ -18,10 +18,11 @@ Values are memoised per conjugacy class.  The states are S_infinity-invariant,
 f(s r s^-1) = f(r) for every finitary permutation s, so a value depends only on
 the element's :class:`~rookchar.quasicycles.ConjugacyInvariant` (the orbit
 sizes of its quasi-cycles and plain cycles and its trivial count).  Each
-parameter set keeps one table (:class:`ValueTable`) from invariant to value
-and a bounded memo from image tuple to value.  An element met before costs
-one dictionary lookup; a new one costs an orbit-length count of its image
-tuple (:func:`~rookchar.quasicycles.images_invariant`) plus a class lookup,
+parameter set keeps one table (:class:`ValueTable`), a
+:class:`~rookchar.quasicycles.ClassFunction` with bounded memos from image
+tuple and from invariant to value, the same table type that holds the tensor
+model's closed form.  An element met before costs one dictionary lookup; a
+new one costs an orbit-length count of its image tuple plus a class lookup,
 and no decomposition is built.
 
 The four state sweeps (centrality, conjugation invariance, multiplicativity,
@@ -49,19 +50,17 @@ from .errors import (
     ParseError,
     Record,
     ResourceGuardError,
+    json_array,
     json_fraction,
     json_int,
+    json_object,
     tally,
 )
-from .quasicycles import ConjugacyInvariant, images_invariant
+from .quasicycles import ClassFunction
 
 # The dense Gram route builds and certifies an m x m matrix of Fractions, so
 # m is guarded: R_4's 209 elements pass, R_5's 1546 would run for hours.
 MAX_GRAM_ELEMENTS = 1024
-
-# Entries a ValueTable's element memo holds before it starts over; the same
-# bound as decompose's cache.  Each entry keeps its image tuple alive.
-MAX_MEMO_ELEMENTS = 65536
 
 TYPE_I_INF = "TypeIinf"
 TYPE_II_INF = "TypeIIinf"
@@ -87,7 +86,8 @@ class ThomaParams(Record):
     @staticmethod
     def of(alpha: Iterable = (), beta: Iterable = ()) -> "ThomaParams":
         return ThomaParams(
-            tuple(Fraction(a) for a in alpha), tuple(Fraction(b) for b in beta)
+            tuple(json_fraction(a, "alpha entry") for a in alpha),
+            tuple(json_fraction(b, "beta entry") for b in beta),
         )
 
 
@@ -105,20 +105,16 @@ def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int
     )
 
 
-class ValueTable:
-    """The family's value function for one parameter set, memoised twice.
+class ValueTable(ClassFunction):
+    """The family's value function for one parameter set: a memoised class function.
 
-    ``by_images`` maps each image tuple met so far (an element's, or one
-    padded to n by a sweep) to its value; it is emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries.  On a
-    miss, the element's invariant is counted from its images and looked up
-    in ``by_class``, which maps each conjugacy invariant met so far to its
-    value.  A new class's value is the invariant's ``product`` of the cycle
-    factors and ``t * base**n`` for a quasi-cycle of n points.  The mark
-    ``(i, t)`` must name an alpha entry, and ``base`` is that entry
-    ``alpha_i``; with no mark, t and base are 0.
+    A class's value is the product of the cycle factors and ``t * base**n``
+    for a quasi-cycle of n points.  The mark ``(i, t)`` must name an alpha
+    entry, and ``base`` is that entry ``alpha_i``; with no mark, t and base
+    are 0.
     """
 
-    __slots__ = ("alpha", "beta", "t", "base", "by_class", "by_images")
+    __slots__ = ("alpha", "beta", "t", "base")
 
     def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
                  mark: tuple[int, Fraction] | None):
@@ -129,38 +125,7 @@ class ValueTable:
                 raise ValueError(f"marked index {i} out of range")
             base = alpha[i - 1]
         self.alpha, self.beta, self.t, self.base = alpha, beta, t, base
-        self.by_class: dict[ConjugacyInvariant, Fraction] = {}
-        self.by_images: dict[tuple[int | None, ...], Fraction] = {}
-
-    def value(self, r: PartialBijection) -> Fraction:
-        return self.of_images(r.images)
-
-    def of_images(self, images: tuple[int | None, ...]) -> Fraction:
-        """The value of the element with these images, trimmed or padded.
-
-        Padding with fixed points changes neither the conjugacy invariant nor
-        the value, so both forms may be looked up (as separate memo entries).
-        """
-        value = self.by_images.get(images)
-        if value is not None:
-            return value
-        invariant = images_invariant(images)
-        value = self.by_class.get(invariant)
-        if value is None:
-            value = self.by_class[invariant] = self._class_value(invariant)
-        if len(self.by_images) >= MAX_MEMO_ELEMENTS:
-            self.by_images.clear()
-        self.by_images[images] = value
-        return value
-
-    # A table is also a plain value function; evaluate and the sweeps call
-    # the method, which skips the slower call through __call__.
-    __call__ = value
-
-    def _class_value(self, invariant: ConjugacyInvariant) -> Fraction:
-        return invariant.product(
-            lambda n: _cycle_value(self.alpha, self.beta, n), lambda n: self.t * self.base**n
-        )
+        super().__init__(lambda n: _cycle_value(alpha, beta, n), lambda n: t * base**n)
 
 
 class State(Record):
@@ -214,10 +179,12 @@ def _json_params(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, Fraction] | None]:
     """alpha, beta and the mark (i, t) of state JSON; ParseError on a malformed value."""
     try:
+        data = json_object(data, "the top level")
+        alpha, beta = (json_array(data.get(key, []), key) for key in ("alpha", "beta"))
         mark = data.get("mark")
         return (
-            tuple(json_fraction(a, "alpha entry") for a in data.get("alpha", ())),
-            tuple(json_fraction(b, "beta entry") for b in data.get("beta", ())),
+            tuple(json_fraction(a, "alpha entry") for a in alpha),
+            tuple(json_fraction(b, "beta entry") for b in beta),
             None if mark is None
             else (json_int(mark["i"], "mark 'i'"), json_fraction(mark["t"], "mark 't'")),
         )
@@ -231,7 +198,7 @@ def make_state(alpha: Iterable = (), beta: Iterable = (), mark=None) -> State:
     """Validate and build a state; raises ValueError on bad parameters."""
     if mark is not None:
         i, t = mark
-        mark = (json_int(i, "mark index"), Fraction(t))
+        mark = (json_int(i, "mark index"), json_fraction(t, "mark weight"))
     return State(ThomaParams.of(alpha, beta), mark)
 
 
@@ -350,7 +317,9 @@ def gram_matrix(
 
 # --- property sweeps ----------------------------------------------------------
 #
-# The sweeps run on padded image tuples (see the module docstring).
+# The sweeps run on padded image tuples (see the module docstring).  Values
+# are compared by identity first and by ``==`` only when the objects differ:
+# a table returns the one Fraction it holds per class.
 
 
 def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
@@ -358,12 +327,11 @@ def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
 
 
 def _images_fn(state) -> Callable[[tuple[int | None, ...]], Fraction]:
-    """``images -> value``: a State or ValueTable reads its table, any other
-    value function gets the element with those images."""
-    if isinstance(state, State):
-        return state.table.of_images
-    if isinstance(state, ValueTable):
-        return state.of_images
+    """``images -> value``: a State or a table (any ClassFunction, such as a
+    ValueTable) reads the table, any other value function gets the element."""
+    table = state.table if isinstance(state, State) else state
+    if isinstance(table, ClassFunction):
+        return table.of_images
     f, element = _value_fn(state), PartialBijection._canonical
     return lambda images: f(element(images))
 
@@ -387,11 +355,7 @@ def _check_pair_sweep(suite: str, n: int) -> None:
 
 
 def check_centrality(state, n: int) -> CheckReport:
-    """f(r s) = f(s r) for every r in R_n and permutation s of 1..n.
-
-    Values are rationals, compared by identity first and by ``==`` only when
-    the objects differ: a table returns the one Fraction it holds per class.
-    """
+    """f(r s) = f(s r) for every r in R_n and permutation s of 1..n."""
     _check_pair_sweep("centrality", n)
     f = _images_fn(state)
     # Permutations of 1..n as image tuples, in symmetric_group's order.
@@ -432,11 +396,7 @@ def check_multiplicativity(state, n: int) -> CheckReport:
 
 
 def check_star_symmetry(state, n: int) -> CheckReport:
-    """f(r*) = f(r); values are real rationals, so conjugation is trivial.
-
-    Values are rationals, compared by identity first and by ``==`` only when
-    the objects differ: a table returns the one Fraction it holds per class.
-    """
+    """f(r*) = f(r); values are real rationals, so conjugation is trivial."""
     f = _images_fn(state)
 
     def failures():
@@ -448,11 +408,7 @@ def check_star_symmetry(state, n: int) -> CheckReport:
 
 
 def check_conjugation_invariance(state, n: int) -> CheckReport:
-    """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n.
-
-    Values are rationals, compared by identity first and by ``==`` only when
-    the objects differ: a table returns the one Fraction it holds per class.
-    """
+    """f(s r s^-1) = f(r) for every r in R_n and permutation s of 1..n."""
     _check_pair_sweep("conjugation-invariance", n)
     f = _images_fn(state)
     perms = [(s, (None,) + s, gather([y - 1 for y in invert_images(s)]))

@@ -9,8 +9,9 @@ instance is valid and nothing downstream checks them again.
 
 Two independent evaluation routes are provided:
 
-* :func:`phi_closed_form` takes the conjugacy invariant's ``product`` of
-  per-part traces over the part lengths -- exact rationals throughout;
+* :func:`phi_closed_form` reads the parameters' class-function table, whose
+  value on a class is the conjugacy invariant's ``product`` of per-part
+  traces over the part lengths -- exact rationals throughout;
 * :func:`phi_model` takes a :class:`TensorEmbedding`, which holds its
   parameters, and applies the generator images on the N-fold tensor
   power along a generator word (a slot swap with a sign twist over the
@@ -40,9 +41,10 @@ from typing import Iterable, Sequence
 
 from . import states  # for an annotation only: its body does not run
 from .elements import PartialBijection, transposition
-from .quasicycles import images_invariant
+from .quasicycles import ClassFunction
 from .words import EPS1, element_to_word
-from .errors import ParseError, Record, ResourceGuardError, json_fraction, json_int
+from .errors import (
+    ParseError, Record, ResourceGuardError, json_array, json_fraction, json_int, json_object)
 
 
 class ModelParams(Record):
@@ -63,8 +65,8 @@ class ModelParams(Record):
     """
 
     _fields = ("a_diag", "v_sq", "regular", "slots")
-    # _factors: the trace factors phi_closed_form has computed for these parameters.
-    __slots__ = _fields + ("_factors",)
+    # table: phi_closed_form's ClassFunction; not a field, so not compared or hashed.
+    __slots__ = _fields + ("table",)
 
     def __init__(self, a_diag: tuple[Fraction, ...], v_sq: tuple[Fraction, ...],
                  regular: tuple[int, ...], slots: int):
@@ -116,13 +118,14 @@ class ModelParams(Record):
         if failures:
             raise ValueError("invalid model parameters: " + "; ".join(failures))
         self._set(a_diag, v_sq, regular, slots)
-        object.__setattr__(self, "_factors", {})
+        table = ClassFunction(lambda n: _tr_cycle(self, n), lambda n: _tr_q_pow_abs(self, n - 1))
+        object.__setattr__(self, "table", table)
 
     @staticmethod
     def of(a_diag: Iterable, v_sq: Iterable, regular: Iterable[int] = (), slots: int = 4) -> "ModelParams":
         return ModelParams(
-            tuple(Fraction(a) for a in a_diag),
-            tuple(Fraction(q) for q in v_sq),
+            tuple(json_fraction(a, "a_diag entry") for a in a_diag),
+            tuple(json_fraction(q, "v_sq entry") for q in v_sq),
             tuple(sorted(json_int(j, "regular coordinate") for j in regular)),
             json_int(slots, "slots"),
         )
@@ -146,11 +149,12 @@ class ModelParams(Record):
     @staticmethod
     def from_json(data: dict) -> "ModelParams":
         try:
-            a_diag = tuple(json_fraction(a, "a_diag entry") for a in data["a_diag"])
-            v_sq = tuple(_parse_sqrt(tok) for tok in data["v"])
-            regular = tuple(
-                sorted(json_int(j, "regular coordinate") for j in data.get("regular", ()))
-            )
+            data = json_object(data, "the top level")
+            a_diag, v = (json_array(data[key], key) for key in ("a_diag", "v"))
+            a_diag = tuple(json_fraction(a, "a_diag entry") for a in a_diag)
+            v_sq = tuple(_parse_sqrt(tok) for tok in v)
+            regular = tuple(sorted(json_int(j, "regular coordinate")
+                                   for j in json_array(data.get("regular", []), "regular")))
             slots = json_int(data["N"], "'N'")
         except KeyError as exc:
             raise ParseError(f"malformed model parameters: missing {exc}") from exc
@@ -166,7 +170,10 @@ def _format_sqrt(q: Fraction) -> str:
     return f"sqrt({q})"
 
 
-def _parse_sqrt(token: str) -> Fraction:
+def _parse_sqrt(token) -> Fraction:
+    """v_j^2 from a ``v`` entry: a number or rational string squared, or q from ``"sqrt(q)"``."""
+    if not isinstance(token, str):
+        return json_fraction(token, "v entry") ** 2
     token = token.strip()
     try:
         if token.startswith("sqrt(") and token.endswith(")"):
@@ -194,22 +201,6 @@ def _tr_cycle(p: ModelParams, k: int) -> Fraction:
     return sum((a ** (k - 1) * abs(a) for a in p.a_diag), Fraction(0))
 
 
-# Trace factors one parameter set keeps before its table starts over.
-MAX_FACTORS = 1024
-
-
-def _factor(p: ModelParams, trace, m: int) -> Fraction:
-    """``trace(p, m)``, computed once per parameter set."""
-    table = p._factors
-    key = (trace, m)
-    value = table.get(key)
-    if value is None:
-        if len(table) >= MAX_FACTORS:
-            table.clear()
-        value = table[key] = trace(p, m)
-    return value
-
-
 def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     """Exact state value from the per-part trace formulas.
 
@@ -217,11 +208,10 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     and each factor depends only on a part's kind and length, so it is the
     product over r's conjugacy invariant: Tr(q |A|) for each trivial point,
     Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
-    plain cycle.  Each factor is computed once per parameter set.
+    plain cycle.  Each class's value is computed once per parameter set and
+    kept in ``p.table``, a :class:`~rookchar.quasicycles.ClassFunction`.
     """
-    return images_invariant(r.images).product(
-        lambda n: _factor(p, _tr_cycle, n), lambda n: _factor(p, _tr_q_pow_abs, n - 1)
-    )
+    return p.table.value(r)
 
 
 # --- product-tensor route ------------------------------------------------------

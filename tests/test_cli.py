@@ -383,6 +383,7 @@ JSON_BOOLEANS = [
     ("eval", "--state", dict(RUNNING_STATE, beta=[False]), "beta entry", False),
     ("eval", "--state", dict(RUNNING_STATE, mark={"i": 1, "t": False}), "mark 't'", False),
     ("oracle", "--params", dict(ORACLE_PARAMS, a_diag=[True, "0", "0", "0"]), "a_diag entry", True),
+    ("oracle", "--params", dict(ORACLE_PARAMS, v=[True, 0, 0, 0]), "v entry", True),
 ]
 
 
@@ -398,6 +399,61 @@ def test_json_booleans_are_not_rationals(capsys, tmp_path, command, flag, data, 
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: malformed ")
     assert err.endswith(f": {field} must be a rational number, got {value}\n")
+
+
+# A string or an object where a list belongs was iterated: "10" read as
+# a_diag = (1, 0), {"a": 1} as one alpha entry "a".  A top level that is not
+# an object failed with an internal message.
+JSON_SHAPES = [
+    ("oracle", "--params", {"a_diag": "10", "v": ["1", "0"], "N": 2},
+     "malformed model parameters: a_diag must be a JSON array, got '10'"),
+    ("oracle", "--params", dict(ORACLE_PARAMS, v="1"),
+     "malformed model parameters: v must be a JSON array, got '1'"),
+    ("oracle", "--params", dict(ORACLE_PARAMS, regular="4"),
+     "malformed model parameters: regular must be a JSON array, got '4'"),
+    ("oracle", "--params", [],
+     "malformed model parameters: the top level must be a JSON object, got list"),
+    ("eval", "--state", {"alpha": "1"},
+     "malformed state JSON: alpha must be a JSON array, got '1'"),
+    ("eval", "--state", {"beta": "1"},
+     "malformed state JSON: beta must be a JSON array, got '1'"),
+    ("eval", "--state", {"alpha": {"a": 1}},
+     "malformed state JSON: alpha must be a JSON array, got {'a': 1}"),
+    ("eval", "--state", [],
+     "malformed state JSON: the top level must be a JSON object, got list"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, message",
+    JSON_SHAPES,
+    ids=[f"{command} {json.dumps(data)}" for command, _, data, _ in JSON_SHAPES],
+)
+def test_json_shapes_are_checked(capsys, tmp_path, command, flag, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, flag, str(path), *COMMAND_TAIL[command])
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
+def test_unchecked_state_shape_is_checked(capsys, tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"alpha": "3/4"}))
+    code, out, err = run(capsys, "gram", "--n", "2", "--state", str(path), "--unchecked")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: malformed state JSON: alpha must be a JSON array, got '3/4'\n"
+
+
+def test_numeric_v_entries_are_squared(capsys, tmp_path):
+    # "v": [1, 0] failed with "'int' object has no attribute 'strip'".
+    outputs = []
+    for v in (["1/2", "1/2", "1/2", "1/2"], [0.5, 0.5, 0.5, "1/2"], ["sqrt(1/4)"] * 4):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"a_diag": ["1/4"] * 4, "v": v, "N": 2}))
+        code, out, _ = run(capsys, "oracle", "--params", str(path), "--n", "2")
+        assert code == EXIT_OK
+        outputs.append(out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("mark_i, slots", [(1.0, 3.0), ("1", "3")])

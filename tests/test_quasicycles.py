@@ -15,6 +15,7 @@ from rookchar.elements import (
     parse_element,
     symmetric_group,
 )
+from rookchar import quasicycles
 from rookchar.quasicycles import (
     CYCLE,
     QUASI,
@@ -140,6 +141,19 @@ class TestFindConjugator:
         r2 = parse_element("(4 5 6)e{6}")
         s = find_conjugator(r1, r2)
         assert compose(compose(s, r2), s.star()) == r1
+
+    def test_decomposes_each_element_once(self, monkeypatch):
+        calls = []
+
+        def counting(r):
+            calls.append(r)
+            return decompose.__wrapped__(r)
+
+        monkeypatch.setattr(quasicycles, "decompose", counting)
+        r1, r2 = parse_element("(1 2 3)e{3}(4 5)e{6}"), parse_element("(4 5 6)e{6}(2 3)e{1}")
+        s = find_conjugator(r1, r2)
+        assert compose(compose(s, r2), s.star()) == r1
+        assert len(calls) == 2 and set(calls) == {r1, r2}
 
     def test_none_when_invariants_differ(self):
         assert find_conjugator(idempotent([1]), parse_element("(1 2)")) is None

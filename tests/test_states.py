@@ -13,7 +13,7 @@ from rookchar.elements import (
     parse_element,
     symmetric_group,
 )
-from rookchar import states
+from rookchar import quasicycles
 from rookchar.errors import MAX_VIOLATIONS
 from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose
 from rookchar.states import (
@@ -116,6 +116,25 @@ class TestMakeState:
         else:
             with pytest.raises(ValueError, match="mark index must be an integer"):
                 make_state(alpha=["1/2"], mark=(index, "1/2"))
+
+    # Fraction() would read True as 1 and False as 0: alpha = (1), t = 1.
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(alpha=[True]), "alpha entry"),
+            (dict(alpha=["1/2"], beta=[False]), "beta entry"),
+            (dict(alpha=["1/2"], mark=(1, True)), "mark weight"),
+        ],
+        ids=["alpha", "beta", "mark"],
+    )
+    def test_booleans_are_not_rationals(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"{field} must be a rational number, got (True|False)"):
+            make_state(**kwargs)
+
+    def test_thoma_params_reject_booleans(self):
+        with pytest.raises(ValueError, match="alpha entry must be a rational number, got True"):
+            ThomaParams.of(alpha=[True])
+        assert ThomaParams.of(alpha=[1], beta=[]) == ThomaParams((Fraction(1),), ())
 
     def test_json_roundtrip(self, suite_state):
         assert State.from_json(suite_state.to_json()) == suite_state
@@ -319,17 +338,19 @@ class TestFactorMemo:
                      if running.table.by_class[inv] != overweight.by_class[inv]]
         assert len(differing) == len(classes) - 1  # all but the identity's class
 
-    def test_element_memo_stays_bounded_and_exact(self, monkeypatch):
-        # A small bound, so R_5's 1546 elements cross it three times; values
-        # after every clearing must still be exact.
-        monkeypatch.setattr(states, "MAX_MEMO_ELEMENTS", 500)
+    def test_both_memos_stay_bounded_and_exact(self, monkeypatch):
+        # A bound of 16 trips both memos on R_5: 1546 elements in 36 classes.
+        # Values after every clearing must still be exact.
+        monkeypatch.setattr(quasicycles, "MAX_MEMO_ELEMENTS", 16)
         st = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
         table = st.table
         params = (st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
-        for r in enumerate_rn(5):
+        elems = list(enumerate_rn(5))
+        assert (len(elems), len({decompose(r).invariant for r in elems})) == (1546, 36)
+        for r in elems:
             for x in (r, r.star(), r):
                 assert st.value(x) == uncached_value(*params, x), x.literal()
-                assert len(table.by_images) <= 500
+                assert len(table.by_images) <= 16 and len(table.by_class) <= 16
 
     def test_table_is_per_state(self):
         a = make_state(alpha=["1/2"], mark=(1, "1/2"))

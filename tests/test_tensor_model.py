@@ -20,7 +20,7 @@ from rookchar.elements import (
     symmetric_group,
     transposition,
 )
-from rookchar import tensor_model
+from rookchar import quasicycles, tensor_model
 from rookchar.errors import ResourceGuardError
 from rookchar.quasicycles import CYCLE, decompose
 from rookchar.states import evaluate
@@ -128,6 +128,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="invalid model parameters"):
             ModelParams.of(["1/2", "-1/2"], ["1/2", "1/2"], [], 2)
 
+    # Fraction() would read True as 1: a_diag = (1), v = (1) is admissible.
+    @pytest.mark.parametrize(
+        "a_diag, v_sq, field",
+        [([True], ["1"], "a_diag entry"), (["1"], [True], "v_sq entry")],
+        ids=["a_diag", "v_sq"],
+    )
+    def test_of_rejects_booleans(self, a_diag, v_sq, field):
+        with pytest.raises(ValueError, match=f"{field} must be a rational number, got True"):
+            ModelParams.of(a_diag, v_sq, slots=2)
+
+    def test_json_v_takes_numbers(self):
+        # An int or float entry is v_j itself, squared exactly, as a string is.
+        data = {"a_diag": ["1/4"] * 4, "v": [0.5, 0.5, "1/2", "sqrt(1/4)"], "N": 2}
+        assert ModelParams.from_json(data) == ModelParams.of(["1/4"] * 4, ["1/4"] * 4, slots=2)
+        one = {"a_diag": ["1", "0"], "v": [1, 0], "N": 2}
+        assert ModelParams.from_json(one).v_sq == (1, 0)
+        with pytest.raises(ValueError, match="v entry must be a rational number, got False"):
+            ModelParams.from_json(dict(one, v=[1, False]))
+
     def test_json_roundtrip(self):
         again = ModelParams.from_json(RUNNING.to_json())
         assert again == RUNNING
@@ -184,7 +203,7 @@ class TestClosedForm:
         for r in enumerate_rn(5):
             assert phi_closed_form(params, r) == decomposed_closed_form(params, r), r.literal()
 
-    def test_factors_are_computed_once_per_parameter_set(self, monkeypatch):
+    def test_each_class_is_computed_once_per_parameter_set(self, monkeypatch):
         calls = []
         for name in ("_tr_cycle", "_tr_q_pow_abs"):
             trace = getattr(tensor_model, name)
@@ -194,11 +213,26 @@ class TestClosedForm:
         params = ModelParams.of(RUNNING.a_diag, RUNNING.v_sq, RUNNING.regular, RUNNING.slots)
         elems = list(enumerate_rn(4))
         first = [phi_closed_form(params, r) for r in elems]
-        computed = len(calls)
+        classes = {decompose(r).invariant for r in elems}
+        assert params.table.by_class.keys() == classes and len(classes) == 20
+        # One trace per factor of each class's product: quasi(1) for the
+        # trivial points, then one per plain cycle and per quasi-cycle.
+        assert len(calls) == sum(1 + len(c.c_partition) + len(c.q_partition) for c in classes)
+        calls.clear()
         assert [phi_closed_form(params, r) for r in elems] == first
-        assert len(calls) == computed == len(params._factors)
+        assert calls == []
         # An equal parameter set keeps its own table, with the same values.
+        assert params == RUNNING and params.table is not RUNNING.table
         assert [phi_closed_form(RUNNING, r) for r in elems] == first
+
+    @pytest.mark.parametrize("params", list(ORACLE_PARAMS.values()), ids=list(ORACLE_PARAMS))
+    def test_matches_the_decomposition_with_a_small_memo_bound(self, monkeypatch, params):
+        # 16 entries: both memos of the table start over many times on R_5.
+        monkeypatch.setattr(quasicycles, "MAX_MEMO_ELEMENTS", 16)
+        params = ModelParams(params.a_diag, params.v_sq, params.regular, params.slots)
+        for r in enumerate_rn(5):
+            assert phi_closed_form(params, r) == decomposed_closed_form(params, r), r.literal()
+            assert len(params.table.by_images) <= 16 and len(params.table.by_class) <= 16
 
     def test_rank_one_spectral_relation(self, oracle_params):
         # <A^{m-1} v, v> = <A^{m-2}|A| v, v> when v avoids the negative block.
