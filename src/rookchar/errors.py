@@ -1,6 +1,7 @@
 """Shared by every layer: exceptions, JSON number reading, the record base, the sweep report and its tally, guard limits."""
 
 from fractions import Fraction
+from numbers import Real
 
 # Gram orderings: entry (i, j) is f(r_j* r_i) for STAR_JI (the default) and
 # f(r_i r_j*) for I_STAR_J.  Kept here so the CLI parser can list them without
@@ -72,9 +73,10 @@ def json_fraction(value, what: str) -> Fraction:
 
     Every rational that reaches the library from JSON input or from a caller's
     arguments (alpha, beta, a mark weight, a_diag, squared v) is read here.
-    ``Fraction()`` alone would read ``True`` as 1 and ``False`` as 0; a bool
-    raises ParseError.  Any other value goes to ``Fraction()``, which raises
-    TypeError, ValueError or ZeroDivisionError for one it cannot read.
+    Anything ``Fraction()`` cannot read raises ParseError naming ``what``: a
+    value that is not a real number or a string (``None``, a list, an
+    object), a string such as ``"x"`` or ``"1/0"``, and a JSON ``NaN`` or
+    ``Infinity``.  So does a bool, which ``Fraction()`` would read as 1 or 0.
 
     >>> json_fraction("1/3", "t"), json_fraction(2, "t"), json_fraction(0.5, "t")
     (Fraction(1, 3), Fraction(2, 1), Fraction(1, 2))
@@ -82,10 +84,17 @@ def json_fraction(value, what: str) -> Fraction:
     Traceback (most recent call last):
     ...
     rookchar.errors.ParseError: t must be a rational number, got True
+    >>> json_fraction(None, "t")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: t must be a rational number, got None
     """
-    if isinstance(value, bool):
-        raise ParseError(f"{what} must be a rational number, got {value!r}")
-    return Fraction(value)
+    if not isinstance(value, bool) and isinstance(value, (Real, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            pass
+    raise ParseError(f"{what} must be a rational number, got {value!r}")
 
 
 def json_array(value, what: str) -> list:

@@ -9,16 +9,23 @@ Everything here is exact; the float oracles live in ``tensor_model``.
 
 The elimination keeps the rational Schur complement S of the remaining block
 as an integer block B over one positive integer denominator D, S = B / D.  A
-step multiplies out the update without dividing, then divides B and D by
-their common content: the gcd of D and every entry of B.  On the Gram
-matrices of ``states`` that content is most of each entry's size (Bareiss'
-division by the previous pivot leaves it in place), so removing it keeps the
-entries short.
+step divides the updated B and D by their common content: the gcd of D and
+every entry of B.  On the Gram matrices of ``states`` that content is most of
+each entry's size (Bareiss' division by the previous pivot leaves it in
+place), so removing it keeps the entries short.
+
+A step makes one pass over the block.  It takes a candidate content from D
+and the new diagonal alone, builds each row already divided by it, and checks
+the row's division through its sum.  The candidate is the content on most
+steps; when a row fails, the candidate is lowered to cover that row and the
+rows before it are rescaled, so the content the step ends with is the full
+one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Sequence
 
@@ -110,11 +117,22 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     its denominators, so the remaining block starts as B = scale * M over the
     denominator D = scale.  Step k with pivot entry d = B[k][k] replaces each
     remaining entry by ``d B[i][j] - B[k][i] B[k][j]`` and D by ``D d``, which
-    leaves the rational Schur complement B / D exact, and then divides B and D
-    by the gcd of D and all of B's entries; every such division is checked for
-    a remainder.  Only the upper triangle of B is kept, each row from its
-    diagonal on.  The pivot is ``pivots[k] = d / D`` and the factor is
-    ``lower[i][k] = B[k][i] / d``.
+    leaves the rational Schur complement B / D exact, and divides B and D by
+    the gcd of D and all of B's entries.  Only the upper triangle of B is
+    kept, each row from its diagonal on.  The pivot is ``pivots[k] = d / D``
+    and the factor is ``lower[i][k] = B[k][i] / d``.
+
+    The step is one pass over the block.  The candidate content g is the gcd
+    of ``D d`` and the new diagonal ``d B[i][i] - B[k][i]**2``, a multiple of
+    the content.  Each row is built as ``(d B[i][j] - B[k][i] B[k][j]) // g``
+    and checked through ``g * sum(quotients) == d * sum(row) - B[k][i] *
+    sum(pivot row from i)``: floor remainders lie in [0, g), so the sums agree
+    only when every remainder is 0.  When a row fails, g is lowered to its gcd
+    with that row's updated entries and the rows already divided are
+    multiplied by the ratio of the old g to the new.  The final g divides
+    ``D d`` and every entry, and the content divides every value g was taken
+    from, so g is the content.  A content that does not divide D raises
+    RuntimeError.
 
     Pivot rule: take the largest positive diagonal entry of the remaining
     block (ties go to the first index); when none is positive the block must
@@ -199,18 +217,25 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         d = ak[0]
         pivots.append(Fraction(d, den))
         den *= d
-        g = den
+        # The candidate content: D d and the new diagonal entries.
+        g = gcd(den, *[d * a[i][0] - ak[i - k] ** 2 for i in range(k + 1, n)])
+        tails = list(accumulate(reversed(ak)))  # tails[n - 1 - i] = sum(ak[i - k:])
         for i in range(k + 1, n):
-            aki = ak[i - k]
+            aki, ai = ak[i - k], a[i]
             if aki:
                 lower[i][k] = Fraction(aki, d)
-            a[i] = row = [d * x - aki * y for x, y in zip(a[i], ak[i - k :])]
-            if g != 1:
-                g = gcd(g, *row)
-        if g != 1:
-            (den,) = _divide_exactly((den,), g)
-            for i in range(k + 1, n):
-                a[i] = _divide_exactly(a[i], g)
+            a[i] = row = [(d * x - aki * y) // g for x, y in zip(ai, ak[i - k :])]
+            # Floor remainders lie in [0, g): the sums agree only when all are 0.
+            if g * sum(row) != d * sum(ai) - aki * tails[n - 1 - i]:
+                # g overestimates the content: lower it to cover this row and
+                # bring the rows already divided to the new denominator.
+                row = [d * x - aki * y for x, y in zip(ai, ak[i - k :])]
+                h = gcd(g, *row)
+                c, g = g // h, h
+                for j in range(k + 1, i):
+                    a[j] = [c * x for x in a[j]]
+                a[i] = _divide_exactly(row, g)
+        (den,) = _divide_exactly((den,), g)
 
     return PsdCertificate(
         PSD,

@@ -27,11 +27,14 @@ and no decomposition is built.
 
 The four state sweeps (centrality, conjugation invariance, multiplicativity,
 star symmetry) run on image tuples padded to length n
-(:func:`~rookchar.elements.padded_rn`).  Products are gathers over those
+(:func:`~rookchar.elements.padded_rn`), and so does :func:`gram_matrix`, on
+its elements padded to their largest bound.  Products are gathers over those
 tuples (:func:`~rookchar.elements.gather`), stars are
 :func:`~rookchar.elements.invert_images`, and values are read with
 :meth:`ValueTable.of_images`; any other value function is handed the element
-with those images.  An element is built only to name a violation.
+with those images.  An element is built only to name a violation.  A class
+function takes the same value on r and r*, so its Gram matrix is evaluated
+on one triangle and mirrored.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg  # through the module, so linalg runs only when a Gram is built
-from .elements import PartialBijection, compose, gather, invert_images, padded_rn
+from .elements import PartialBijection, gather, invert_images, padded_rn
 from .errors import (
     I_STAR_J,
     MAX_PAIR_SWEEP_N,
@@ -182,11 +185,13 @@ def _json_params(
         data = json_object(data, "the top level")
         alpha, beta = (json_array(data.get(key, []), key) for key in ("alpha", "beta"))
         mark = data.get("mark")
+        if mark is not None:
+            mark = json_object(mark, "mark")
+            mark = (json_int(mark["i"], "mark 'i'"), json_fraction(mark["t"], "mark 't'"))
         return (
             tuple(json_fraction(a, "alpha entry") for a in alpha),
             tuple(json_fraction(b, "beta entry") for b in beta),
-            None if mark is None
-            else (json_int(mark["i"], "mark 'i'"), json_fraction(mark["t"], "mark 't'")),
+            mark,
         )
     except KeyError as exc:  # only the mark's fields are looked up by key
         raise ParseError(f"malformed state JSON: mark needs {exc}") from exc
@@ -298,19 +303,38 @@ def gram_matrix(
     ``state`` is a ``State`` or any value function, as for the sweeps.  More
     than ``MAX_GRAM_ELEMENTS`` elements raise ResourceGuardError before any
     entry is built.
+
+    Products are gathers over the image tuples padded to the largest bound.
+    When the values come from a class function (a ``State``, a ``ValueTable``
+    or a model's table), entry (j, i) is the value of the star of entry
+    (i, j)'s product, which has the same conjugacy invariant, so each
+    unordered pair is evaluated once and the matrix is mirrored.  Any other
+    value function is evaluated on both triangles, and the certificate's
+    symmetry check sees its own values.
     """
-    f = _value_fn(state)
     elems = tuple(elements)
     check_gram_size(len(elems))
     if len(set(elems)) != len(elems):
         raise ValueError("Gram elements must be distinct")
     if ordering not in (STAR_JI, I_STAR_J):
         raise ValueError(f"unknown ordering {ordering!r}")
-    stars = [rj.star() for rj in elems]
-    if ordering == STAR_JI:
-        rows = [[f(compose(sj, ri)) for sj in stars] for ri in elems]
+    f = _images_fn(state)
+    m = max((len(r.images) for r in elems), default=0)
+    padded = [r.images + tuple(range(len(r.images) + 1, m + 1)) for r in elems]
+    stars = [invert_images(p) for p in padded]
+    # cells[u][v] = f(t_v s_u) with s_u acting first: under starJI s = r and
+    # t = r*, so cells is the matrix f(r_j* r_i); under iStarJ s = r* and
+    # t = r, so it is the matrix's transpose f(r_j r_i*).
+    firsts, thens = (padded, stars) if ordering == STAR_JI else (stars, padded)
+    acts = [gather(_zero_padded(s)) for s in firsts]  # (None,) + t -> t s
+    exts = [(None,) + t for t in thens]
+    if _class_table(state) is None:
+        cells = [[f(act(t)) for t in exts] for act in acts]
+        rows = cells if ordering == STAR_JI else [list(col) for col in zip(*cells)]
     else:
-        rows = [[f(compose(ri, sj)) for sj in stars] for ri in elems]
+        rows = [[f(act(t)) for t in exts[: u + 1]] for u, act in enumerate(acts)]
+        for u, row in enumerate(rows):
+            row.extend([rows[v][u] for v in range(u + 1, len(rows))])
     matrix = linalg.RationalMatrix.from_rows(rows)
     return GramReport(elems, ordering, matrix, linalg.psd_certificate(matrix))
 
@@ -322,17 +346,19 @@ def gram_matrix(
 # a table returns the one Fraction it holds per class.
 
 
-def _value_fn(state) -> Callable[[PartialBijection], Fraction]:
-    return state.value if hasattr(state, "value") else state
+def _class_table(state) -> ClassFunction | None:
+    """The table a State or a ClassFunction (such as a ValueTable) reads, else None."""
+    table = state.table if isinstance(state, State) else state
+    return table if isinstance(table, ClassFunction) else None
 
 
 def _images_fn(state) -> Callable[[tuple[int | None, ...]], Fraction]:
-    """``images -> value``: a State or a table (any ClassFunction, such as a
-    ValueTable) reads the table, any other value function gets the element."""
-    table = state.table if isinstance(state, State) else state
-    if isinstance(table, ClassFunction):
+    """``images -> value``: a State or a table reads the table, any other
+    value function gets the element."""
+    table = _class_table(state)
+    if table is not None:
         return table.of_images
-    f, element = _value_fn(state), PartialBijection._canonical
+    f, element = (state.value if hasattr(state, "value") else state), PartialBijection._canonical
     return lambda images: f(element(images))
 
 

@@ -421,6 +421,18 @@ JSON_SHAPES = [
      "malformed state JSON: alpha must be a JSON array, got {'a': 1}"),
     ("eval", "--state", [],
      "malformed state JSON: the top level must be a JSON object, got list"),
+    # A null entry or a mark that is not an object failed with an internal
+    # message that named no field, and Infinity with a traceback.
+    ("eval", "--state", {"alpha": [None]},
+     "malformed state JSON: alpha entry must be a rational number, got None"),
+    ("eval", "--state", {"alpha": [float("inf")]},
+     "malformed state JSON: alpha entry must be a rational number, got inf"),
+    ("eval", "--state", {"alpha": ["1/2"], "mark": 5},
+     "malformed state JSON: mark must be a JSON object, got int"),
+    ("eval", "--state", {"alpha": ["1/2"], "mark": [1, "1/2"]},
+     "malformed state JSON: mark must be a JSON object, got list"),
+    ("oracle", "--params", {"a_diag": [None], "v": ["1"], "N": 2},
+     "malformed model parameters: a_diag entry must be a rational number, got None"),
 ]
 
 

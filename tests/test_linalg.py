@@ -277,6 +277,38 @@ class TestAgainstFractionReference:
         rows = [[1, 1, 0], [1, 1, Fraction(1, 3)], [0, Fraction(1, 3), 0]]
         assert self.check(rows).verdict == NOT_PSD
 
+    # B^T B matrices on which the gcd of D d and the new diagonal is a multiple
+    # of the content, so a row fails its division check and the content is
+    # lowered.  In the 4 x 4 one a later row of a step fails, so the rows
+    # divided before it are rescaled.
+    CANDIDATE_MISSES = {
+        "3x3": (
+            [["137/144", "1/3", "5/12"], ["1/3", "13/4", "11/4"], ["5/12", "11/4", "7/2"]],
+            ["7/2", "61/56", "7921/8784"],
+            (2, 1, 0),
+        ),
+        "4x4": (
+            [["19/9", "-1/3", "-3/4", "-1/6"], ["-1/3", "5/8", "1/3", "-1/8"],
+             ["-3/4", "1/3", "61/144", "-7/24"], ["-1/6", "-1/8", "-7/24", "37/16"]],
+            ["37/16", "233/111", "3145/5592", "961/25160"],
+            (3, 0, 1, 2),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CANDIDATE_MISSES))
+    def test_candidate_content_recovers(self, monkeypatch, name):
+        rows, pivots, permutation = self.CANDIDATE_MISSES[name]
+        recovered = []
+        divide = linalg._divide_exactly
+        monkeypatch.setattr(
+            linalg, "_divide_exactly",
+            lambda values, g: recovered.append(len(values)) or divide(values, g),
+        )
+        cert = self.check(rows)
+        assert any(length > 1 for length in recovered)  # a row, not only D
+        assert [str(p) for p in cert.pivots] == pivots
+        assert cert.permutation == permutation
+
     def test_empty(self):
         cert = psd_certificate(RationalMatrix(()))
         assert cert == PsdCertificate(PSD, pivots=(), permutation=(), lower=())

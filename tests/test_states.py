@@ -37,7 +37,7 @@ from rookchar.states import (
     thoma_character,
     unchecked_value_fn,
 )
-from rookchar.linalg import NOT_PSD, verify_certificate
+from rookchar.linalg import NOT_PSD, RationalMatrix, psd_certificate, verify_certificate
 from conftest import R4_GRAM_ELEMENTS, SUITE_STATES, is_permutation, sign
 import oracles
 
@@ -253,6 +253,47 @@ class TestGram:
         m = gram_matrix(unchecked_value_fn(overweight), list(enumerate_rn(2)))
         assert m.certificate.verdict == NOT_PSD
         assert verify_certificate(m.matrix, m.certificate)
+
+    @pytest.mark.parametrize("ordering", [STAR_JI, I_STAR_J])
+    def test_class_function_evaluates_each_pair_once(self, ordering):
+        class Counting(quasicycles.ClassFunction):
+            __slots__ = ("calls",)
+
+            def of_images(self, images):
+                self.calls += 1
+                return super().of_images(images)
+
+        running = SUITE_STATES["running"]
+        f = Counting(running.table.cycle, running.table.quasi)
+        f.calls = 0
+        elems = list(enumerate_rn(3))
+        m = len(elems)
+        report = gram_matrix(f, elems, ordering)
+        assert f.calls == m * (m + 1) // 2
+        assert report == gram_matrix(running, elems, ordering)
+
+    @pytest.mark.parametrize("ordering", [STAR_JI, I_STAR_J])
+    def test_value_function_gets_both_triangles(self, ordering):
+        # Not star-symmetric: [2,_] sends 1 to 2, its star [_,1] sends 1
+        # nowhere, so the Gram matrix is not symmetric.
+        def image_of_one(r):
+            return Fraction(r(1) or 0)
+
+        with pytest.raises(ValueError, match="requires a symmetric matrix"):
+            gram_matrix(image_of_one, list(enumerate_rn(2)), ordering)
+
+    @pytest.mark.parametrize("ordering", [STAR_JI, I_STAR_J])
+    def test_model_table_matches_composed_products(self, oracle_params, ordering):
+        elems = list(enumerate_rn(3))
+        f = oracle_params.table
+        if ordering == STAR_JI:
+            rows = [[f(compose(rj.star(), ri)) for rj in elems] for ri in elems]
+        else:
+            rows = [[f(compose(ri, rj.star())) for rj in elems] for ri in elems]
+        matrix = RationalMatrix.from_rows(rows)
+        report = gram_matrix(f, elems, ordering)
+        assert report.matrix == matrix
+        assert report.certificate == psd_certificate(matrix)
 
     # On the 72 elements of R4_GRAM_ELEMENTS the running state gives a full-rank Gram with ~300-bit pivots; the
     # markless zero extension vanishes off the 24 permutations, so rank 24.
