@@ -160,30 +160,37 @@ def cmd_spherical(args) -> int:
                 f"--all-idempotents lists 2^{args.n} - 1 rows, over the guard "
                 f"MAX_BASIS = {spherical.MAX_BASIS}"
             )
-
+        # (kill count, element): an idempotent kills exactly its points.
         targets = [
-            idempotent(points)
+            (b, idempotent(points))
             for b in range(1, args.n + 1)
             for points in itertools.combinations(range(1, args.n + 1), b)
         ]
     elif args.element:
-        targets = [parse_element(args.element)]
+        r = parse_element(args.element)
+        targets = [(len(r.domain_gaps()), r)]
     else:
         raise ParseError("spherical needs --elem or --all-idempotents")
+    # The closed form depends on the kill count alone: one per count met.
+    closed_forms: dict[int, Fraction] = {}
     rows = []
     exact = True
-    for r in targets:
-        killed = len(r.domain_gaps())
+    for killed, r in targets:
         got = spherical.spherical_coeff(model, r)
-        want = spherical.spherical_coeff_closed_form(args.n, args.l, killed)
-        exact = exact and got == want
+        want = closed_forms.get(killed)
+        if want is None:
+            want = closed_forms[killed] = spherical.spherical_coeff_closed_form(
+                args.n, args.l, killed
+            )
+        match = got == want
+        exact = exact and match
         rows.append(
             {
                 "element": r.literal(),
                 "killed": killed,
                 "coefficient": str(got),
                 "closed_form": str(want),
-                "match": got == want,
+                "match": match,
             }
         )
     _emit({"n": args.n, "l": args.l, "rows": rows, "all_match": exact}, args.format)

@@ -219,6 +219,18 @@ def identity() -> PartialBijection:
     return PartialBijection.identity()
 
 
+def _check_points(lowest: int, highest: int) -> None:
+    """Refuse an orbit or kill set that names a point below 1 or above MAX_POINT.
+
+    Called before the image list, which holds one entry per point up to the
+    largest, is built.
+    """
+    if lowest < 1:
+        raise ValueError(f"point {lowest} out of range")
+    if highest > MAX_POINT:
+        raise ResourceGuardError(f"point {highest} exceeds the guard MAX_POINT = {MAX_POINT}")
+
+
 def from_orbits(chains: Iterable[Sequence[int]] = (),
                 cycles: Iterable[Sequence[int]] = ()) -> PartialBijection:
     """The element that sends each point of an orbit to the next one.
@@ -238,10 +250,7 @@ def from_orbits(chains: Iterable[Sequence[int]] = (),
             targets.append(o[0] if closed else None)
     if not points:
         return PartialBijection.identity()
-    if min(points) < 1:
-        raise ValueError(f"point {min(points)} out of range")
-    if max(points) > MAX_POINT:
-        raise ResourceGuardError(f"point {max(points)} exceeds the guard MAX_POINT = {MAX_POINT}")
+    _check_points(min(points), max(points))
     if len(set(points)) != len(points):
         raise ValueError("orbits must be disjoint")
     images: list[int | None] = list(range(1, max(points) + 1))
@@ -251,8 +260,20 @@ def from_orbits(chains: Iterable[Sequence[int]] = (),
 
 
 def idempotent(points: Iterable[int]) -> PartialBijection:
-    """epsilon_A: the partial identity whose domain omits ``points``."""
-    return from_orbits(chains=[(p,) for p in sorted(set(points))])
+    """epsilon_A: the partial identity whose domain omits ``points``.
+
+    >>> idempotent([4, 2, 4]).literal()
+    '[1,_,3,_]'
+    """
+    kills = sorted(set(points))
+    if not kills:
+        return PartialBijection.identity()
+    _check_points(kills[0], kills[-1])
+    images: list[int | None] = list(range(1, kills[-1] + 1))
+    for p in kills:
+        images[p - 1] = None
+    # The largest point is killed, so the list has no trailing fixed point.
+    return PartialBijection._canonical(images)
 
 
 def cycle(points: Sequence[int]) -> PartialBijection:

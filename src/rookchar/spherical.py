@@ -45,9 +45,10 @@ class SphericalModel(Record):
 
 
 @functools.lru_cache(maxsize=4)
-def _subset_basis(n: int, l: int) -> frozenset[tuple[int, ...]]:
-    """The basis labels of pi^(n,l): the sorted l-point subsets of 1..n."""
-    return frozenset(itertools.combinations(range(1, n + 1), l))
+def _subset_basis(n: int, k: int) -> frozenset[tuple[int, ...]]:
+    """The sorted k-point subsets of 1..n: the basis labels of pi^(n,k), or of
+    pi^(n,n-k) by complement."""
+    return frozenset(itertools.combinations(range(1, n + 1), k))
 
 
 def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
@@ -58,9 +59,15 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     every killed point of r, and otherwise sends it to e_line(A), where line
     is the one-line extension of r.  So only the subsets A = kills + S, with
     S an (l-b)-subset of the remaining points, are acted on; each image is
-    looked up in the subset basis and the hits are counted.  This stays an
-    explicit action on the basis, hence a check of the closed form, with
-    O(C(n,l)) memory per model and C(n-b, l-b) images per call.
+    looked up in the subset basis and the hits are counted.
+
+    When 2l > n, each subset is labelled by its (n-l)-point complement
+    instead.  line is a permutation of 1..n, so the complement of line(A) is
+    line of A's complement, and A contains the kills exactly when its
+    complement avoids them: the count runs over the (n-l)-subsets of the
+    remaining points.  Either side stays an explicit action on the basis,
+    hence a check of the closed form, with C(n,l) labels of min(l, n-l)
+    points per model and C(n-b, l-b) images per call.
 
     >>> from rookchar.elements import idempotent
     >>> spherical_coeff(SphericalModel(4, 2), idempotent([1]))
@@ -75,13 +82,15 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     line, kills = r.one_line(n), r.domain_gaps()
     if len(kills) > l:
         return Fraction(0)
-    basis = _subset_basis(n, l)
-    rest = [x for x in range(1, n + 1) if x not in kills]
-    hits = 0
-    for extra in itertools.combinations(rest, l - len(kills)):
-        image = tuple(sorted(line[x - 1] for x in (*kills, *extra)))
-        hits += image in basis
-    return Fraction(hits, size)
+    killed = set(kills)
+    rest = [y for x, y in enumerate(line, start=1) if x not in killed]
+    if 2 * l > n:
+        fixed, k = (), n - l
+    else:
+        fixed, k = tuple(line[x - 1] for x in kills), l - len(kills)
+    basis = _subset_basis(n, min(l, n - l))
+    images = map(tuple, map(sorted, map(fixed.__add__, itertools.combinations(rest, k))))
+    return Fraction(sum(map(basis.__contains__, images)), size)
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:

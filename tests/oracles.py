@@ -11,11 +11,16 @@ their left-to-right product along ``element_to_word(r)``.
 The sweep references list R_n as elements and multiply with ``compose``, and
 read values through the element, never through an image tuple, so they check
 the library's sweeps on padded image tuples case for case.
+
+The spherical reference counts on the l-point subsets alone, one sorted
+tuple per surviving subset, so it checks the library's count on the smaller
+side (complements when 2l > n) and its iterator pipeline.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
+from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -164,3 +169,25 @@ def conjugation_invariance(state, n: int) -> CheckReport:
         for base in (f(r),)
         for s, s_inv in perms
     ))
+
+
+# --- spherical coefficient, one subset at a time ----------------------------------
+
+
+def spherical_coeff(model, r: PartialBijection) -> Fraction:
+    """The hits of pi^(n,l)(r) on the l-point subset basis, over C(n,l).
+
+    Each subset A that holds every killed point is sent to line(A), built as
+    its own sorted tuple and looked up among the l-point subsets.
+    """
+    n, l = model.n, model.l
+    line, kills = r.one_line(n), r.domain_gaps()
+    if len(kills) > l:
+        return Fraction(0)
+    basis = set(combinations(range(1, n + 1), l))
+    rest = [x for x in range(1, n + 1) if x not in kills]
+    hits = 0
+    for extra in combinations(rest, l - len(kills)):
+        image = tuple(sorted(line[x - 1] for x in (*kills, *extra)))
+        hits += image in basis
+    return Fraction(hits, comb(n, l))

@@ -586,6 +586,15 @@ class TestSpherical:
         assert (code, out) == (EXIT_GUARD, "")
         assert f"2^{n} - 1 rows" in err and "MAX_BASIS = 20000" in err
 
+    @pytest.mark.parametrize("l, text", [("65536", "e{1}"), ("0", "e")])
+    def test_largest_ground_set_exits_0_quickly(self, capsys, l, text):
+        # C(65536, l) = 1: one basis label, but a one-line form of 65,536 points.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "spherical", "--n", "65536", "--l", l, "--elem", text)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"][0]["coefficient"] == "1"
+
     def test_ground_set_guard_exits_4(self, capsys):
         code, out, err = run(capsys, "spherical", "--n", "2000000", "--l", "0", "--elem", "e")
         assert (code, out) == (EXIT_GUARD, "")

@@ -89,13 +89,15 @@ class TestPointGuard:
             "(1 4000000)", "e{3000000}", f"(1 {MAX_POINT + 1})", f"e{{2,{MAX_POINT + 1}}}",
             pytest.param({"chains": [(1, 2), (MAX_POINT + 1,)]}, id="from_orbits-chain"),
             pytest.param({"cycles": [(3, MAX_POINT + 1, 2)]}, id="from_orbits-cycle"),
+            pytest.param([2, MAX_POINT + 1], id="idempotent"),
         ],
     )
     def test_refused_before_any_list_is_built(self, text):
+        build = {str: parse_element, dict: lambda kw: from_orbits(**kw), list: idempotent}
         tracemalloc.start()
         try:
             with pytest.raises(ResourceGuardError, match=f"MAX_POINT = {MAX_POINT}"):
-                parse_element(text) if isinstance(text, str) else from_orbits(**text)
+                build[type(text)](text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -105,6 +107,21 @@ class TestPointGuard:
         assert cycle((1, MAX_POINT)).bound == MAX_POINT
         assert idempotent([MAX_POINT]).bound == MAX_POINT
         assert parse_element(f"(1 {MAX_POINT})") == cycle((1, MAX_POINT))
+
+
+class TestIdempotent:
+    def test_point_zero(self):
+        with pytest.raises(ValueError, match="point 0 out of range"):
+            idempotent([0])
+
+    def test_equals_chains_of_single_points(self):
+        for b in range(9):
+            for points in itertools.combinations(range(1, 9), b):
+                assert idempotent(points) == from_orbits(chains=[(p,) for p in points])
+
+    def test_unsorted_points_with_duplicates(self):
+        assert idempotent([5, 2, 5, 7, 2]) == from_orbits(chains=[(2,), (5,), (7,)])
+        assert idempotent(iter([3, 1, 3])).literal() == "[_,2,_]"
 
 
 class TestFromOrbits:

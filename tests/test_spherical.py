@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,12 +18,14 @@ from rookchar.elements import (
 from rookchar.errors import MAX_POINT, ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
+    _subset_basis,
     infinite_spherical_value,
     spherical_coeff,
     spherical_coeff_closed_form,
     spherical_limit_check,
 )
 from conftest import slot_coefficient_table
+import oracles
 
 
 def dense_spherical_coeff(model, r):
@@ -93,6 +96,30 @@ class TestFiniteCoefficients:
                     assert spherical_coeff(model, r) == dense_spherical_coeff(model, r), (
                         n, l, r.literal(),
                     )
+
+    def test_equals_per_subset_reference_on_r5(self):
+        # n = 5..8 with every l: both counting sides, and b > l.
+        elems = list(enumerate_rn(5))
+        for n in range(5, 9):
+            for l in range(n + 1):
+                model = SphericalModel(n, l)
+                for r in elems:
+                    assert spherical_coeff(model, r) == oracles.spherical_coeff(model, r), (
+                        n, l, r.literal(),
+                    )
+
+    def test_complement_side_bounds_memory(self):
+        # C(4000,3999) = 4000 labels under the guard; counted on the 3999-point
+        # side they took 129 MB, on the 1-point complements under 1 MB.
+        _subset_basis.cache_clear()
+        tracemalloc.start()
+        try:
+            got = spherical_coeff(SphericalModel(4000, 3999), parse_element("[2,_,1]"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == spherical_coeff_closed_form(4000, 3999, 1) == Fraction(3999, 4000)
+        assert peak < 3_000_000
 
     def test_large_basis_under_the_guard(self):
         # C(16,8) = 12870 is under the guard; a dense basis matrix would be 1.3 GB.
