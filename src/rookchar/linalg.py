@@ -7,6 +7,13 @@ P^T M P = L diag(pivots) L^T, or an exact rational witness vector v with
 v^T M v < 0.  ``verify_certificate`` rechecks either outcome independently.
 Everything here is exact; the float oracles live in ``tensor_model``.
 
+The certificate keeps each step's integer pivot row, whose entries over the
+pivot are a column of L, and builds the Fractions of L only when ``lower``
+is read; nothing on the ``gram`` path reads it.  The recheck replays the
+elimination in the certificate's order on integers (plain Bareiss, with no
+content reduction) and compares each pivot and column of L with the current
+Schur complement by cross-multiplication, so it forms no Fraction products.
+
 The elimination keeps the rational Schur complement S of the remaining block
 as an integer block B over one positive integer denominator D, S = B / D.  A
 step divides the updated B and D by their common content: the gcd of D and
@@ -25,7 +32,7 @@ one.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import gcd, lcm
 from typing import Sequence
 
@@ -83,9 +90,15 @@ class PsdCertificate(Record):
     input exactly: with P the recorded reordering, (P^T M P)[i][j] equals
     (L diag(pivots) L^T)[i][j].  In the NotPSD case ``witness`` is an exact
     vector with a negative quadratic form.
+
+    ``psd_certificate`` passes ``columns`` instead of ``lower``: for each
+    elimination step k, its integer pivot row (the pivot d first) and the
+    original indices of the rows below k.  The row's entries over d are
+    column k of L, and ``lower`` is built from them on first read.
     """
 
-    __slots__ = _fields = ("verdict", "pivots", "permutation", "lower", "witness")
+    _fields = ("verdict", "pivots", "permutation", "lower", "witness")
+    __slots__ = ("verdict", "pivots", "permutation", "witness", "_lower", "_columns")
 
     def __init__(
         self,
@@ -94,8 +107,19 @@ class PsdCertificate(Record):
         permutation: tuple[int, ...] | None = None,
         lower: tuple[tuple[Fraction, ...], ...] | None = None,
         witness: tuple[Fraction, ...] | None = None,
+        *,
+        columns: tuple[tuple[list[int], tuple[int, ...]], ...] | None = None,
     ):
-        self._set(verdict, pivots, permutation, lower, witness)
+        values = (verdict, pivots, permutation, witness, lower, columns)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    @property
+    def lower(self) -> tuple[tuple[Fraction, ...], ...] | None:
+        if self._lower is None and self._columns is not None:
+            object.__setattr__(self, "_lower", _lower_rows(self.permutation, self._columns))
+            object.__setattr__(self, "_columns", None)
+        return self._lower
 
     @property
     def is_psd(self) -> bool:
@@ -110,6 +134,24 @@ class PsdCertificate(Record):
         }
 
 
+def _lower_rows(perm: Sequence[int], columns) -> tuple[tuple[Fraction, ...], ...]:
+    """L as rows: unit diagonal, and column k read off step k's pivot row over its pivot."""
+    n = len(perm)
+    where = [0] * n
+    for pos, orig in enumerate(perm):
+        where[orig] = pos
+    zero = Fraction(0)
+    lower = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        lower[i][i] = Fraction(1)
+    for k, (ak, below) in enumerate(columns):
+        d = ak[0]
+        for orig, x in zip(below, islice(ak, 1, None)):
+            if x:
+                lower[where[orig]][k] = Fraction(x, d)
+    return tuple(map(tuple, lower))
+
+
 def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     """Certify positive semidefiniteness of a symmetric rational matrix.
 
@@ -120,7 +162,8 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     leaves the rational Schur complement B / D exact, and divides B and D by
     the gcd of D and all of B's entries.  Only the upper triangle of B is
     kept, each row from its diagonal on.  The pivot is ``pivots[k] = d / D``
-    and the factor is ``lower[i][k] = B[k][i] / d``.
+    and the factor is ``lower[i][k] = B[k][i] / d``, built from the kept
+    pivot row B[k] when ``lower`` is first read.
 
     The step is one pass over the block.  The candidate content g is the gcd
     of ``D d`` and the new diagonal ``d B[i][i] - B[k][i]**2``, a multiple of
@@ -163,11 +206,10 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     a = [row[i:] for i, row in enumerate(full)]
     den = scale
     zero, one = Fraction(0), Fraction(1)
-    lower = [[zero] * n for _ in range(n)]
-    for i in range(n):
-        lower[i][i] = one
     perm = list(range(n))
     pivots: list[Fraction] = []
+    # Step k's pivot row a[k] and the original indices of the rows below k.
+    columns: list[tuple[list[int], tuple[int, ...]]] = []
 
     def swap(k: int, p: int):
         # Exchange indices k < p of the remaining block, upper triangle only.
@@ -178,13 +220,13 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         a[k] = [ap[0], *between, ak[p - k], *ap[1:]]
         a[p] = [ak[0], *ak[p - k + 1 :]]
         perm[k], perm[p] = perm[p], perm[k]
-        lower[k][:k], lower[p][:k] = lower[p][:k], lower[k][:k]
 
     def witness_from(y: dict[int, Fraction]) -> PsdCertificate:
         # Solve L^T w = z by back substitution, then undo the permutation;
         # the quadratic form of the result equals the one of y in the
         # current Schur complement.
         z = [y.get(i, zero) for i in range(n)]
+        lower = _lower_rows(perm, columns)
         w = [zero] * n
         for i in range(n - 1, -1, -1):
             w[i] = z[i] - sum(lower[j][i] * w[j] for j in range(i + 1, n))
@@ -216,14 +258,13 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         ak = a[k]
         d = ak[0]
         pivots.append(Fraction(d, den))
+        columns.append((ak, tuple(perm[k + 1 :])))
         den *= d
         # The candidate content: D d and the new diagonal entries.
         g = gcd(den, *[d * a[i][0] - ak[i - k] ** 2 for i in range(k + 1, n)])
         tails = list(accumulate(reversed(ak)))  # tails[n - 1 - i] = sum(ak[i - k:])
         for i in range(k + 1, n):
             aki, ai = ak[i - k], a[i]
-            if aki:
-                lower[i][k] = Fraction(aki, d)
             a[i] = row = [(d * x - aki * y) // g for x, y in zip(ai, ak[i - k :])]
             # Floor remainders lie in [0, g): the sums agree only when all are 0.
             if g * sum(row) != d * sum(ai) - aki * tails[n - 1 - i]:
@@ -241,7 +282,7 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         PSD,
         pivots=tuple(pivots),
         permutation=tuple(perm),
-        lower=tuple(tuple(row) for row in lower),
+        columns=tuple(columns),
     )
 
 
@@ -259,8 +300,21 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
 
     PSD: the pivots are nonnegative, the permutation is one, ``lower`` is unit
     lower triangular, and (P^T M P)[i][j] == (L diag(pivots) L^T)[i][j] for
-    every entry.  NotPSD: the witness has a negative quadratic form.  The PSD
-    check is O(n^3) in Fractions, so it belongs in tests, not on a hot path.
+    every entry.  NotPSD: the witness has a negative quadratic form.
+
+    The PSD check replays the elimination in the certificate's order on
+    integers, one column at a time.  A = scale P^T M P is P^T M P with its
+    denominators cleared.  Step k holds the remaining block B of A's Schur
+    complement times the last nonzero pivot ``prev`` of B, upper triangle
+    only; the update ``(d B[i][j] - B[k][i] B[k][j]) // prev`` is exact,
+    because each entry is a minor of A (Bareiss).  So the rational Schur
+    complement S of P^T M P is B / (scale prev).  L diag(pivots) L^T
+    reproduces P^T M P exactly when, step by step, row k of S equals
+    ``pivots[k]`` times column k of L: ``pivots[k] == S[k][k]`` and, for a
+    nonzero pivot, ``lower[i][k] == B[k][i] / B[k][k]``, compared by
+    cross-multiplication.  A zero pivot multiplies column k of L away, so
+    row k of S must vanish; the step then leaves the block as it is, which
+    drops index k from A and keeps the entries minors.
     """
     n = m.n
     if cert.verdict == NOT_PSD:
@@ -270,18 +324,33 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
         return False
     if not m.is_symmetric():
         return False
-    perm, d, low = cert.permutation, cert.pivots, cert.lower
-    if sorted(perm) != list(range(n)) or len(d) != n or any(p < 0 for p in d):
+    perm, pivots, low = cert.permutation, cert.pivots, cert.lower
+    if sorted(perm) != list(range(n)) or len(pivots) != n or any(p < 0 for p in pivots):
         return False
     if len(low) != n or any(
         len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
     ):
         return False
-    nonzero = [k for k in range(n) if d[k]]
-    scaled = [[low[i][k] * d[k] for k in nonzero] for i in range(n)]
-    return all(
-        m.entries[perm[i]][perm[j]]
-        == sum((s * low[j][k] for s, k in zip(scaled[i], nonzero)), Fraction(0))
-        for i in range(n)
-        for j in range(i + 1)
-    )
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    b = []
+    for i, orig in enumerate(perm):
+        row = m.entries[orig]
+        b.append([row[j].numerator * (scale // row[j].denominator) for j in perm[i:]])
+    prev = 1
+    for k, p in enumerate(pivots):
+        bk = b[k]
+        d = bk[0]
+        if p.numerator * scale * prev != d * p.denominator:
+            return False
+        if not d:
+            if any(bk):
+                return False
+            continue
+        column = [row[k] for row in low[k + 1 :]]
+        if any(x.numerator * d != y * x.denominator for x, y in zip(column, islice(bk, 1, None))):
+            return False
+        for i in range(k + 1, n):
+            bki = bk[i - k]
+            b[i] = [(d * x - bki * y) // prev for x, y in zip(b[i], bk[i - k :])]
+        prev = d
+    return True

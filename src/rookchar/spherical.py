@@ -67,7 +67,10 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     complement avoids them: the count runs over the (n-l)-subsets of the
     remaining points.  Either side stays an explicit action on the basis,
     hence a check of the closed form, with C(n,l) labels of min(l, n-l)
-    points per model and C(n-b, l-b) images per call.
+    points per model and C(n-b, l-b) images per call.  The images are read
+    off r's image tuple: line sends r's domain to r's images, the points
+    past r's bound to themselves, and the kills to r's range gaps, and each
+    image subset is sorted, so the order within each part does not matter.
 
     >>> from rookchar.elements import idempotent
     >>> spherical_coeff(SphericalModel(4, 2), idempotent([1]))
@@ -76,21 +79,26 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     n, l = model.n, model.l
     size = math.comb(n, l)
     if size > MAX_BASIS:
+        # Python will not print an int of more than 4,300 digits.
+        shown = f"= {size}" if size.bit_length() <= 64 else f">= 2^{size.bit_length() - 1}"
         raise ResourceGuardError(
-            f"basis of size C({n},{l}) = {size} exceeds the guard MAX_BASIS = {MAX_BASIS}"
+            f"basis of size C({n},{l}) {shown} exceeds the guard MAX_BASIS = {MAX_BASIS}"
         )
-    line, kills = r.one_line(n), r.domain_gaps()
-    if len(kills) > l:
+    images = r.images
+    bound = len(images)
+    if bound > n:
+        raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
+    killed = images.count(None)
+    if killed > l:
         return Fraction(0)
-    killed = set(kills)
-    rest = [y for x, y in enumerate(line, start=1) if x not in killed]
+    rest = [*filter(None, images), *range(bound + 1, n + 1)]
     if 2 * l > n:
         fixed, k = (), n - l
     else:
-        fixed, k = tuple(line[x - 1] for x in kills), l - len(kills)
+        fixed, k = tuple(set(range(1, bound + 1)).difference(images)), l - killed
     basis = _subset_basis(n, min(l, n - l))
-    images = map(tuple, map(sorted, map(fixed.__add__, itertools.combinations(rest, k))))
-    return Fraction(sum(map(basis.__contains__, images)), size)
+    subsets = map(tuple, map(sorted, map(fixed.__add__, itertools.combinations(rest, k))))
+    return Fraction(sum(map(basis.__contains__, subsets)), size)
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:

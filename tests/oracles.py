@@ -15,18 +15,24 @@ the library's sweeps on padded image tuples case for case.
 The spherical reference counts on the l-point subsets alone, one sorted
 tuple per surviving subset, so it checks the library's count on the smaller
 side (complements when 2l > n) and its iterator pipeline.
+
+The certificate references are the integer elimination that builds every
+factor of ``lower`` as a Fraction inside its loop, and the recheck that
+multiplies L diag(pivots) L^T out in Fractions.  The library keeps the
+integer pivot rows instead and rechecks on integers.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, product
-from math import comb
+from itertools import accumulate, combinations, product
+from math import comb, gcd, lcm
 from typing import Sequence
 
 import numpy as np
 
 from rookchar.elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from rookchar.errors import CheckReport, tally
+from rookchar.linalg import NOT_PSD, PSD, PsdCertificate, RationalMatrix, _divide_exactly
 from rookchar.tensor_model import ModelParams
 from rookchar.words import EPS1, element_to_word
 
@@ -191,3 +197,108 @@ def spherical_coeff(model, r: PartialBijection) -> Fraction:
         image = tuple(sorted(line[x - 1] for x in (*kills, *extra)))
         hits += image in basis
     return Fraction(hits, comb(n, l))
+
+
+# --- PSD certificates, factors in Fractions ----------------------------------------
+
+
+def psd_certificate_eager(m: RationalMatrix) -> PsdCertificate:
+    """``linalg.psd_certificate`` with ``lower[i][k] = Fraction(B[k][i], d)`` built in the loop.
+
+    Same pivot rule, content reduction and witness path; the factor rows
+    move with every swap, and the certificate is built from ``lower``.
+    """
+    n = m.n
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    full = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    if list(map(list, zip(*full))) != full:
+        raise ValueError("psd_certificate requires a symmetric matrix")
+    a = [row[i:] for i, row in enumerate(full)]
+    den = scale
+    zero, one = Fraction(0), Fraction(1)
+    lower = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        lower[i][i] = one
+    perm = list(range(n))
+    pivots: list[Fraction] = []
+
+    def swap(k: int, p: int):
+        ak, ap = a[k], a[p]
+        between = [a[c][p - c] for c in range(k + 1, p)]
+        for c in range(k + 1, p):
+            a[c][p - c] = ak[c - k]
+        a[k] = [ap[0], *between, ak[p - k], *ap[1:]]
+        a[p] = [ak[0], *ak[p - k + 1 :]]
+        perm[k], perm[p] = perm[p], perm[k]
+        lower[k][:k], lower[p][:k] = lower[p][:k], lower[k][:k]
+
+    def witness_from(y: dict[int, Fraction]) -> PsdCertificate:
+        w = [zero] * n
+        for i in range(n - 1, -1, -1):
+            w[i] = y.get(i, zero) - sum(lower[j][i] * w[j] for j in range(i + 1, n))
+        x = [zero] * n
+        for pos, orig in enumerate(perm):
+            x[orig] = w[pos]
+        return PsdCertificate(NOT_PSD, witness=tuple(x))
+
+    for k in range(n):
+        best = None
+        for j in range(k, n):
+            if a[j][0] > 0 and (best is None or a[j][0] > a[best][0]):
+                best = j
+        if best is None:
+            for j in range(k, n):
+                if a[j][0] < 0:
+                    return witness_from({j: one})
+            for i in range(k, n):
+                for j, x in enumerate(a[i][1:], i + 1):
+                    if x:
+                        return witness_from({i: one, j: -one if x > 0 else one})
+            pivots.extend([zero] * (n - k))
+            break
+        if best != k:
+            swap(k, best)
+        ak = a[k]
+        d = ak[0]
+        pivots.append(Fraction(d, den))
+        den *= d
+        g = gcd(den, *[d * a[i][0] - ak[i - k] ** 2 for i in range(k + 1, n)])
+        tails = list(accumulate(reversed(ak)))
+        for i in range(k + 1, n):
+            aki, ai = ak[i - k], a[i]
+            if aki:
+                lower[i][k] = Fraction(aki, d)
+            a[i] = row = [(d * x - aki * y) // g for x, y in zip(ai, ak[i - k :])]
+            if g * sum(row) != d * sum(ai) - aki * tails[n - 1 - i]:
+                row = [d * x - aki * y for x, y in zip(ai, ak[i - k :])]
+                h = gcd(g, *row)
+                c, g = g // h, h
+                for j in range(k + 1, i):
+                    a[j] = [c * x for x in a[j]]
+                a[i] = _divide_exactly(row, g)
+        (den,) = _divide_exactly((den,), g)
+    return PsdCertificate(
+        PSD, pivots=tuple(pivots), permutation=tuple(perm), lower=tuple(map(tuple, lower))
+    )
+
+
+def verify_certificate_fractions(m: RationalMatrix, cert: PsdCertificate) -> bool:
+    """A PSD certificate's check as (P^T M P)[i][j] == (L diag(pivots) L^T)[i][j], in Fractions."""
+    n = m.n
+    if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
+        return False
+    perm, d, low = cert.permutation, cert.pivots, cert.lower
+    if not m.is_symmetric() or sorted(perm) != list(range(n)) or len(d) != n:
+        return False
+    if any(p < 0 for p in d) or len(low) != n or any(
+        len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
+    ):
+        return False
+    nonzero = [k for k in range(n) if d[k]]
+    scaled = [[low[i][k] * d[k] for k in nonzero] for i in range(n)]
+    return all(
+        m.entries[perm[i]][perm[j]]
+        == sum((s * low[j][k] for s, k in zip(scaled[i], nonzero)), Fraction(0))
+        for i in range(n)
+        for j in range(i + 1)
+    )

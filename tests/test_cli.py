@@ -605,6 +605,13 @@ class TestSpherical:
         assert (code, out) == (EXIT_GUARD, "")
         assert "C(20,10) = 184756" in err and "MAX_BASIS = 20000" in err
 
+    @pytest.mark.parametrize("n, l, bits", [("20000", "10000", 19992), ("65536", "32768", 65527)])
+    def test_basis_guard_names_a_huge_size_by_bit_length(self, capsys, n, l, bits):
+        # C(n, l) has more than the 4,300 digits Python prints.
+        code, out, err = run(capsys, "spherical", "--n", n, "--l", l, "--elem", "e")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert f"C({n},{l}) >= 2^{bits}" in err and "MAX_BASIS = 20000" in err
+
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "spherical", "--n", "4", "--l", "2")
         assert code == EXIT_USAGE and err

@@ -6,6 +6,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rookchar
-from rookchar import linalg
+from rookchar import cli, linalg
 from rookchar.elements import enumerate_rn
 from rookchar.linalg import (
     NOT_PSD,
@@ -25,6 +26,7 @@ from rookchar.linalg import (
 )
 from rookchar.states import I_STAR_J, STAR_JI, gram_matrix, unchecked_value_fn
 from conftest import R4_GRAM_ELEMENTS, SUITE_STATES
+from oracles import psd_certificate_eager, verify_certificate_fractions
 
 # Two `unchecked` parameter sets past the mass bound whose Grams on the 72
 # elements of R4_GRAM_ELEMENTS are NotPSD under both orderings: alpha mass 3/2
@@ -343,6 +345,54 @@ class TestGramShapedInputs:
         assert self.check(gram_matrix(f, R4_GRAM_ELEMENTS, ordering)).verdict == NOT_PSD
 
 
+# The Grams whose certificates pin ``lower``: (value function, elements, ordering).
+# A value function named "unchecked:<set>" is the unvalidated one of that set.
+LAZY_LOWER_CASES = (
+    [(name, "R3", ordering) for name in sorted(SUITE_STATES) for ordering in (STAR_JI, I_STAR_J)]
+    + [("running", "R4_72", STAR_JI), ("zero_extension", "R4_72", STAR_JI)]
+    + [(f"unchecked:{name}", "R3", ordering)
+       for name in sorted(UNCHECKED_NOT_PSD) for ordering in (STAR_JI, I_STAR_J)]
+    + [("running", "R4", STAR_JI)]
+)
+
+
+def lazy_lower_gram(source, elements, ordering):
+    if source.startswith("unchecked:"):
+        f = unchecked_value_fn(UNCHECKED_NOT_PSD[source.split(":")[1]])
+    else:
+        f = SUITE_STATES[source]
+    elems = {"R3": enumerate_rn(3), "R4_72": R4_GRAM_ELEMENTS, "R4": enumerate_rn(4)}[elements]
+    return gram_matrix(f, elems, ordering)
+
+
+class TestLazyLower:
+    """``lower`` built from the kept pivot rows equals the Fractions built in the loop."""
+
+    @pytest.mark.parametrize("source, elements, ordering", LAZY_LOWER_CASES)
+    def test_equals_eager_factors(self, source, elements, ordering):
+        report = lazy_lower_gram(source, elements, ordering)
+        eager = psd_certificate_eager(report.matrix)
+        assert report.certificate.lower == eager.lower
+        assert report.certificate == eager
+
+    def test_gram_command_builds_no_factor(self, capsys, monkeypatch):
+        def refuse(perm, columns):
+            raise AssertionError("lower was built")
+
+        monkeypatch.setattr(linalg, "_lower_rows", refuse)
+        for ordering in (STAR_JI, I_STAR_J):
+            assert cli.main(["gram", "--n", "3", "--ordering", ordering]) == cli.EXIT_OK
+        assert capsys.readouterr().out.count('"verdict": "PSD"') == 2
+
+    def test_read_once_and_equal_to_a_hand_built_certificate(self):
+        m = RationalMatrix.from_rows(random_symmetric(random.Random(41), 7, 5))
+        cert = psd_certificate(m)
+        assert cert.lower is cert.lower
+        hand = PsdCertificate(PSD, pivots=cert.pivots, permutation=cert.permutation,
+                              lower=cert.lower)
+        assert hand == cert and hash(hand) == hash(cert) and repr(hand) == repr(cert)
+
+
 class TestVerifyCertificate:
     @staticmethod
     def certified(seed, n=6, rank=4):
@@ -382,3 +432,94 @@ class TestVerifyCertificate:
         tampered = PsdCertificate(PSD, pivots=cert.pivots, permutation=(0,) * m.n,
                                   lower=cert.lower)
         assert not verify_certificate(m, tampered)
+
+    @staticmethod
+    def replaced(cert, pivots=None, permutation=None, lower=None):
+        return PsdCertificate(
+            PSD,
+            pivots=cert.pivots if pivots is None else tuple(pivots),
+            permutation=cert.permutation if permutation is None else tuple(permutation),
+            lower=cert.lower if lower is None else tuple(map(tuple, lower)),
+        )
+
+    def rejected(self, m, tampered):
+        # The integer replay and the Fraction products give the same verdict.
+        assert not verify_certificate_fractions(m, tampered)
+        return not verify_certificate(m, tampered)
+
+    @pytest.mark.parametrize("rank", [6, 4])
+    def test_tampered_last_column_entry_fails(self, rank):
+        # The last column with an entry below the diagonal is checked last.
+        m, cert = self.certified(34, n=6, rank=rank)
+        k = max(k for k, p in enumerate(cert.pivots) if p)
+        lower = [list(row) for row in cert.lower]
+        lower[-1][k] += Fraction(1, 7)
+        assert self.rejected(m, self.replaced(cert, lower=lower))
+
+    def test_tampered_last_column_entry_of_running_gram_fails(self):
+        report = gram_matrix(SUITE_STATES["running"], R4_GRAM_ELEMENTS)
+        lower = [list(row) for row in report.certificate.lower]
+        lower[-1][-2] *= 2
+        assert lower[-1][-2] and self.rejected(report.matrix, self.replaced(report.certificate, lower=lower))
+
+    def test_factor_below_a_zero_pivot_leaves_a_remainder(self):
+        # Rank 3 of 6: a factor in a row below the first zero pivot changes
+        # the remainder that the zero pivots claim is zero.
+        m, cert = self.certified(35, n=6, rank=3)
+        assert cert.pivots[3:] == (0, 0, 0)
+        lower = [list(row) for row in cert.lower]
+        lower[4][2] += 1
+        assert self.rejected(m, self.replaced(cert, lower=lower))
+        pivots = list(cert.pivots)
+        pivots[2] = Fraction(0)
+        assert self.rejected(m, self.replaced(cert, pivots=pivots))
+
+    def test_zero_pivot_over_a_nonzero_row_fails(self):
+        m = RationalMatrix.from_rows([[0, 1], [1, 0]])
+        cert = PsdCertificate(PSD, pivots=(Fraction(0), Fraction(0)), permutation=(0, 1),
+                              lower=((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+        assert self.rejected(m, cert)
+
+    def test_factor_under_a_zero_pivot_is_free(self):
+        # Column k of L meets a zero pivot, so its entries reproduce nothing.
+        m = RationalMatrix.from_rows([[0, 0], [0, 1]])
+        cert = PsdCertificate(PSD, pivots=(Fraction(0), Fraction(1)), permutation=(0, 1),
+                              lower=((Fraction(1), Fraction(0)), (Fraction(5), Fraction(1))))
+        assert verify_certificate_fractions(m, cert) and verify_certificate(m, cert)
+
+    def test_swapped_permutation_pair_on_rank_deficient_gram_fails(self):
+        report = gram_matrix(SUITE_STATES["zero_extension"], R4_GRAM_ELEMENTS)
+        cert = report.certificate
+        assert sum(1 for p in cert.pivots if p) == 24
+        perm = list(cert.permutation)
+        perm[0], perm[-1] = perm[-1], perm[0]
+        assert self.rejected(report.matrix, self.replaced(cert, permutation=perm))
+
+    def test_verdicts_agree_with_fraction_products(self):
+        rng = random.Random(36)
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            m = RationalMatrix.from_rows(random_symmetric(rng, n, rng.randint(0, n)))
+            cert = psd_certificate(m)
+            assert verify_certificate(m, cert) and verify_certificate_fractions(m, cert)
+            i, k = rng.randrange(n), rng.randrange(n)
+            pivots, lower = list(cert.pivots), [list(row) for row in cert.lower]
+            if k < i:
+                lower[i][k] += Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            pivots[k] += Fraction(rng.randint(0, 2), rng.randint(1, 3))
+            for tampered in (self.replaced(cert, lower=lower), self.replaced(cert, pivots=pivots)):
+                assert verify_certificate(m, tampered) == verify_certificate_fractions(m, tampered)
+
+    def test_ten_times_faster_than_fraction_products_on_running_gram(self):
+        m = gram_matrix(SUITE_STATES["running"], R4_GRAM_ELEMENTS).matrix
+
+        def best_of(check, runs):
+            times = []
+            for _ in range(runs):
+                cert = psd_certificate(m)  # lower is built inside the timed check
+                start = time.perf_counter()
+                assert check(m, cert)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        assert 10 * best_of(verify_certificate, 5) <= best_of(verify_certificate_fractions, 2)
