@@ -10,9 +10,9 @@ Everything here is exact; the float oracles live in ``tensor_model``.
 The certificate keeps each step's integer pivot row, whose entries over the
 pivot are a column of L, and builds the Fractions of L only when ``lower``
 is read; nothing on the ``gram`` path reads it.  The recheck replays the
-elimination in the certificate's order on integers (plain Bareiss, with no
-content reduction) and compares each pivot and column of L with the current
-Schur complement by cross-multiplication, so it forms no Fraction products.
+elimination in the certificate's order on integers, with the same content
+reduction, and compares each pivot and column of L with the current Schur
+complement by cross-multiplication, so it forms no Fraction products.
 
 The elimination keeps the rational Schur complement S of the remaining block
 as an integer block B over one positive integer denominator D, S = B / D.  A
@@ -27,6 +27,13 @@ the row's division through its sum.  The candidate is the content on most
 steps; when a row fails, the candidate is lowered to cover that row and the
 rows before it are rescaled, so the content the step ends with is the full
 one.
+
+Both eliminations pay only for the live block.  A row whose diagonal, row and
+column all vanish in the remaining block stays zero under every later step,
+whether it starts zero or becomes zero; it is marked once and never updated
+again.  Rank-deficient Grams are mostly such rows: 48 of the 72 rows of the
+zero-extension state's Gram on ``R4_GRAM_ELEMENTS`` start zero, and on the
+spherical state's dense R_4 Gram 92 of 209 have vanished after four steps.
 """
 
 from __future__ import annotations
@@ -177,6 +184,14 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     from, so g is the content.  A content that does not divide D raises
     RuntimeError.
 
+    Before the update, each row below k whose diagonal, row and column
+    vanish in the block is marked: its update ``(d 0 - 0 x) // g`` is 0 now
+    and at every later step, so its update and sum check are skipped from
+    then on.  The mark moves with the row when it is swapped.  A zero
+    diagonal over a nonzero row or column is not marked.  The skipped
+    entries would have stayed 0, so the pivots, permutation, pivot rows and
+    witness are those of the full update.
+
     Pivot rule: take the largest positive diagonal entry of the remaining
     block (ties go to the first index); when none is positive the block must
     vanish identically, and any surviving entry yields a witness (a negative
@@ -197,8 +212,7 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     ('NotPSD', ['-2', '1'], '-3')
     """
     n = m.n
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    full = [[x.numerator * (scale // x.denominator) for x in row] for row in m.entries]
+    scale, full = _cleared(m)
     if list(map(list, zip(*full))) != full:
         raise ValueError("psd_certificate requires a symmetric matrix")
     # a[i] holds row i of the remaining block from its diagonal on: a[i][j - i]
@@ -210,6 +224,8 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
     pivots: list[Fraction] = []
     # Step k's pivot row a[k] and the original indices of the rows below k.
     columns: list[tuple[list[int], tuple[int, ...]]] = []
+    # frozen[i]: row i of the block has vanished, with its column; it moves with swaps.
+    frozen = [False] * n
 
     def swap(k: int, p: int):
         # Exchange indices k < p of the remaining block, upper triangle only.
@@ -220,6 +236,7 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         a[k] = [ap[0], *between, ak[p - k], *ap[1:]]
         a[p] = [ak[0], *ak[p - k + 1 :]]
         perm[k], perm[p] = perm[p], perm[k]
+        frozen[k], frozen[p] = frozen[p], frozen[k]
 
     def witness_from(y: dict[int, Fraction]) -> PsdCertificate:
         # Solve L^T w = z by back substitution, then undo the permutation;
@@ -256,27 +273,9 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         if best != k:
             swap(k, best)
         ak = a[k]
-        d = ak[0]
-        pivots.append(Fraction(d, den))
+        pivots.append(Fraction(ak[0], den))
         columns.append((ak, tuple(perm[k + 1 :])))
-        den *= d
-        # The candidate content: D d and the new diagonal entries.
-        g = gcd(den, *[d * a[i][0] - ak[i - k] ** 2 for i in range(k + 1, n)])
-        tails = list(accumulate(reversed(ak)))  # tails[n - 1 - i] = sum(ak[i - k:])
-        for i in range(k + 1, n):
-            aki, ai = ak[i - k], a[i]
-            a[i] = row = [(d * x - aki * y) // g for x, y in zip(ai, ak[i - k :])]
-            # Floor remainders lie in [0, g): the sums agree only when all are 0.
-            if g * sum(row) != d * sum(ai) - aki * tails[n - 1 - i]:
-                # g overestimates the content: lower it to cover this row and
-                # bring the rows already divided to the new denominator.
-                row = [d * x - aki * y for x, y in zip(ai, ak[i - k :])]
-                h = gcd(g, *row)
-                c, g = g // h, h
-                for j in range(k + 1, i):
-                    a[j] = [c * x for x in a[j]]
-                a[i] = _divide_exactly(row, g)
-        (den,) = _divide_exactly((den,), g)
+        den = _eliminate(a, k, den, frozen)
 
     return PsdCertificate(
         PSD,
@@ -284,6 +283,61 @@ def psd_certificate(m: RationalMatrix) -> PsdCertificate:
         permutation=tuple(perm),
         columns=tuple(columns),
     )
+
+
+def _cleared(m: RationalMatrix) -> tuple[int, list[list[int]]]:
+    """The lcm ``scale`` of M's denominators and the integer rows of scale * M.
+
+    Each distinct entry object is converted once, keyed by its id while M
+    holds it: the rows of a Gram repeat the few value objects of its class
+    function.
+    """
+    distinct: dict[int, Fraction] = {}
+    for row in m.entries:
+        distinct.update(zip(map(id, row), row))
+    scale = lcm(*(x.denominator for x in distinct.values()))
+    cleared = {key: x.numerator * (scale // x.denominator) for key, x in distinct.items()}
+    return scale, [list(map(cleared.__getitem__, map(id, row))) for row in m.entries]
+
+
+def _eliminate(a: list[list[int]], k: int, den: int, frozen: list[bool]) -> int:
+    """Step k on the upper-triangle block ``a`` with pivot ``a[k][0] > 0``, in place.
+
+    Marks in ``frozen`` the rows below k that vanish with their column,
+    updates and divides the other rows below k by the content, and returns
+    the new denominator ``D d / g``.
+    """
+    ak = a[k]
+    d = ak[0]
+    n = k + len(ak)
+    rows = []
+    for i in range(k + 1, n):
+        if frozen[i]:
+            continue
+        ai = a[i]
+        if not ai[0] and not any(ai) and not any(a[c][i - c] for c in range(k, i)):
+            frozen[i] = True
+        else:
+            rows.append(i)
+    den *= d
+    # The candidate content: D d and the new diagonal entries.
+    g = gcd(den, *[d * a[i][0] - ak[i - k] ** 2 for i in rows])
+    tails = list(accumulate(reversed(ak)))  # tails[n - 1 - i] = sum(ak[i - k:])
+    for done, i in enumerate(rows):
+        aki, ai = ak[i - k], a[i]
+        a[i] = row = [(d * x - aki * y) // g for x, y in zip(ai, ak[i - k :])]
+        # Floor remainders lie in [0, g): the sums agree only when all are 0.
+        if g * sum(row) != d * sum(ai) - aki * tails[n - 1 - i]:
+            # g overestimates the content: lower it to cover this row and
+            # bring the rows already divided to the new denominator.
+            row = [d * x - aki * y for x, y in zip(ai, ak[i - k :])]
+            h = gcd(g, *row)
+            c, g = g // h, h
+            for j in rows[:done]:
+                a[j] = [c * x for x in a[j]]
+            a[i] = _divide_exactly(row, g)
+    (den,) = _divide_exactly((den,), g)
+    return den
 
 
 def _divide_exactly(values: Sequence[int], g: int) -> list[int]:
@@ -303,18 +357,17 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
     every entry.  NotPSD: the witness has a negative quadratic form.
 
     The PSD check replays the elimination in the certificate's order on
-    integers, one column at a time.  A = scale P^T M P is P^T M P with its
-    denominators cleared.  Step k holds the remaining block B of A's Schur
-    complement times the last nonzero pivot ``prev`` of B, upper triangle
-    only; the update ``(d B[i][j] - B[k][i] B[k][j]) // prev`` is exact,
-    because each entry is a minor of A (Bareiss).  So the rational Schur
-    complement S of P^T M P is B / (scale prev).  L diag(pivots) L^T
-    reproduces P^T M P exactly when, step by step, row k of S equals
-    ``pivots[k]`` times column k of L: ``pivots[k] == S[k][k]`` and, for a
-    nonzero pivot, ``lower[i][k] == B[k][i] / B[k][k]``, compared by
-    cross-multiplication.  A zero pivot multiplies column k of L away, so
-    row k of S must vanish; the step then leaves the block as it is, which
-    drops index k from A and keeps the entries minors.
+    integers, one column at a time, with the certifier's step: the remaining
+    block B over the denominator D is the rational Schur complement S of
+    P^T M P, starting from B = scale P^T M P over D = scale.  Each step's
+    content is checked through row sums, and the rows that vanish are marked
+    from the replayed block alone, so the replay trusts nothing of the
+    certificate but its order.  L diag(pivots) L^T reproduces P^T M P
+    exactly when, step by step, row k of S equals ``pivots[k]`` times column
+    k of L: ``pivots[k] == S[k][k]`` and, for a nonzero pivot,
+    ``lower[i][k] == B[k][i] / B[k][k]``, compared by cross-multiplication.
+    A zero pivot multiplies column k of L away, so row k of S must vanish;
+    the step then leaves the block as it is, which drops index k.
     """
     n = m.n
     if cert.verdict == NOT_PSD:
@@ -322,7 +375,8 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
         return w is not None and len(w) == n and m.quadratic_form(w) < 0
     if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
         return False
-    if not m.is_symmetric():
+    scale, full = _cleared(m)
+    if list(map(list, zip(*full))) != full:
         return False
     perm, pivots, low = cert.permutation, cert.pivots, cert.lower
     if sorted(perm) != list(range(n)) or len(pivots) != n or any(p < 0 for p in pivots):
@@ -331,16 +385,13 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
         len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
     ):
         return False
-    scale = lcm(*(x.denominator for row in m.entries for x in row))
-    b = []
-    for i, orig in enumerate(perm):
-        row = m.entries[orig]
-        b.append([row[j].numerator * (scale // row[j].denominator) for j in perm[i:]])
-    prev = 1
+    b = [[full[orig][j] for j in perm[i:]] for i, orig in enumerate(perm)]
+    den = scale
+    frozen = [False] * n
     for k, p in enumerate(pivots):
         bk = b[k]
         d = bk[0]
-        if p.numerator * scale * prev != d * p.denominator:
+        if p.numerator * den != d * p.denominator:
             return False
         if not d:
             if any(bk):
@@ -349,8 +400,5 @@ def verify_certificate(m: RationalMatrix, cert: PsdCertificate) -> bool:
         column = [row[k] for row in low[k + 1 :]]
         if any(x.numerator * d != y * x.denominator for x, y in zip(column, islice(bk, 1, None))):
             return False
-        for i in range(k + 1, n):
-            bki = bk[i - k]
-            b[i] = [(d * x - bki * y) // prev for x, y in zip(b[i], bk[i - k :])]
-        prev = d
+        den = _eliminate(b, k, den, frozen)
     return True

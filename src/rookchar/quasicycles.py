@@ -182,6 +182,8 @@ class ClassFunction:
     padded to n by a sweep) to its value; on a miss, the invariant counted
     from the images is looked up in ``by_class``.  Each dict is emptied when it
     reaches ``MAX_MEMO_ELEMENTS`` entries; until then a class has one value object.
+    ``cycle`` and ``quasi`` are memoised by length under the same bound, so a
+    new class multiplies factors already computed for other classes.
 
     >>> f = ClassFunction(cycle=lambda n: 10 * n, quasi=lambda n: n + 1)
     >>> f(parse_element("(1 2 3)e{3}(4 5)e{6}")), len(f.by_class)
@@ -191,7 +193,8 @@ class ClassFunction:
     __slots__ = ("cycle", "quasi", "by_class", "by_images")
 
     def __init__(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]):
-        self.cycle, self.quasi = cycle, quasi
+        memo = functools.lru_cache(maxsize=MAX_MEMO_ELEMENTS)
+        self.cycle, self.quasi = memo(cycle), memo(quasi)
         self.by_class: dict[ConjugacyInvariant, Any] = {}
         self.by_images: dict[tuple[int | None, ...], Any] = {}
 

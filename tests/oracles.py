@@ -17,14 +17,16 @@ tuple per surviving subset, so it checks the library's count on the smaller
 side (complements when 2l > n) and its iterator pipeline.
 
 The certificate references are the integer elimination that builds every
-factor of ``lower`` as a Fraction inside its loop, and the recheck that
-multiplies L diag(pivots) L^T out in Fractions.  The library keeps the
-integer pivot rows instead and rechecks on integers.
+factor of ``lower`` as a Fraction inside its loop and updates every row at
+every step, the recheck that multiplies L diag(pivots) L^T out in Fractions,
+and the integer recheck by plain Bareiss, which keeps the content and updates
+every row.  The library keeps the integer pivot rows instead, and its
+elimination and recheck divide out the content and skip the rows that vanish.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, product
+from itertools import accumulate, combinations, islice, product
 from math import comb, gcd, lcm
 from typing import Sequence
 
@@ -302,3 +304,46 @@ def verify_certificate_fractions(m: RationalMatrix, cert: PsdCertificate) -> boo
         for i in range(n)
         for j in range(i + 1)
     )
+
+
+def verify_certificate_bareiss(m: RationalMatrix, cert: PsdCertificate) -> bool:
+    """A PSD certificate's check as an integer replay by plain Bareiss, every row at every step.
+
+    B = scale P^T M P holds A's Schur complement times the last nonzero pivot
+    ``prev``; ``(d B[i][j] - B[k][i] B[k][j]) // prev`` is exact because each
+    entry is a minor of A.  Each pivot and factor column is compared with the
+    current Schur complement B / (scale prev) by cross-multiplication.
+    """
+    n = m.n
+    if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
+        return False
+    perm, pivots, low = cert.permutation, cert.pivots, cert.lower
+    if not m.is_symmetric() or sorted(perm) != list(range(n)) or len(pivots) != n:
+        return False
+    if any(p < 0 for p in pivots) or len(low) != n or any(
+        len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
+    ):
+        return False
+    scale = lcm(*(x.denominator for row in m.entries for x in row))
+    b = []
+    for i, orig in enumerate(perm):
+        row = m.entries[orig]
+        b.append([row[j].numerator * (scale // row[j].denominator) for j in perm[i:]])
+    prev = 1
+    for k, p in enumerate(pivots):
+        bk = b[k]
+        d = bk[0]
+        if p.numerator * scale * prev != d * p.denominator:
+            return False
+        if not d:
+            if any(bk):
+                return False
+            continue
+        column = [row[k] for row in low[k + 1 :]]
+        if any(x.numerator * d != y * x.denominator for x, y in zip(column, islice(bk, 1, None))):
+            return False
+        for i in range(k + 1, n):
+            bki = bk[i - k]
+            b[i] = [(d * x - bki * y) // prev for x, y in zip(b[i], bk[i - k :])]
+        prev = d
+    return True

@@ -26,7 +26,7 @@ from rookchar.linalg import (
 )
 from rookchar.states import I_STAR_J, STAR_JI, gram_matrix, unchecked_value_fn
 from conftest import R4_GRAM_ELEMENTS, SUITE_STATES
-from oracles import psd_certificate_eager, verify_certificate_fractions
+from oracles import psd_certificate_eager, verify_certificate_bareiss, verify_certificate_fractions
 
 # Two `unchecked` parameter sets past the mass bound whose Grams on the 72
 # elements of R4_GRAM_ELEMENTS are NotPSD under both orderings: alpha mass 3/2
@@ -393,6 +393,42 @@ class TestLazyLower:
         assert hand == cert and hash(hand) == hash(cert) and repr(hand) == repr(cert)
 
 
+class TestVanishingRows:
+    """Rows that vanish with their column are skipped, and the certificate is the full update's."""
+
+    @pytest.mark.parametrize("name, zero_rows, marked_after_four", [
+        ("zero_extension", 185, 185),  # zero from the start
+        ("spherical", 0, 92),  # vanishing mid-elimination, 23 per step
+    ])
+    def test_dense_r4_equals_eager(self, monkeypatch, name, zero_rows, marked_after_four):
+        marked = []
+        step = linalg._eliminate
+
+        def counting(a, k, den, frozen):
+            den = step(a, k, den, frozen)
+            marked.append(sum(frozen))
+            return den
+
+        monkeypatch.setattr(linalg, "_eliminate", counting)
+        report = gram_matrix(SUITE_STATES[name], enumerate_rn(4))
+        assert sum(1 for row in report.matrix.entries if not any(row)) == zero_rows
+        assert marked[0] == zero_rows and marked[4] == marked_after_four
+        eager = psd_certificate_eager(report.matrix)
+        assert report.certificate.lower == eager.lower
+        assert report.certificate == eager
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 0, 0], [0, 0, 1], [0, 1, 1]],  # a zero diagonal over a nonzero row
+        [[1, 1, 0], [1, 0, 0], [0, 0, 0]],  # a zero diagonal and row over a nonzero column
+    ])
+    def test_zero_diagonal_over_a_nonzero_line_is_not_skipped(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        cert = psd_certificate(m)
+        assert cert.verdict == NOT_PSD and m.quadratic_form(cert.witness) < 0
+        assert cert.witness == psd_certificate_eager(m).witness
+        assert cert == reference_certificate(m)
+
+
 class TestVerifyCertificate:
     @staticmethod
     def certified(seed, n=6, rank=4):
@@ -443,8 +479,9 @@ class TestVerifyCertificate:
         )
 
     def rejected(self, m, tampered):
-        # The integer replay and the Fraction products give the same verdict.
+        # The integer replays and the Fraction products give the same verdict.
         assert not verify_certificate_fractions(m, tampered)
+        assert not verify_certificate_bareiss(m, tampered)
         return not verify_certificate(m, tampered)
 
     @pytest.mark.parametrize("rank", [6, 4])
@@ -502,13 +539,38 @@ class TestVerifyCertificate:
             m = RationalMatrix.from_rows(random_symmetric(rng, n, rng.randint(0, n)))
             cert = psd_certificate(m)
             assert verify_certificate(m, cert) and verify_certificate_fractions(m, cert)
+            assert verify_certificate_bareiss(m, cert)
             i, k = rng.randrange(n), rng.randrange(n)
             pivots, lower = list(cert.pivots), [list(row) for row in cert.lower]
             if k < i:
                 lower[i][k] += Fraction(rng.randint(-2, 2), rng.randint(1, 3))
             pivots[k] += Fraction(rng.randint(0, 2), rng.randint(1, 3))
             for tampered in (self.replaced(cert, lower=lower), self.replaced(cert, pivots=pivots)):
-                assert verify_certificate(m, tampered) == verify_certificate_fractions(m, tampered)
+                verdict = verify_certificate(m, tampered)
+                assert verdict == verify_certificate_fractions(m, tampered)
+                assert verdict == verify_certificate_bareiss(m, tampered)
+
+    @staticmethod
+    def zero_extension_frozen_row():
+        # A row of P^T M P that is zero from the start, below the 24 nonzero pivots.
+        report = gram_matrix(SUITE_STATES["zero_extension"], R4_GRAM_ELEMENTS)
+        cert = report.certificate
+        i = next(i for i, orig in enumerate(cert.permutation)
+                 if not any(report.matrix.entries[orig]))
+        assert cert.pivots[i] == 0 and i >= 24 and cert.pivots[0]
+        return report.matrix, cert, i
+
+    def test_frozen_row_pivot_raised_fails(self):
+        m, cert, i = self.zero_extension_frozen_row()
+        pivots = list(cert.pivots)
+        pivots[i] = Fraction(1, 2)
+        assert self.rejected(m, self.replaced(cert, pivots=pivots))
+
+    def test_factor_in_a_frozen_row_under_a_nonzero_pivot_fails(self):
+        m, cert, i = self.zero_extension_frozen_row()
+        lower = [list(row) for row in cert.lower]
+        lower[i][0] = Fraction(1)
+        assert self.rejected(m, self.replaced(cert, lower=lower))
 
     def test_ten_times_faster_than_fraction_products_on_running_gram(self):
         m = gram_matrix(SUITE_STATES["running"], R4_GRAM_ELEMENTS).matrix

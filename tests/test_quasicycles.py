@@ -1,5 +1,6 @@
-"""Decomposition uniqueness, conjugacy invariants, and conjugator search."""
+"""Decomposition uniqueness, conjugacy invariants, conjugator search and class functions."""
 
+import collections
 import itertools
 import random
 import time
@@ -12,6 +13,7 @@ from rookchar.elements import (
     enumerate_rn,
     idempotent,
     identity,
+    padded_rn,
     parse_element,
     symmetric_group,
 )
@@ -25,6 +27,7 @@ from rookchar.quasicycles import (
     conjugacy_invariant,
     decompose,
     find_conjugator,
+    images_invariant,
 )
 from conftest import conjugacy_orbit, is_permutation
 
@@ -174,3 +177,27 @@ class TestFindConjugator:
             inv = conjugacy_invariant(r)
             for s in symmetric_group(4):
                 assert conjugacy_invariant(compose(compose(s, r), s.star())) == inv
+
+
+class TestClassFunction:
+    def test_each_factor_length_computed_once(self):
+        calls = collections.Counter()
+
+        def cycle(n):
+            calls["cycle", n] += 1
+            return 10 * n
+
+        def quasi(n):
+            calls["quasi", n] += 1
+            return n + 1
+
+        f = quasicycles.ClassFunction(cycle, quasi)
+        images = list(padded_rn(4))
+        values = [f.of_images(im) for im in images]
+        assert len(f.by_class) == 20
+        assert sorted(calls) == [("cycle", n) for n in (2, 3, 4)] + [("quasi", n) for n in (1, 2, 3, 4)]
+        assert set(calls.values()) == {1}
+        expected = [
+            images_invariant(im).product(lambda n: 10 * n, lambda n: n + 1) for im in images
+        ]
+        assert values == expected

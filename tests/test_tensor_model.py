@@ -215,9 +215,11 @@ class TestClosedForm:
         first = [phi_closed_form(params, r) for r in elems]
         classes = {decompose(r).invariant for r in elems}
         assert params.table.by_class.keys() == classes and len(classes) == 20
-        # One trace per factor of each class's product: quasi(1) for the
-        # trivial points, then one per plain cycle and per quasi-cycle.
-        assert len(calls) == sum(1 + len(c.c_partition) + len(c.q_partition) for c in classes)
+        # One trace per factor length, shared by the classes: quasi(1) for the
+        # trivial points, then one per plain-cycle and per quasi-cycle length.
+        cycle_lengths = {n for c in classes for n in c.c_partition}
+        quasi_lengths = {1} | {n for c in classes for n in c.q_partition}
+        assert len(calls) == len(cycle_lengths) + len(quasi_lengths) == 7
         calls.clear()
         assert [phi_closed_form(params, r) for r in elems] == first
         assert calls == []
