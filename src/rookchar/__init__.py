@@ -45,7 +45,7 @@ _EXPORTS = {
         "decompose",
         "find_conjugator",
     ),
-    "algebra": ("FormalSum", "check_gelfand_pair", "symmetrizer"),
+    "algebra": ("check_gelfand_pair",),
     "words": ("EPS1", "S", "element_to_word", "verify_popova_relations", "word_to_element"),
     "linalg": ("PsdCertificate", "RationalMatrix", "psd_certificate", "verify_certificate"),
     "states": (

@@ -66,7 +66,7 @@ class PartialBijection(Record):
             raise ValueError("not canonical: trailing fixed point")
         object.__setattr__(self, "images", images)
 
-    # Written out because elements are dict and set keys: FormalSum's terms
+    # Written out because elements are dict and set keys: decompose's cache
     # and gram_matrix's distinctness check.  The hash is the one a frozen
     # dataclass gives, so a set of elements iterates in the order it did.
     def __eq__(self, other):

@@ -21,11 +21,6 @@ MAX_POPOVA_N = 128
 # 9.6 M centrality cases at n = 6, 660 M at n = 7.
 MAX_PAIR_SWEEP_N = 6
 
-# The largest n the Gelfand sweep checks.  It multiplies the n!-term
-# symmetrizer around every element of R_n and compares the distinct sandwiches
-# pairwise, all in exact rationals.
-MAX_GELFAND_N = 3
-
 # The largest point a cycle or idempotent may name, and the largest ground set
 # of a spherical model.  An element stores an image for every point up to its
 # largest, so without it a short literal such as "(1 4000000)" would build a

@@ -69,13 +69,6 @@ class RationalMatrix(Record):
     def n(self) -> int:
         return len(self.entries)
 
-    def is_symmetric(self) -> bool:
-        return all(
-            self.entries[i][j] == self.entries[j][i]
-            for i in range(self.n)
-            for j in range(i)
-        )
-
     def quadratic_form(self, v: Sequence[Fraction]) -> Fraction:
         """v^T M v, summed over the nonzero entries of v only."""
         if len(v) != self.n:

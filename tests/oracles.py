@@ -22,12 +22,18 @@ every step, the recheck that multiplies L diag(pivots) L^T out in Fractions,
 and the integer recheck by plain Bareiss, which keeps the content and updates
 every row.  The library keeps the integer pivot rows instead, and its
 elimination and recheck divide out the content and skip the rows that vanish.
+
+The Gelfand reference multiplies the n!-term symmetrizer p around every
+element of R_n in the rational semigroup algebra and compares the distinct
+sandwiches p a p by their products, term by term.  The library compares the
+n + 1 rank classes by counting the ranks of products instead.
 """
 
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, combinations, islice, product
-from math import comb, gcd, lcm
+from itertools import accumulate, chain, combinations, islice, product
+from math import comb, factorial, gcd, lcm
+from numbers import Rational
 from typing import Sequence
 
 import numpy as np
@@ -284,13 +290,17 @@ def psd_certificate_eager(m: RationalMatrix) -> PsdCertificate:
     )
 
 
+def _is_symmetric(m: RationalMatrix) -> bool:
+    return all(m.entries[i][j] == m.entries[j][i] for i in range(m.n) for j in range(i))
+
+
 def verify_certificate_fractions(m: RationalMatrix, cert: PsdCertificate) -> bool:
     """A PSD certificate's check as (P^T M P)[i][j] == (L diag(pivots) L^T)[i][j], in Fractions."""
     n = m.n
     if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
         return False
     perm, d, low = cert.permutation, cert.pivots, cert.lower
-    if not m.is_symmetric() or sorted(perm) != list(range(n)) or len(d) != n:
+    if not _is_symmetric(m) or sorted(perm) != list(range(n)) or len(d) != n:
         return False
     if any(p < 0 for p in d) or len(low) != n or any(
         len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
@@ -318,7 +328,7 @@ def verify_certificate_bareiss(m: RationalMatrix, cert: PsdCertificate) -> bool:
     if cert.verdict != PSD or None in (cert.pivots, cert.permutation, cert.lower):
         return False
     perm, pivots, low = cert.permutation, cert.pivots, cert.lower
-    if not m.is_symmetric() or sorted(perm) != list(range(n)) or len(pivots) != n:
+    if not _is_symmetric(m) or sorted(perm) != list(range(n)) or len(pivots) != n:
         return False
     if any(p < 0 for p in pivots) or len(low) != n or any(
         len(row) != n or row[i] != 1 or any(row[i + 1 :]) for i, row in enumerate(low)
@@ -347,3 +357,100 @@ def verify_certificate_bareiss(m: RationalMatrix, cert: PsdCertificate) -> bool:
             b[i] = [(d * x - bki * y) // prev for x, y in zip(b[i], bk[i - k :])]
         prev = d
     return True
+
+
+# --- the Gelfand pair, by exact symmetrizers ------------------------------------
+
+
+class FormalSum:
+    """An immutable rational linear combination of partial bijections.
+
+    Products extend the semigroup product bilinearly; terms whose
+    coefficients cancel are dropped.
+    """
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=()):
+        data: dict[PartialBijection, Fraction] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
+        for elem, coeff in items:
+            c = Fraction(coeff)
+            if c:
+                c += data.get(elem, Fraction(0))
+                if c:
+                    data[elem] = c
+                else:
+                    del data[elem]
+        self._terms = data
+
+    @staticmethod
+    def of(element: PartialBijection, coeff=1) -> "FormalSum":
+        return FormalSum(((element, coeff),))
+
+    @staticmethod
+    def one() -> "FormalSum":
+        return FormalSum.of(PartialBijection.identity())
+
+    def coefficient(self, element: PartialBijection) -> Fraction:
+        return self._terms.get(element, Fraction(0))
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FormalSum) and self._terms == other._terms
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return FormalSum(chain(self._terms.items(), other._terms.items()))
+
+    def __neg__(self) -> "FormalSum":
+        return FormalSum((e, -c) for e, c in self._terms.items())
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FormalSum):
+            return FormalSum(
+                (compose(e1, e2), c1 * c2)
+                for e1, c1 in self._terms.items()
+                for e2, c2 in other._terms.items()
+            )
+        if isinstance(other, Rational):
+            return FormalSum((e, other * c) for e, c in self._terms.items())
+        return NotImplemented
+
+    __rmul__ = __mul__  # only a scalar reaches it, and scalars commute
+
+    def star(self) -> "FormalSum":
+        return FormalSum((e.star(), c) for e, c in self._terms.items())
+
+    def __repr__(self) -> str:
+        bits = " + ".join(
+            f"{c}*{e.literal()}" for e, c in sorted(self._terms.items(), key=lambda t: t[0].literal())
+        )
+        return f"FormalSum({bits or 0})"
+
+
+def symmetrizer(n: int) -> FormalSum:
+    """The normalized symmetrizer (1/n!) * sum of all permutations of 1..n."""
+    return FormalSum((s, Fraction(1, factorial(n))) for s in symmetric_group(n))
+
+
+def gelfand_pair(n: int) -> CheckReport:
+    """The Gelfand sweep by brute force: every sandwich p a p as a FormalSum.
+
+    Equal sandwiches commute iff their representatives do, so only the
+    distinct ones are compared, each through the first element that gave it.
+    """
+    basis = list(enumerate_rn(n))
+    p = symmetrizer(n)
+    sandwiches: dict[frozenset, tuple[PartialBijection, FormalSum]] = {}
+    for e in basis:
+        u = p * FormalSum.of(e) * p
+        sandwiches.setdefault(frozenset(u._terms.items()), (e, u))
+    return tally("gelfand", n, (
+        f"p {ea.literal()} p vs p {eb.literal()} p" if ua * ub != ub * ua else None
+        for (ea, ua), (eb, ub) in combinations(sandwiches.values(), 2)
+    ), basis=len(basis), distinct_products=len(sandwiches))

@@ -1,13 +1,17 @@
-"""Rational semigroup algebra: bilinearity, symmetrizers, the Gelfand pair."""
+"""The Gelfand pair on rank classes, against the brute-force sweep in the rational semigroup algebra."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from rookchar import algebra
-from rookchar.algebra import FormalSum, check_gelfand_pair, symmetrizer
-from rookchar.elements import enumerate_rn, idempotent, identity, parse_element
-from rookchar.errors import MAX_GELFAND_N, MAX_VIOLATIONS, ResourceGuardError
+from oracles import FormalSum, gelfand_pair, symmetrizer
+from rookchar import algebra, elements
+from rookchar.algebra import check_gelfand_pair
+from rookchar.elements import enumerate_rn, idempotent, identity, parse_element, rn_size
+from rookchar.errors import ResourceGuardError
+
+# --- the reference: the rational semigroup algebra --------------------------------
 
 
 def test_identity_is_neutral():
@@ -57,6 +61,34 @@ def test_symmetrizer_idempotent(n):
     assert p * p == p
 
 
+def test_sandwich_products_computed_directly():
+    # One hand-checkable instance: p e{1} p and p (1 2) p commute in R_2.
+    p = symmetrizer(2)
+    u = p * FormalSum.of(idempotent([1])) * p
+    v = p * FormalSum.of(parse_element("(1 2)")) * p
+    assert u * v == v * u
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sandwich_is_the_rank_class_average(n):
+    # The lemma the check rests on: p r p = (1/|D_k|) sum of D_k for r of rank k.
+    p = symmetrizer(n)
+    classes: dict[int, list] = {}
+    for r in enumerate_rn(n):
+        classes.setdefault(len(r.domain_gaps()), []).append(r)
+    for members in classes.values():
+        average = FormalSum((x, Fraction(1, len(members))) for x in members)
+        assert all(p * FormalSum.of(r) * p == average for r in members)
+
+
+# --- the check on rank classes -----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_report_matches_the_oracle(n):
+    assert check_gelfand_pair(n).to_json() == gelfand_pair(n).to_json()
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_gelfand_pair_commutes(n):
     report = check_gelfand_pair(n)
@@ -64,25 +96,25 @@ def test_gelfand_pair_commutes(n):
     assert report.basis == len(list(enumerate_rn(n)))
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_gelfand_pair_past_the_brute_force(n):
+    report = check_gelfand_pair(n)
+    assert (report.basis, report.distinct_products) == (rn_size(n), n + 1)
+    assert report.checked == comb(n + 1, 2)
+    assert report.ok, report.violations
+
+
 def test_gelfand_sweep_reports_noncommuting_sandwiches(monkeypatch):
-    # With p = 1 the sandwiches are the bare elements of R_3, and R_3 is not
-    # commutative: the sweep must compare all C(34, 2) pairs and fail.
-    monkeypatch.setattr(algebra, "symmetrizer", lambda n: FormalSum.one())
+    # With [2,_,_] left out of the listing, the rank-1 class counts 8 elements
+    # and the structure constants of P_1 P_2 no longer agree both ways.
+    listing = elements.padded_rn
+    monkeypatch.setattr(algebra, "padded_rn", lambda n: (t for t in listing(n) if t != (2, None, None)))
     report = check_gelfand_pair(3)
     assert not report.ok
-    assert (report.basis, report.distinct_products) == (34, 34)
-    assert report.checked == 561
-    assert len(report.violations) == MAX_VIOLATIONS == 20
+    assert (report.basis, report.distinct_products, report.checked) == (33, 4, 6)
+    assert report.violations == ("p [1,_,_] p vs p [1,2,_] p",)
 
 
 def test_gelfand_guard():
-    with pytest.raises(ResourceGuardError, match="MAX_GELFAND_N = 3"):
-        check_gelfand_pair(MAX_GELFAND_N + 1)
-
-
-def test_sandwich_products_computed_directly():
-    # One hand-checkable instance: p e{1} p and p (1 2) p commute in R_2.
-    p = symmetrizer(2)
-    u = p * FormalSum.of(idempotent([1])) * p
-    v = p * FormalSum.of(parse_element("(1 2)")) * p
-    assert u * v == v * u
+    with pytest.raises(ResourceGuardError, match="MAX_ENUMERATION_GROUND_SET = 7"):
+        check_gelfand_pair(8)

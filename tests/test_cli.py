@@ -11,10 +11,11 @@ import types
 import pytest
 
 import rookchar
-from rookchar import cli, elements, states, tensor_model
+from rookchar import algebra, cli, elements, states, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
-from rookchar.errors import MAX_GELFAND_N, MAX_PAIR_SWEEP_N, MAX_POPOVA_N
+from rookchar.elements import MAX_ENUMERATION_GROUND_SET
+from rookchar.errors import MAX_PAIR_SWEEP_N, MAX_POPOVA_N
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -285,12 +286,22 @@ class TestVerifyGolden:
         assert (code, out) == (EXIT_GUARD, "")
         assert f"MAX_PAIR_SWEEP_N = {MAX_PAIR_SWEEP_N}" in err
 
-    def test_gelfand_over_the_cap_exits_4(self, capsys):
+    def test_gelfand_over_the_cap_exits_4(self, capsys, monkeypatch):
+        # The check lists R_n once, through padded_rn, whose guard stops n = 8
+        # before the first element.
+        listing, listed = elements.padded_rn, []
+
+        def recorded(n):
+            for images in listing(n):
+                listed.append(images)
+                yield images
+
+        monkeypatch.setattr(algebra, "padded_rn", recorded)
         start = time.perf_counter()
-        code, out, err = run(capsys, "verify", "--suite", "gelfand", "--n", str(MAX_GELFAND_N + 1))
+        code, out, err = run(capsys, "verify", "--suite", "gelfand", "--n", str(MAX_ENUMERATION_GROUND_SET + 1))
         assert time.perf_counter() - start < 0.5
-        assert (code, out) == (EXIT_GUARD, "")
-        assert f"MAX_GELFAND_N = {MAX_GELFAND_N}" in err
+        assert (code, out, listed) == (EXIT_GUARD, "", [])
+        assert f"MAX_ENUMERATION_GROUND_SET = {MAX_ENUMERATION_GROUND_SET}" in err
 
     def test_star_over_the_enumeration_guard_exits_4(self, capsys):
         code, out, err = run(capsys, "verify", "--suite", "star", "--n", "8")
@@ -670,7 +681,7 @@ PUBLIC_NAMES = {
         "decompose",
         "find_conjugator",
     ),
-    "algebra": ("FormalSum", "check_gelfand_pair", "symmetrizer"),
+    "algebra": ("check_gelfand_pair",),
     "words": ("EPS1", "S", "element_to_word", "verify_popova_relations", "word_to_element"),
     "linalg": ("PsdCertificate", "RationalMatrix", "psd_certificate", "verify_certificate"),
     "states": (
@@ -838,7 +849,7 @@ class TestImportBoundary:
             "          for g, (m, n) in zip(got, pairs)))\n"
         )
         pairs = [f"{module}:{name}" for module, names in PUBLIC_NAMES.items() for name in names]
-        assert len(pairs) == 56
+        assert len(pairs) == 54
         assert fresh_python(script, *pairs) == ["True", "True", "False", "True"]
 
     def test_import_registers_every_module_but_cli(self):
@@ -886,8 +897,11 @@ class TestImportBoundary:
             rookchar.no_such_name
         assert not hasattr(rookchar, "quasicycle_decompose")
         assert not hasattr(rookchar, "StateSpec")
-        for name in ("algebra_product", "render", "star", "support"):
+        for name in ("algebra_product", "render", "star", "support", "FormalSum", "symmetrizer"):
             assert not hasattr(rookchar, name)
+        assert not hasattr(rookchar.algebra, "FormalSum") and not hasattr(rookchar.algebra, "symmetrizer")
+        assert not hasattr(rookchar.errors, "MAX_GELFAND_N")
+        assert not hasattr(rookchar.RationalMatrix, "is_symmetric")
         assert not hasattr(rookchar.elements, "permutation_from_images")
         assert not hasattr(rookchar.states, "load_state")
         assert not hasattr(rookchar.RationalMatrix, "from_json_rows")
