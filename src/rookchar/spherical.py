@@ -3,30 +3,29 @@
 The finite model pi^(n,l) acts on the span of the vectors e_A indexed by the
 l-point subsets A of {1..n}: slot j holds w for j in A and the orthogonal
 w-perp otherwise, permutations permute slots, and e{k} projects slot k onto
-w.  The spherical vector is the normalized sum of the e_A, and the matrix
-coefficient against it has the exact product form
+w.  The spherical vector is the normalized sum of the e_A.  pi(r) keeps the
+C(n-b, l-b) vectors e_A with A containing r's b killed points and permutes
+them, so the matrix coefficient against the spherical vector is
 
-    l (l-1) ... (l-b+1) / (n (n-1) ... (n-b+1)),   b = #killed points,
+    C(n-b, l-b) / C(n, l) = l (l-1) ... (l-b+1) / (n (n-1) ... (n-b+1)),
 
 independent of the permutation part.
 
 The infinite model lives on u-stabilized tensors with u = kappa w +
-sqrt(1-kappa^2) w-perp; its coefficient is (kappa^2)^b.  The limit check
-tabulates the finite coefficients under both candidate subset growth rates
-l_n/n -> kappa and l_n/n -> kappa^2 and reports which one converges to the
-infinite value -- empirically the squared rate.
+sqrt(1-kappa^2) w-perp, |kappa| <= 1; its coefficient is (kappa^2)^b.  The
+limit check tabulates the finite coefficients under both candidate subset
+growth rates l_n/n -> kappa and l_n/n -> kappa^2 and reports which one
+converges to the infinite value -- empirically the squared rate.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
 
 from .elements import PartialBijection
-from .errors import MAX_POINT, Record, ResourceGuardError
+from .errors import MAX_POINT, Record, ResourceGuardError, json_int
 
 # Bounds the basis C(n, l) of a model, and the 2^n - 1 rows that
 # ``spherical --all-idempotents`` lists.
@@ -37,6 +36,7 @@ class SphericalModel(Record):
     __slots__ = _fields = ("n", "l")
 
     def __init__(self, n: int, l: int):
+        n, l = json_int(n, "n"), json_int(l, "l")
         if not 0 <= l <= n:
             raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
         if n > MAX_POINT:
@@ -44,33 +44,19 @@ class SphericalModel(Record):
         self._set(n, l)
 
 
-@functools.lru_cache(maxsize=4)
-def _subset_basis(n: int, k: int) -> frozenset[tuple[int, ...]]:
-    """The sorted k-point subsets of 1..n: the basis labels of pi^(n,k), or of
-    pi^(n,n-k) by complement."""
-    return frozenset(itertools.combinations(range(1, n + 1), k))
-
-
 def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     """Exact matrix coefficient of pi^(n,l)(r) at the spherical vector.
 
-    The coefficient is (1/C(n,l)) times the number of pairs (A, B) of basis
-    subsets with <pi(r) e_A, e_B> = 1.  pi(r) kills e_A unless A contains
-    every killed point of r, and otherwise sends it to e_line(A), where line
-    is the one-line extension of r.  So only the subsets A = kills + S, with
-    S an (l-b)-subset of the remaining points, are acted on; each image is
-    looked up in the subset basis and the hits are counted.
+    The coefficient is (1/C(n,l)) times the number of basis vectors e_A that
+    pi(r) sends to a basis vector:
 
-    When 2l > n, each subset is labelled by its (n-l)-point complement
-    instead.  line is a permutation of 1..n, so the complement of line(A) is
-    line of A's complement, and A contains the kills exactly when its
-    complement avoids them: the count runs over the (n-l)-subsets of the
-    remaining points.  Either side stays an explicit action on the basis,
-    hence a check of the closed form, with C(n,l) labels of min(l, n-l)
-    points per model and C(n-b, l-b) images per call.  The images are read
-    off r's image tuple: line sends r's domain to r's images, the points
-    past r's bound to themselves, and the kills to r's range gaps, and each
-    image subset is sorted, so the order within each part does not matter.
+    1. pi(r) kills e_A unless A contains every killed point of r;
+    2. otherwise pi(r) sends e_A to e_line(A); line, the one-line extension
+       of r, permutes 1..n, so line(A) is again an l-point basis subset;
+    3. so the count is that of the l-subsets holding the b kills, C(n-b, l-b).
+
+    The independent checks build the action: ``tests/oracles.py::spherical_coeff``
+    per subset, ``tests/test_spherical.py::dense_spherical_coeff`` as a matrix.
 
     >>> from rookchar.elements import idempotent
     >>> spherical_coeff(SphericalModel(4, 2), idempotent([1]))
@@ -84,21 +70,10 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
         raise ResourceGuardError(
             f"basis of size C({n},{l}) {shown} exceeds the guard MAX_BASIS = {MAX_BASIS}"
         )
-    images = r.images
-    bound = len(images)
-    if bound > n:
+    if len(r.images) > n:
         raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
-    killed = images.count(None)
-    if killed > l:
-        return Fraction(0)
-    rest = [*filter(None, images), *range(bound + 1, n + 1)]
-    if 2 * l > n:
-        fixed, k = (), n - l
-    else:
-        fixed, k = tuple(set(range(1, bound + 1)).difference(images)), l - killed
-    basis = _subset_basis(n, min(l, n - l))
-    subsets = map(tuple, map(sorted, map(fixed.__add__, itertools.combinations(rest, k))))
-    return Fraction(sum(map(basis.__contains__, subsets)), size)
+    b = r.images.count(None)
+    return Fraction(math.comb(n - b, l - b), size) if b <= l else Fraction(0)
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:
@@ -115,6 +90,8 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
     still hold u; permuting slots leaves the per-slot overlaps with u as a
     multiset, and each projected slot contributes (u, w)^2 = kappa^2.
     """
+    if abs(kappa) > 1:
+        raise ValueError(f"u = kappa w + sqrt(1-kappa^2) w-perp needs |kappa| <= 1, got {kappa}")
     return Fraction(kappa**2) ** len(r.domain_gaps())
 
 
@@ -144,15 +121,20 @@ def spherical_limit_check(
     the reported winner is the scaling with the smaller error at the largest
     n.  Coefficients come from the closed form, so large n stays cheap.
     """
+    if not 0 <= kappa <= 1:
+        raise ValueError(f"the limit table needs 0 <= kappa <= 1, got {kappa}")
+    n_list = sorted(n_list)
+    if not n_list or n_list[0] < 0:
+        raise ValueError(f"the limit table needs a nonempty list of n >= 0, got {n_list}")
     b = len(r.domain_gaps())
     infinite = infinite_spherical_value(kappa, r)
     rows = []
-    for n in sorted(n_list):
+    for n in n_list:
         row: dict = {"n": n}
         for label, scale in (("kappa", kappa), ("kappa_squared", kappa**2)):
-            l = min(n, round(scale * n))
-            coeff = spherical_coeff_closed_form(n, int(l), b)
-            row[f"l_{label}"] = int(l)
+            l = round(scale * n)
+            coeff = spherical_coeff_closed_form(n, l, b)
+            row[f"l_{label}"] = l
             row[f"coeff_{label}"] = float(coeff)
             row[f"error_{label}"] = abs(float(coeff) - float(infinite))
         rows.append(row)

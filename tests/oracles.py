@@ -12,9 +12,9 @@ The sweep references list R_n as elements and multiply with ``compose``, and
 read values through the element, never through an image tuple, so they check
 the library's sweeps on padded image tuples case for case.
 
-The spherical reference counts on the l-point subsets alone, one sorted
-tuple per surviving subset, so it checks the library's count on the smaller
-side (complements when 2l > n) and its iterator pipeline.
+The spherical reference builds the image of every surviving l-point subset
+as a sorted tuple and looks it up among the l-point subsets, so it checks the
+library's count C(n-b, l-b) against the action itself.
 
 The certificate references are the integer elimination that builds every
 factor of ``lower`` as a Fraction inside its loop and updates every row at

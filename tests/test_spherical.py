@@ -15,10 +15,9 @@ from rookchar.elements import (
     parse_element,
     symmetric_group,
 )
-from rookchar.errors import MAX_POINT, ResourceGuardError
+from rookchar.errors import MAX_POINT, ParseError, ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
-    _subset_basis,
     infinite_spherical_value,
     spherical_coeff,
     spherical_coeff_closed_form,
@@ -108,10 +107,9 @@ class TestFiniteCoefficients:
                         n, l, r.literal(),
                     )
 
-    def test_complement_side_bounds_memory(self):
-        # C(4000,3999) = 4000 labels under the guard; counted on the 3999-point
-        # side they took 129 MB, on the 1-point complements under 1 MB.
-        _subset_basis.cache_clear()
+    def test_many_point_subsets_bound_memory(self):
+        # C(4000,3999) = 4000 subsets under the guard, 129 MB as 3999-point
+        # tuples; the count builds none of them.
         tracemalloc.start()
         try:
             got = spherical_coeff(SphericalModel(4000, 3999), parse_element("[2,_,1]"))
@@ -126,6 +124,23 @@ class TestFiniteCoefficients:
         got = spherical_coeff(SphericalModel(16, 8), idempotent(range(1, 9)))
         assert got == spherical_coeff_closed_form(16, 8, 8)
         assert got == Fraction(1, 12870)
+
+    @pytest.mark.parametrize("b", range(9))
+    def test_equals_per_subset_reference_at_the_guard(self, b):
+        # C(16,8) = 12870 subsets, the largest middle basis under the guard.
+        model = SphericalModel(16, 8)
+        r = compose(parse_element("(1 16 5)(2 9)"), idempotent(range(3, 3 + b)))
+        assert len(r.domain_gaps()) == b
+        assert spherical_coeff(model, r) == oracles.spherical_coeff(model, r)
+
+    def test_model_reads_integers(self):
+        assert SphericalModel("3", 1) == SphericalModel(3, 1)
+        with pytest.raises(ParseError, match="n must be an integer, got 3.5"):
+            SphericalModel(3.5, 1)
+        with pytest.raises(ParseError, match="n must be an integer, got True"):
+            SphericalModel(True, 0)
+        with pytest.raises(ParseError, match="l must be an integer, got 1.5"):
+            SphericalModel(3, 1.5)
 
 
 class TestInfiniteModel:
@@ -143,6 +158,12 @@ class TestInfiniteModel:
     def test_kill_count_powers(self):
         k = Fraction(3, 5)
         assert infinite_spherical_value(k, idempotent([1, 2, 5])) == (k**2) ** 3
+
+    def test_kappa_outside_the_unit_interval(self):
+        assert infinite_spherical_value(Fraction(-1), idempotent([1])) == 1
+        for kappa in (Fraction(3, 2), Fraction(-3, 2)):
+            with pytest.raises(ValueError, match=r"\|kappa\| <= 1"):
+                infinite_spherical_value(kappa, idempotent([1]))
 
     def test_phase_invariance_at_slot_level(self):
         rs = [idempotent([1]), parse_element("(1 2)e{1}"), parse_element("(1 2 3)e{2}e{3}")]
@@ -175,3 +196,19 @@ class TestLimit:
         data = report.to_json()
         assert data["converging_scaling"] in ("kappa", "kappa_squared")
         assert len(data["rows"]) == 2
+
+    @pytest.mark.parametrize("kappa", [Fraction(-1, 2), Fraction(3, 2)])
+    def test_kappa_outside_zero_one(self, kappa):
+        with pytest.raises(ValueError, match="0 <= kappa <= 1"):
+            spherical_limit_check(kappa, idempotent([1, 2]), [50, 100])
+
+    @pytest.mark.parametrize("n_list", [[], [10, -1]])
+    def test_n_list_needs_entries_of_at_least_zero(self, n_list):
+        with pytest.raises(ValueError, match="nonempty list of n >= 0"):
+            spherical_limit_check(Fraction(1, 2), idempotent([1]), n_list)
+
+    def test_unit_interval_ends(self):
+        zero = spherical_limit_check(Fraction(0), idempotent([1]), [0, 4])
+        one = spherical_limit_check(Fraction(1), idempotent([1]), [0, 4])
+        assert [row["l_kappa"] for row in zero.rows + one.rows] == [0, 0, 0, 4]
+        assert (zero.infinite_value, one.infinite_value) == (0, 1)
