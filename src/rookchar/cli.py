@@ -56,13 +56,18 @@ def _json_default(value):
     raise TypeError(f"not serializable: {value!r}")
 
 
+def _read(path: str) -> str:
+    """The text of an input file; any OSError becomes a ParseError (exit 2)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def _load_state(args):
     """The state; with ``--unchecked``, the unvalidated value function instead."""
-    if getattr(args, "state", None):
-        with open(args.state, encoding="utf-8") as fh:
-            data = json.load(fh)
-    else:
-        data = DEFAULT_STATE
+    data = json.loads(_read(args.state)) if getattr(args, "state", None) else DEFAULT_STATE
     if getattr(args, "unchecked", False):
         # Testing aid: bypass the mass bound so non-states can be fed to the
         # Gram certifier and produce genuine NotPSD witnesses.
@@ -72,8 +77,9 @@ def _load_state(args):
 
 def _elements_arg(args) -> list[PartialBijection]:
     if getattr(args, "elems", None):
-        with open(args.elems, encoding="utf-8") as fh:
-            return [parse_element(line.strip()) for line in fh if line.strip()]
+        lines = [line for line in map(str.strip, _read(args.elems).split("\n")) if line]
+        states.check_gram_size(len(lines))  # before any line is parsed
+        return [parse_element(line) for line in lines]
     states.check_gram_size(rn_size(args.n))  # before R_n is listed
     return list(enumerate_rn(args.n))
 
@@ -130,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    params = tensor_model.load_params(args.params)
+    params = tensor_model.ModelParams.from_json(json.loads(_read(args.params)))
     embedding = tensor_model.TensorEmbedding(params)
     rows = []
     worst = 0.0
@@ -198,7 +204,8 @@ def cmd_spherical(args) -> int:
 
 
 def cmd_okounkov(args) -> int:
-    embedding = tensor_model.TensorEmbedding(tensor_model.load_params(args.params))
+    params = tensor_model.ModelParams.from_json(json.loads(_read(args.params)))
+    embedding = tensor_model.TensorEmbedding(params)
     xs = [parse_element(args.x)] if args.x else list(enumerate_rn(2))
     ys = [parse_element(args.y)] if args.y else list(enumerate_rn(2))
     reports = []
@@ -290,13 +297,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:  # ParseError, JSONDecodeError, UnicodeDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

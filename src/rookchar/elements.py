@@ -102,10 +102,6 @@ class PartialBijection(Record):
         object.__setattr__(element, "images", tuple(images))
         return element
 
-    @staticmethod
-    def identity() -> "PartialBijection":
-        return PartialBijection(())
-
     @property
     def bound(self) -> int:
         return len(self.images)
@@ -216,7 +212,7 @@ def invert_images(images: Sequence[int | None]) -> tuple[int | None, ...]:
 
 
 def identity() -> PartialBijection:
-    return PartialBijection.identity()
+    return PartialBijection(())
 
 
 def _check_points(lowest: int, highest: int) -> None:
@@ -249,7 +245,7 @@ def from_orbits(chains: Iterable[Sequence[int]] = (),
             targets.extend(o[1:])
             targets.append(o[0] if closed else None)
     if not points:
-        return PartialBijection.identity()
+        return identity()
     _check_points(min(points), max(points))
     if len(set(points)) != len(points):
         raise ValueError("orbits must be disjoint")
@@ -267,7 +263,7 @@ def idempotent(points: Iterable[int]) -> PartialBijection:
     """
     kills = sorted(set(points))
     if not kills:
-        return PartialBijection.identity()
+        return identity()
     _check_points(kills[0], kills[-1])
     images: list[int | None] = list(range(1, kills[-1] + 1))
     for p in kills:
@@ -325,7 +321,7 @@ def _parse_image_list(s: str) -> PartialBijection:
         raise ParseError(f"unterminated image list: {s!r}")
     body = s[1:-1].strip()
     if not body:
-        return PartialBijection.identity()
+        return identity()
     images: list[int | None] = []
     for tok in body.split(","):
         tok = tok.strip()
@@ -365,7 +361,7 @@ def _parse_product(s: str) -> PartialBijection:
                 factors.append(idempotent(int(t) for t in body))
                 pos = end + 1
             else:
-                factors.append(PartialBijection.identity())
+                factors.append(identity())
                 pos += 1
         else:
             raise ParseError(f"unexpected character {ch!r} in {s!r}")

@@ -178,6 +178,7 @@ MAX_MEMO_ELEMENTS = 65536
 class ClassFunction:
     """The class function ``invariant.product(cycle, quasi)``, memoised twice.
 
+    ``f(r)`` reads an element, ``f.of_images(images)`` an image tuple.
     ``by_images`` maps each image tuple met so far (an element's, or one
     padded to n by a sweep) to its value; on a miss, the invariant counted
     from the images is looked up in ``by_class``.  Each dict is emptied when it
@@ -198,7 +199,7 @@ class ClassFunction:
         self.by_class: dict[ConjugacyInvariant, Any] = {}
         self.by_images: dict[tuple[int | None, ...], Any] = {}
 
-    def value(self, r: PartialBijection) -> Any:
+    def __call__(self, r: PartialBijection) -> Any:
         return self.of_images(r.images)
 
     def of_images(self, images: tuple[int | None, ...]) -> Any:
@@ -217,8 +218,6 @@ class ClassFunction:
             self.by_images.clear()
         self.by_images[images] = value
         return value
-
-    __call__ = value  # evaluate and the sweeps call the method, which is faster
 
 
 @functools.lru_cache(maxsize=65536)

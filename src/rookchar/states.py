@@ -21,9 +21,9 @@ sizes of its quasi-cycles and plain cycles and its trivial count).  Each
 parameter set keeps one table (:class:`ValueTable`), a
 :class:`~rookchar.quasicycles.ClassFunction` with bounded memos from image
 tuple and from invariant to value, the same table type that holds the tensor
-model's closed form.  An element met before costs one dictionary lookup; a
-new one costs an orbit-length count of its image tuple plus a class lookup,
-and no decomposition is built.
+model's closed form; ``state.table(r)`` is the value on r.  An element met
+before costs one dictionary lookup; a new one costs an orbit-length count of
+its image tuple plus a class lookup, and no decomposition is built.
 
 The four state sweeps (centrality, conjugation invariance, multiplicativity,
 star symmetry) run on image tuples padded to length n
@@ -31,10 +31,10 @@ star symmetry) run on image tuples padded to length n
 its elements padded to their largest bound.  Products are gathers over those
 tuples (:func:`~rookchar.elements.gather`), stars are
 :func:`~rookchar.elements.invert_images`, and values are read with
-:meth:`ValueTable.of_images`; any other value function is handed the element
-with those images.  An element is built only to name a violation.  A class
-function takes the same value on r and r*, so its Gram matrix is evaluated
-on one triangle and mirrored.
+:meth:`ValueTable.of_images`; any other value function is a callable handed
+the element with those images.  An element is built only to name a violation.
+A class function takes the same value on r and r*, so its Gram matrix is
+evaluated on one triangle and mirrored.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg  # through the module, so linalg runs only when a Gram is built
-from .elements import PartialBijection, gather, invert_images, padded_rn
+from .elements import MAX_ENUMERATION_GROUND_SET, PartialBijection, gather, invert_images, padded_rn
 from .errors import (
     I_STAR_J,
     MAX_PAIR_SWEEP_N,
@@ -64,6 +64,9 @@ from .quasicycles import ClassFunction
 # The dense Gram route builds and certifies an m x m matrix of Fractions, so
 # m is guarded: R_4's 209 elements pass, R_5's 1546 would run for hours.
 MAX_GRAM_ELEMENTS = 1024
+# Its m^2 products are image tuples padded to the largest bound w, so m^2 w
+# is guarded too; any 1024 elements of R_7 pass.
+MAX_GRAM_IMAGES = MAX_GRAM_ELEMENTS**2 * MAX_ENUMERATION_GROUND_SET
 
 TYPE_I_INF = "TypeIinf"
 TYPE_II_INF = "TypeIIinf"
@@ -132,11 +135,11 @@ class ValueTable(ClassFunction):
 
 
 class State(Record):
-    """A validated state specification; also usable directly as the state.
+    """A validated state specification.
 
     ``table`` holds this state's values, memoised by element and by
-    conjugacy class; it is not a field, so it takes no part in equality,
-    hashing or the repr.
+    conjugacy class: ``table(r)`` is the value on r.  It is not a field, so
+    it takes no part in equality, hashing or the repr.
     """
 
     _fields = ("thoma", "mark")
@@ -157,9 +160,6 @@ class State(Record):
     @property
     def weight(self) -> Fraction:
         return self.table.t
-
-    def value(self, r: PartialBijection) -> Fraction:
-        return evaluate(self, r)
 
     def to_json(self) -> dict:
         mark = None
@@ -222,7 +222,7 @@ def evaluate(state: State, r: PartialBijection) -> Fraction:
     >>> len(state.table.by_class)
     2
     """
-    return state.table.value(r)
+    return state.table(r)
 
 
 def unchecked_value_fn(data: dict) -> ValueTable:
@@ -301,8 +301,8 @@ def gram_matrix(
     """The Gram matrix of the chosen ordering with its exact PSD certificate.
 
     ``state`` is a ``State`` or any value function, as for the sweeps.  More
-    than ``MAX_GRAM_ELEMENTS`` elements raise ResourceGuardError before any
-    entry is built.
+    than ``MAX_GRAM_ELEMENTS`` elements, or m elements of largest bound w with
+    m^2 w > ``MAX_GRAM_IMAGES``, raise ResourceGuardError before any padding.
 
     Products are gathers over the image tuples padded to the largest bound.
     When the values come from a class function (a ``State``, a ``ValueTable``
@@ -319,8 +319,11 @@ def gram_matrix(
     if ordering not in (STAR_JI, I_STAR_J):
         raise ValueError(f"unknown ordering {ordering!r}")
     f = _images_fn(state)
-    m = max((len(r.images) for r in elems), default=0)
-    padded = [r.images + tuple(range(len(r.images) + 1, m + 1)) for r in elems]
+    w = max((len(r.images) for r in elems), default=0)
+    if len(elems) ** 2 * w > MAX_GRAM_IMAGES:
+        raise ResourceGuardError(f"{len(elems)} elements padded to {w} points exceed the "
+                                 f"Gram guard m^2 w <= MAX_GRAM_IMAGES = {MAX_GRAM_IMAGES}")
+    padded = [r.images + tuple(range(len(r.images) + 1, w + 1)) for r in elems]
     stars = [invert_images(p) for p in padded]
     # cells[u][v] = f(t_v s_u) with s_u acting first: under starJI s = r and
     # t = r*, so cells is the matrix f(r_j* r_i); under iStarJ s = r* and
@@ -354,12 +357,11 @@ def _class_table(state) -> ClassFunction | None:
 
 def _images_fn(state) -> Callable[[tuple[int | None, ...]], Fraction]:
     """``images -> value``: a State or a table reads the table, any other
-    value function gets the element."""
+    value function is a callable handed the element."""
     table = _class_table(state)
     if table is not None:
         return table.of_images
-    f, element = (state.value if hasattr(state, "value") else state), PartialBijection._canonical
-    return lambda images: f(element(images))
+    return lambda images: state(PartialBijection._canonical(images))
 
 
 def _literal(images: tuple[int | None, ...]) -> str:

@@ -34,7 +34,6 @@ nothing to recycle.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -183,11 +182,6 @@ def _parse_sqrt(token) -> Fraction:
         raise ParseError(f"bad vector entry {token!r}") from exc
 
 
-def load_params(path: str) -> ModelParams:
-    with open(path, encoding="utf-8") as fh:
-        return ModelParams.from_json(json.load(fh))
-
-
 # --- closed-form route --------------------------------------------------------
 
 
@@ -211,7 +205,7 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
     plain cycle.  Each class's value is computed once per parameter set and
     kept in ``p.table``, a :class:`~rookchar.quasicycles.ClassFunction`.
     """
-    return p.table.value(r)
+    return p.table(r)
 
 
 # --- product-tensor route ------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 
-from .elements import PartialBijection, compose, idempotent, transposition
+from .elements import PartialBijection, compose, idempotent, identity, transposition
 from .errors import MAX_POPOVA_N, CheckReport, ResourceGuardError, tally
 
 EPS1 = 0
@@ -34,7 +34,7 @@ def letter_element(letter: int) -> PartialBijection:
 
 
 def word_to_element(word: Word) -> PartialBijection:
-    out = PartialBijection.identity()
+    out = identity()
     for letter in word:
         out = compose(out, letter_element(letter))
     return out

@@ -41,6 +41,7 @@ import numpy as np
 from rookchar.elements import PartialBijection, compose, enumerate_rn, symmetric_group
 from rookchar.errors import CheckReport, tally
 from rookchar.linalg import NOT_PSD, PSD, PsdCertificate, RationalMatrix, _divide_exactly
+from rookchar.states import State
 from rookchar.tensor_model import ModelParams
 from rookchar.words import EPS1, element_to_word
 
@@ -144,7 +145,7 @@ def marked_cycle_value(p: ModelParams, k: int, marks: Sequence[int]) -> Fraction
 
 
 def _value_fn(state):
-    return state.value if hasattr(state, "value") else state
+    return state.table if isinstance(state, State) else state
 
 
 def centrality(state, n: int) -> CheckReport:
@@ -390,7 +391,7 @@ class FormalSum:
 
     @staticmethod
     def one() -> "FormalSum":
-        return FormalSum.of(PartialBijection.identity())
+        return FormalSum.of(PartialBijection(()))
 
     def coefficient(self, element: PartialBijection) -> Fraction:
         return self._terms.get(element, Fraction(0))

@@ -166,12 +166,66 @@ class TestGram:
         assert (code, out) == (EXIT_GUARD, "")
         assert "130922 elements" in err and "MAX_GRAM_ELEMENTS = 1024" in err
 
+    def test_elements_file_is_counted_before_any_line_is_parsed(self, capsys, tmp_path, monkeypatch):
+        def refuse(text):
+            raise AssertionError(f"parse_element({text!r}) called")
+
+        elems = tmp_path / "elems.txt"
+        # 1025 nonblank lines with a blank line after each: blanks do not count.
+        elems.write_text("\n\n".join(f"(1 {k})" for k in range(2, 1027)) + "\n\n")
+        monkeypatch.setattr(cli, "parse_element", refuse)
+        code, out, err = run(capsys, "gram", "--elems", str(elems))
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "1025 elements" in err and "MAX_GRAM_ELEMENTS = 1024" in err
+
+    def test_padded_products_guard_exits_4_at_once(self, capsys, tmp_path):
+        # 30 elements padded to 65535 points: 30^2 * 65535 is over the
+        # budget MAX_GRAM_ELEMENTS^2 * MAX_ENUMERATION_GROUND_SET.
+        elems = tmp_path / "elems.txt"
+        elems.write_text("".join(f"(1 {65535 - k})\n" for k in range(30)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "gram", "--elems", str(elems))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "30 elements padded to 65535 points" in err
+        assert f"MAX_GRAM_IMAGES = {1024**2 * MAX_ENUMERATION_GROUND_SET}" in err
+
+    def test_padded_products_guard_bounds_m_squared_w(self, capsys, monkeypatch):
+        # R_3: m = 34 elements of largest bound w = 3, so m^2 w = 3468.
+        monkeypatch.setattr(states, "MAX_GRAM_IMAGES", 34**2 * 3)
+        code, out, _ = run(capsys, "gram", "--n", "3")
+        assert code == EXIT_OK and len(json.loads(out)["elements"]) == 34
+        monkeypatch.setattr(states, "MAX_GRAM_IMAGES", 34**2 * 3 - 1)
+        code, out, err = run(capsys, "gram", "--n", "3")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "34 elements padded to 3 points" in err
+
     def test_unchecked_mark_out_of_range_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad_mark.json"
         path.write_text(json.dumps({"alpha": ["3/4"], "beta": [], "mark": {"i": 3, "t": "1"}}))
         code, _, err = run(capsys, "gram", "--state", str(path), "--n", "2", "--unchecked")
         assert code == EXIT_USAGE
         assert "marked index 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--elem", "e", "--state"],
+        ["gram", "--elems"],
+        ["oracle", "--params"],
+    ],
+    ids=["state", "elems", "params"],
+)
+def test_directory_input_exits_2(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rookchar.cli", *argv, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert proc.stderr.startswith("error: [Errno 21] Is a directory:")
+    assert "Traceback" not in proc.stderr
 
 
 class TestVerify:
@@ -920,6 +974,12 @@ class TestImportBoundary:
         for name in ("DEFAULT_MAX_DIM", "MAX_DIM_ENV"):
             assert not hasattr(rookchar.errors, name) and not hasattr(tensor_model, name)
         assert not hasattr(tensor_model, "_max_dim")
+        # One entry point per operation: a value function is read with
+        # table(r), the identity is elements.identity(), and the CLI reads files.
+        assert not hasattr(states.State, "value")
+        assert not hasattr(rookchar.quasicycles.ClassFunction, "value")
+        assert not hasattr(rookchar.PartialBijection, "identity")
+        assert not hasattr(tensor_model, "load_params")
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"

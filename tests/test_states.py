@@ -351,7 +351,7 @@ class TestFactorMemo:
     OVERWEIGHT = {"alpha": ["1/2", "1/3"], "beta": ["1/2"], "mark": {"i": 1, "t": "1/3"}}
 
     def test_interleaved_states_match_uncached_products(self):
-        fns = [(st.value, st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
+        fns = [(st.table, st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
                for st in SUITE_STATES.values()]
         alpha = tuple(Fraction(a) for a in self.OVERWEIGHT["alpha"])
         beta = tuple(Fraction(b) for b in self.OVERWEIGHT["beta"])
@@ -369,7 +369,7 @@ class TestFactorMemo:
         overweight = unchecked_value_fn(self.OVERWEIGHT)
         elems = list(enumerate_rn(n))
         for r in elems:
-            assert running.value(r) == uncached_value(
+            assert evaluate(running, r) == uncached_value(
                 running.thoma.alpha, running.thoma.beta, Fraction(1, 2), Fraction(1, 2), r)
             assert overweight(r) == uncached_value(
                 overweight.alpha, overweight.beta, Fraction(1, 3), Fraction(1, 2), r)
@@ -390,7 +390,7 @@ class TestFactorMemo:
         assert (len(elems), len({decompose(r).invariant for r in elems})) == (1546, 36)
         for r in elems:
             for x in (r, r.star(), r):
-                assert st.value(x) == uncached_value(*params, x), x.literal()
+                assert evaluate(st, x) == uncached_value(*params, x), x.literal()
                 assert len(table.by_images) <= 16 and len(table.by_class) <= 16
 
     def test_table_is_per_state(self):
@@ -406,6 +406,12 @@ class TestFactorMemo:
                 assert thoma_character(p, n) == raw_cycle_value(p.alpha, p.beta, n)
 
 
+def test_evaluate_is_the_table_read():
+    for st in SUITE_STATES.values():
+        for r in enumerate_rn(3):
+            assert st.table(r) == evaluate(st, r)
+
+
 class _Corrupted:
     """Harness self-check: a deliberately broken state wrapper."""
 
@@ -413,10 +419,10 @@ class _Corrupted:
         self._state = state
         self._poison = poison
 
-    def value(self, r):
+    def __call__(self, r):
         if r == self._poison:
-            return self._state.value(r) + 1
-        return self._state.value(r)
+            return evaluate(self._state, r) + 1
+        return evaluate(self._state, r)
 
 
 class TestSweeps:
