@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -57,7 +58,9 @@ class PartialBijection(Record):
         for x, y in enumerate(images, start=1):
             if y is None:
                 continue
-            if not isinstance(y, int) or not 1 <= y <= bound:
+            if type(y) is not int:  # isinstance would admit True as 1
+                raise ValueError(f"point {y!r} is a {type(y).__name__}, not an int")
+            if not 1 <= y <= bound:
                 raise ValueError(f"point {y} out of range for bound {bound}")
             if y in seen:
                 raise ValueError(f"two points map to {y}")
@@ -314,6 +317,23 @@ def parse_element(text: str) -> PartialBijection:
         raise
     except ValueError as exc:  # injectivity / range violations
         raise ParseError(f"{text!r}: {exc}") from exc
+
+
+def literal_bound(text: str) -> int:
+    """An upper bound on ``parse_element(text).bound``, read from the text alone.
+
+    An image list's bound is at most its entry count, and a product fixes
+    every point above the largest one it names.  A digit run longer than
+    MAX_POINT's counts as MAX_POINT + 1, so no huge token is converted.
+
+    >>> literal_bound("[2,3,_,4,_]"), literal_bound("(1 12)e{7}"), literal_bound("e")
+    (5, 12, 0)
+    """
+    s = text.strip()
+    if s.startswith("["):
+        return s.count(",") + 1 if s[1:-1].strip() else 0
+    return max((MAX_POINT + 1 if len(t.lstrip("0")) > len(str(MAX_POINT)) else int(t)
+                for t in re.findall(r"\d+", s)), default=0)
 
 
 def _parse_image_list(s: str) -> PartialBijection:

@@ -53,7 +53,8 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     1. pi(r) kills e_A unless A contains every killed point of r;
     2. otherwise pi(r) sends e_A to e_line(A); line, the one-line extension
        of r, permutes 1..n, so line(A) is again an l-point basis subset;
-    3. so the count is that of the l-subsets holding the b kills, C(n-b, l-b).
+    3. so the count is that of the l-subsets holding the b kills, C(n-b, l-b),
+       and C(n-b, l-b) / C(n, l) is the falling ratio the closed form returns.
 
     The independent checks build the action: ``tests/oracles.py::spherical_coeff``
     per subset, ``tests/test_spherical.py::dense_spherical_coeff`` as a matrix.
@@ -72,8 +73,7 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
         )
     if len(r.images) > n:
         raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
-    b = r.images.count(None)
-    return Fraction(math.comb(n - b, l - b), size) if b <= l else Fraction(0)
+    return spherical_coeff_closed_form(n, l, r.images.count(None))
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:

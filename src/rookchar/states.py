@@ -280,17 +280,22 @@ class GramReport(Record):
         }
 
 
-def check_gram_size(m: int) -> None:
-    """Raise ResourceGuardError when m elements exceed ``MAX_GRAM_ELEMENTS``.
+def check_gram_size(m: int, w: int) -> None:
+    """Refuse m elements over ``MAX_GRAM_ELEMENTS``, or m elements padded to w
+    points with m^2 w over ``MAX_GRAM_IMAGES``.
 
-    Callers that can count the elements before listing them (``gram --n``)
-    check first, so an oversized request builds nothing.
+    Callers that can bound both before listing or parsing the elements
+    (``gram --n``, ``gram --elems``) check first, so an oversized request
+    builds nothing.
     """
     if m > MAX_GRAM_ELEMENTS:
         raise ResourceGuardError(
             f"a Gram matrix of {m} elements exceeds the dense route's guard "
             f"MAX_GRAM_ELEMENTS = {MAX_GRAM_ELEMENTS}"
         )
+    if m * m * w > MAX_GRAM_IMAGES:
+        raise ResourceGuardError(f"{m} elements padded to {w} points exceed the "
+                                 f"Gram guard m^2 w <= MAX_GRAM_IMAGES = {MAX_GRAM_IMAGES}")
 
 
 def gram_matrix(
@@ -313,16 +318,13 @@ def gram_matrix(
     symmetry check sees its own values.
     """
     elems = tuple(elements)
-    check_gram_size(len(elems))
+    w = max((len(r.images) for r in elems), default=0)
+    check_gram_size(len(elems), w)
     if len(set(elems)) != len(elems):
         raise ValueError("Gram elements must be distinct")
     if ordering not in (STAR_JI, I_STAR_J):
         raise ValueError(f"unknown ordering {ordering!r}")
     f = _images_fn(state)
-    w = max((len(r.images) for r in elems), default=0)
-    if len(elems) ** 2 * w > MAX_GRAM_IMAGES:
-        raise ResourceGuardError(f"{len(elems)} elements padded to {w} points exceed the "
-                                 f"Gram guard m^2 w <= MAX_GRAM_IMAGES = {MAX_GRAM_IMAGES}")
     padded = [r.images + tuple(range(len(r.images) + 1, w + 1)) for r in elems]
     stars = [invert_images(p) for p in padded]
     # cells[u][v] = f(t_v s_u) with s_u acting first: under starJI s = r and

@@ -190,6 +190,23 @@ class TestGram:
         assert "30 elements padded to 65535 points" in err
         assert f"MAX_GRAM_IMAGES = {1024**2 * MAX_ENUMERATION_GROUND_SET}" in err
 
+    def test_padded_products_are_bounded_before_any_line_is_parsed(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # Parsed, 100 such lines took about a second and 269 MB to refuse.
+        def refuse(text):
+            raise AssertionError(f"parse_element({text!r}) called")
+
+        elems = tmp_path / "elems.txt"
+        elems.write_text("".join(f"(1 {65535 - k})\n" for k in range(100)))
+        monkeypatch.setattr(cli, "parse_element", refuse)
+        code, out, err = run(capsys, "gram", "--elems", str(elems))
+        assert (code, out) == (EXIT_GUARD, "")
+        assert err == (
+            "resource guard: 100 elements padded to 65535 points exceed the Gram guard "
+            f"m^2 w <= MAX_GRAM_IMAGES = {1024**2 * MAX_ENUMERATION_GROUND_SET}\n"
+        )
+
     def test_padded_products_guard_bounds_m_squared_w(self, capsys, monkeypatch):
         # R_3: m = 34 elements of largest bound w = 3, so m^2 w = 3468.
         monkeypatch.setattr(states, "MAX_GRAM_IMAGES", 34**2 * 3)
@@ -680,6 +697,40 @@ class TestSpherical:
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "spherical", "--n", "4", "--l", "2")
         assert code == EXIT_USAGE and err
+
+    def test_csv_bytes(self, capsys):
+        code, out, err = run(
+            capsys, "spherical", "--n", "4", "--l", "2", "--all-idempotents", "--format", "csv"
+        )
+        assert (code, out, err) == (EXIT_OK, SPHERICAL_CSV_N4_L2, "")
+
+    def test_json_bytes(self, capsys):
+        code, out, err = run(capsys, "spherical", "--n", "6", "--l", "3", "--elem", "e{1,2}")
+        assert (code, out, err) == (EXIT_OK, SPHERICAL_JSON_N6_L3 + "\n", "")
+
+
+SPHERICAL_CSV_N4_L2 = """\
+closed_form,coefficient,element,killed,match
+1/2,1/2,[_],1,True
+1/2,1/2,[1,_],1,True
+1/2,1/2,[1,2,_],1,True
+1/2,1/2,[1,2,3,_],1,True
+1/6,1/6,[_,_],2,True
+1/6,1/6,[_,2,_],2,True
+1/6,1/6,[_,2,3,_],2,True
+1/6,1/6,[1,_,_],2,True
+1/6,1/6,[1,_,3,_],2,True
+1/6,1/6,[1,2,_,_],2,True
+0,0,[_,_,_],3,True
+0,0,[_,_,3,_],3,True
+0,0,[_,2,_,_],3,True
+0,0,[1,_,_,_],3,True
+0,0,[_,_,_,_],4,True
+"""
+SPHERICAL_JSON_N6_L3 = (
+    '{"all_match": true, "l": 3, "n": 6, "rows": [{"closed_form": "1/5", "coefficient": "1/5", '
+    '"element": "[_,_]", "killed": 2, "match": true}]}'
+)
 
 
 class TestOkounkov:

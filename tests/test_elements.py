@@ -17,6 +17,7 @@ from rookchar.elements import (
     idempotent,
     identity,
     invert_images,
+    literal_bound,
     padded_rn,
     parse_element,
     rn_size,
@@ -78,6 +79,33 @@ class TestLiterals:
     def test_out_of_range_error(self):
         with pytest.raises(ParseError, match="out of range"):
             parse_element("[3,1]")
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PartialBijection((True, None)),
+            lambda: cycle((True, 2)),
+            lambda: PartialBijection.from_images([True, None]),
+        ],
+        ids=["constructor", "cycle", "from_images"],
+    )
+    def test_bool_points_are_refused(self, build):
+        # isinstance(True, int) holds, so True once passed as the point 1.
+        with pytest.raises(ValueError, match="True is a bool, not an int"):
+            build()
+
+    @pytest.mark.parametrize(
+        "text, bound",
+        [
+            ("[2,3,_,4,_]", 5), ("[]", 0), ("[1,2,3]", 3), ("e", 0), ("(1 2)(3)", 3),
+            ("(1 12)e{7}", 12), ("e{0007}", 7), (f"(1 {MAX_POINT})", MAX_POINT),
+            ("(1 " + "9" * 5000 + ")", MAX_POINT + 1), ("(1 00000000002)", 2),
+        ],
+    )
+    def test_literal_bound_is_read_without_parsing(self, text, bound):
+        assert literal_bound(text) == bound
+        if bound <= MAX_POINT:
+            assert parse_element(text).bound <= bound
 
 
 class TestPointGuard:
