@@ -14,7 +14,6 @@ import argparse
 import itertools
 import json
 import sys
-from fractions import Fraction
 
 # Reached through the module objects, so a command runs only the module
 # bodies it uses (the package registers its submodules lazily).
@@ -41,19 +40,13 @@ def _emit(payload, fmt: str = "json"):
             for row in rows:
                 print(",".join(_csv_cell(row[c]) for c in cols))
         return
-    print(json.dumps(payload, sort_keys=True, default=_json_default))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, float):
         return format(value, ".12g")
     return str(value)
-
-
-def _json_default(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    raise TypeError(f"not serializable: {value!r}")
 
 
 def _read(path: str) -> str:

@@ -41,6 +41,22 @@ from .errors import MAX_POINT, ParseError, Record, ResourceGuardError
 MAX_ENUMERATION_GROUND_SET = 7
 
 
+def _check_images(images: tuple[int | None, ...]) -> None:
+    """Raise ValueError unless ``images`` is an injective partial map of 1..len."""
+    seen: set[int] = set()
+    bound = len(images)
+    for y in images:
+        if y is None:
+            continue
+        if type(y) is not int:  # isinstance would admit True as 1
+            raise ValueError(f"point {y!r} is a {type(y).__name__}, not an int")
+        if not 1 <= y <= bound:
+            raise ValueError(f"point {y} out of range for bound {bound}")
+        if y in seen:
+            raise ValueError(f"two points map to {y}")
+        seen.add(y)
+
+
 class PartialBijection(Record):
     """A finitary partial bijection in canonical (trimmed) form.
 
@@ -53,19 +69,8 @@ class PartialBijection(Record):
     __slots__ = _fields = ("images",)
 
     def __init__(self, images: tuple[int | None, ...]):
-        seen: set[int] = set()
-        bound = len(images)
-        for x, y in enumerate(images, start=1):
-            if y is None:
-                continue
-            if type(y) is not int:  # isinstance would admit True as 1
-                raise ValueError(f"point {y!r} is a {type(y).__name__}, not an int")
-            if not 1 <= y <= bound:
-                raise ValueError(f"point {y} out of range for bound {bound}")
-            if y in seen:
-                raise ValueError(f"two points map to {y}")
-            seen.add(y)
-        if bound and images[-1] == bound:
+        _check_images(images)
+        if images and images[-1] == len(images):
             raise ValueError("not canonical: trailing fixed point")
         object.__setattr__(self, "images", images)
 
@@ -82,11 +87,10 @@ class PartialBijection(Record):
 
     @staticmethod
     def from_images(images: Sequence[int | None]) -> "PartialBijection":
-        """Build an element from an image list, trimming trailing fixed points."""
-        imgs = list(images)
-        while imgs and imgs[-1] == len(imgs):
-            imgs.pop()
-        return PartialBijection(tuple(imgs))
+        """Build an element from an image list, checked, then trimmed of trailing fixed points."""
+        images = tuple(images)
+        _check_images(images)
+        return PartialBijection._canonical(images)
 
     @classmethod
     def _canonical(cls, images: Sequence[int | None]) -> "PartialBijection":

@@ -65,12 +65,17 @@ class QuasiCycle(Record):
 
 
 class QuasiCycleDecomposition(Record):
-    """The parts in canonical order, with the element's conjugacy invariant."""
+    """The parts in canonical order."""
 
-    __slots__ = _fields = ("parts", "invariant")
+    __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts: tuple[QuasiCycle, ...], invariant: ConjugacyInvariant):
-        self._set(parts, invariant)
+    def __init__(self, parts: tuple[QuasiCycle, ...]):
+        self._set(parts)
+
+    @property
+    def invariant(self) -> ConjugacyInvariant:
+        """The conjugacy invariant of the element, counted when asked for."""
+        return conjugacy_invariant(self.element())
 
     def element(self) -> PartialBijection:
         """The product of the parts: quasi and trivial parts are chains."""
@@ -89,17 +94,11 @@ class QuasiCycleDecomposition(Record):
 class ConjugacyInvariant(Record):
     """Orbit sizes of the quasi-cycles and plain cycles, plus the trivial count."""
 
-    _fields = ("q_partition", "c_partition", "trivial_count")
-    # Hashed once: state values are looked up by invariant on every evaluation.
-    __slots__ = _fields + ("_hash",)
+    __slots__ = _fields = ("q_partition", "c_partition", "trivial_count")
 
     def __init__(self, q_partition: tuple[int, ...], c_partition: tuple[int, ...],
                  trivial_count: int):
         self._set(q_partition, c_partition, trivial_count)
-        object.__setattr__(self, "_hash", hash(self._values()))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def product(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]) -> Any:
         """``cycle(n)`` multiplied over the plain cycles of n points and
@@ -122,14 +121,9 @@ class ConjugacyInvariant(Record):
         return f"(({q}),({c}),{self.trivial_count})"
 
 
-# Equal invariants share one object, so decompose's cache holds no copy per
-# element and each invariant's hash is computed once: R_6's 13,327 elements
-# fall into 65 classes.
-_interned_invariant = functools.lru_cache(maxsize=4096)(ConjugacyInvariant)
-
-
-def images_invariant(images: tuple[int | None, ...]) -> ConjugacyInvariant:
-    """The interned conjugacy invariant of the element with these images.
+def images_invariant(images: tuple[int | None, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The conjugacy class of the element with these images, as the key
+    ``(q_partition, c_partition, trivial_count)`` of :class:`ConjugacyInvariant`.
 
     Counts orbit lengths on a scratch copy of the image tuple, clearing each
     point as its orbit is walked: quasi-cycles start at the points outside
@@ -167,7 +161,7 @@ def images_invariant(images: tuple[int | None, ...]) -> ConjugacyInvariant:
         cycles.append(length)
     quasi.sort(reverse=True)
     cycles.sort(reverse=True)
-    return _interned_invariant(tuple(quasi), tuple(cycles), trivial)
+    return tuple(quasi), tuple(cycles), trivial
 
 
 # Entries each memo of a ClassFunction holds before it starts over; the same
@@ -180,9 +174,11 @@ class ClassFunction:
 
     ``f(r)`` reads an element, ``f.of_images(images)`` an image tuple.
     ``by_images`` maps each image tuple met so far (an element's, or one
-    padded to n by a sweep) to its value; on a miss, the invariant counted
-    from the images is looked up in ``by_class``.  Each dict is emptied when it
-    reaches ``MAX_MEMO_ELEMENTS`` entries; until then a class has one value object.
+    padded to n by a sweep) to its value; on a miss, the orbit-length key
+    that :func:`images_invariant` counts from the images is looked up in
+    ``by_class``, and a new class builds its :class:`ConjugacyInvariant` once
+    to take the ``product``.  Each dict is emptied when it reaches
+    ``MAX_MEMO_ELEMENTS`` entries; until then a class has one value object.
     ``cycle`` and ``quasi`` are memoised by length under the same bound, so a
     new class multiplies factors already computed for other classes.
 
@@ -196,7 +192,7 @@ class ClassFunction:
     def __init__(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]):
         memo = functools.lru_cache(maxsize=MAX_MEMO_ELEMENTS)
         self.cycle, self.quasi = memo(cycle), memo(quasi)
-        self.by_class: dict[ConjugacyInvariant, Any] = {}
+        self.by_class: dict[tuple, Any] = {}
         self.by_images: dict[tuple[int | None, ...], Any] = {}
 
     def __call__(self, r: PartialBijection) -> Any:
@@ -208,12 +204,12 @@ class ClassFunction:
         value = self.by_images.get(images)
         if value is not None:
             return value
-        invariant = images_invariant(images)
-        value = self.by_class.get(invariant)
+        key = images_invariant(images)
+        value = self.by_class.get(key)
         if value is None:
             if len(self.by_class) >= MAX_MEMO_ELEMENTS:
                 self.by_class.clear()
-            value = self.by_class[invariant] = invariant.product(self.cycle, self.quasi)
+            value = self.by_class[key] = ConjugacyInvariant(*key).product(self.cycle, self.quasi)
         if len(self.by_images) >= MAX_MEMO_ELEMENTS:
             self.by_images.clear()
         self.by_images[images] = value
@@ -224,8 +220,8 @@ class ClassFunction:
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
 
-    The result also carries r's :class:`ConjugacyInvariant`, the one
-    :func:`images_invariant` returns, shared with every element of the class.
+    The result gives r's :class:`ConjugacyInvariant` as its ``invariant``
+    property, counted from the parts' product when read.
 
     >>> decompose(parse_element("(1 2)e{3}")).invariant.literal()
     '((),(2),1)'
@@ -251,7 +247,7 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     quasi = sorted((c for c in chains if len(c) > 1), key=min)
     parts = [QuasiCycle(QUASI, c) for c in quasi] + [QuasiCycle(CYCLE, c) for c in cycles]
     parts += [QuasiCycle(TRIVIAL, c) for c in chains if len(c) == 1]
-    return QuasiCycleDecomposition(tuple(parts), images_invariant(images))
+    return QuasiCycleDecomposition(tuple(parts))
 
 
 def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
@@ -261,10 +257,10 @@ def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
     building the decomposition.
 
     >>> a, b = parse_element("(1 2)e{3}"), parse_element("(2 3)e{1}")
-    >>> conjugacy_invariant(a) is conjugacy_invariant(b)
+    >>> conjugacy_invariant(a) == conjugacy_invariant(b)
     True
     """
-    return images_invariant(r.images)
+    return ConjugacyInvariant(*images_invariant(r.images))
 
 
 def find_conjugator(

@@ -20,7 +20,7 @@ the element's :class:`~rookchar.quasicycles.ConjugacyInvariant` (the orbit
 sizes of its quasi-cycles and plain cycles and its trivial count).  Each
 parameter set keeps one table (:class:`ValueTable`), a
 :class:`~rookchar.quasicycles.ClassFunction` with bounded memos from image
-tuple and from invariant to value, the same table type that holds the tensor
+tuple and from orbit-length key to value, the same table type that holds the tensor
 model's closed form; ``state.table(r)`` is the value on r.  An element met
 before costs one dictionary lookup; a new one costs an orbit-length count of
 its image tuple plus a class lookup, and no decomposition is built.

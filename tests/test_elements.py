@@ -67,6 +67,21 @@ class TestLiterals:
         assert PartialBijection.from_images([2, 1, 3, 4]).bound == 2
         assert parse_element("(1 2)(3)").literal() == "[2,1]"
 
+    @pytest.mark.parametrize(
+        "images, literal",
+        [([1, 2, 3], "e"), ([2, 1, 3], "[2,1]"), ([2, None, 3, 4], "[2,_]")],
+    )
+    def test_from_images_trims_valid_lists(self, images, literal):
+        assert PartialBijection.from_images(images).literal() == literal
+
+    @pytest.mark.parametrize(
+        "images, kind", [([True], "bool"), ([1.0], "float"), ([2, 1, 3.0], "float")]
+    )
+    def test_from_images_checks_before_trimming(self, images, kind):
+        # Each point would be trimmed as a trailing fixed point (True == 1 == 1.0).
+        with pytest.raises(ValueError, match=f"is a {kind}, not an int"):
+            PartialBijection.from_images(images)
+
     def test_syntax_errors(self):
         for bad in ["", "[2,", "(1 2", "e{", "[x]", "frob", "e{}", "( )"]:
             with pytest.raises(ParseError):

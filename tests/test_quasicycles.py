@@ -99,6 +99,9 @@ class TestInvariant:
 
     def test_kernel_agrees_with_decompose(self):
         # Every element of R_0..R_6, plus seeded random elements up to bound 12.
+        # The value path (the image kernel's key, then the class's product)
+        # agrees with the decomposition's invariant, on the images as given
+        # and padded with fixed points to bound 14.
         rng = random.Random(20261018)
         randoms = []
         for _ in range(300):
@@ -107,17 +110,24 @@ class TestInvariant:
                       for y in rng.sample(range(1, bound + 1), bound)]
             randoms.append(PartialBijection.from_images(images))
         elems = itertools.chain.from_iterable(enumerate_rn(n) for n in range(7))
+        cycle, quasi = (lambda n: 10 * n), (lambda n: n + 1)
+        f = quasicycles.ClassFunction(cycle, quasi)
         for r in itertools.chain(elems, randoms):
             d = decompose(r)
-            assert conjugacy_invariant(r) is d.invariant, r.literal()
-            assert d.invariant == invariant_from_parts(d.parts), r.literal()
+            inv = d.invariant
+            assert conjugacy_invariant(r) == inv, r.literal()
+            assert inv == invariant_from_parts(d.parts), r.literal()
+            padded = r.images + tuple(range(r.bound + 1, 15))
+            value = inv.product(cycle, quasi)
+            assert f.of_images(r.images) == f.of_images(padded) == value, r.literal()
 
-    def test_equal_invariants_are_one_object(self):
-        by_value = {}
-        for r in enumerate_rn(4):
-            inv = conjugacy_invariant(r)
-            assert by_value.setdefault(inv, inv) is inv
-        assert len(by_value) == 20
+    def test_r4_has_twenty_classes(self):
+        distinct = []
+        invariants = [conjugacy_invariant(r) for r in enumerate_rn(4)]
+        for inv in invariants:
+            if inv not in distinct:  # compared with ==
+                distinct.append(inv)
+        assert len(distinct) == len(set(invariants)) == 20
 
 
 def invariant_from_parts(parts):
@@ -198,6 +208,7 @@ class TestClassFunction:
         assert sorted(calls) == [("cycle", n) for n in (2, 3, 4)] + [("quasi", n) for n in (1, 2, 3, 4)]
         assert set(calls.values()) == {1}
         expected = [
-            images_invariant(im).product(lambda n: 10 * n, lambda n: n + 1) for im in images
+            ConjugacyInvariant(*images_invariant(im)).product(lambda n: 10 * n, lambda n: n + 1)
+            for im in images
         ]
         assert values == expected

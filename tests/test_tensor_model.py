@@ -22,7 +22,7 @@ from rookchar.elements import (
 )
 from rookchar import quasicycles, tensor_model
 from rookchar.errors import ResourceGuardError
-from rookchar.quasicycles import CYCLE, decompose
+from rookchar.quasicycles import CYCLE, decompose, images_invariant
 from rookchar.states import evaluate
 from rookchar.tensor_model import (
     ModelParams,
@@ -213,12 +213,12 @@ class TestClosedForm:
         params = ModelParams.of(RUNNING.a_diag, RUNNING.v_sq, RUNNING.regular, RUNNING.slots)
         elems = list(enumerate_rn(4))
         first = [phi_closed_form(params, r) for r in elems]
-        classes = {decompose(r).invariant for r in elems}
+        classes = {images_invariant(r.images) for r in elems}
         assert params.table.by_class.keys() == classes and len(classes) == 20
         # One trace per factor length, shared by the classes: quasi(1) for the
         # trivial points, then one per plain-cycle and per quasi-cycle length.
-        cycle_lengths = {n for c in classes for n in c.c_partition}
-        quasi_lengths = {1} | {n for c in classes for n in c.q_partition}
+        cycle_lengths = {n for _, c_partition, _ in classes for n in c_partition}
+        quasi_lengths = {1} | {n for q_partition, _, _ in classes for n in q_partition}
         assert len(calls) == len(cycle_lengths) + len(quasi_lengths) == 7
         calls.clear()
         assert [phi_closed_form(params, r) for r in elems] == first
