@@ -30,11 +30,13 @@ print("r* r is the idempotent on the domain gaps:", compose(r.star(), r).literal
 d = decompose(r)
 print("\ndecomposition:", d.literal())
 print("recomposed equal:", d.element() == r)
-print("conjugacy invariant:", conjugacy_invariant(r).literal())
+# The conjugacy invariant is the class key (quasi-cycle sizes, plain cycle
+# sizes, trivial count).
+print("conjugacy invariant:", conjugacy_invariant(r))
 
 # Invariant equality is exactly conjugacy; the search returns a relabeling.
 r2 = parse_element("(4 5 6)e{6}e{1}")
-print("\nsame invariant as", r2.literal(), "->", conjugacy_invariant(r2).literal())
+print("\nsame invariant as", r2.literal(), "->", conjugacy_invariant(r2))
 s = find_conjugator(r, r2)
 print("conjugator s:", s.literal())
 print("s r2 s* == r:", compose(compose(s, r2), s.star()) == r)

@@ -38,7 +38,6 @@ _EXPORTS = {
     ),
     "errors": ("CheckReport", "ParseError", "ResourceGuardError"),
     "quasicycles": (
-        "ConjugacyInvariant",
         "QuasiCycle",
         "QuasiCycleDecomposition",
         "conjugacy_invariant",

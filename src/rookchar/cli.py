@@ -80,17 +80,12 @@ def _elements_arg(args) -> list[PartialBijection]:
 
 def cmd_decompose(args) -> int:
     r = parse_element(args.element)
-    d = quasicycles.decompose(r)
-    inv = d.invariant
+    quasi, cycles, trivial = quasicycles.conjugacy_invariant(r)
     _emit(
         {
             "element": r.literal(),
-            "parts": [p.literal() for p in d.parts],
-            "invariant": {
-                "quasi": list(inv.q_partition),
-                "cycles": list(inv.c_partition),
-                "trivial": inv.trivial_count,
-            },
+            "parts": [p.literal() for p in quasicycles.decompose(r).parts],
+            "invariant": {"quasi": list(quasi), "cycles": list(cycles), "trivial": trivial},
         }
     )
     return EXIT_OK

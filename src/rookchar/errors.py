@@ -12,15 +12,6 @@ I_STAR_J = "iStarJ"
 # The most violations a sweep records.
 MAX_VIOLATIONS = 20
 
-# The largest generator index the Popova relation sweep checks.  Its O(n^2)
-# relations each compose elements of bound ~n, so the sweep grows as n^3.
-MAX_POPOVA_N = 128
-
-# The largest n the pair sweeps (centrality, conjugation invariance,
-# multiplicativity) check.  They compare |R_n| * n! or ~|R_n|^2 / 2 pairs:
-# 9.6 M centrality cases at n = 6, 660 M at n = 7.
-MAX_PAIR_SWEEP_N = 6
-
 # The largest point a cycle or idempotent may name, and the largest ground set
 # of a spherical model.  An element stores an image for every point up to its
 # largest, so without it a short literal such as "(1 4000000)" would build a

@@ -14,6 +14,11 @@ Parts are emitted quasi-cycles first (by smallest orbit point), then plain
 cycles (by smallest point, written from their smallest point), then trivial
 parts ascending, which makes the decomposition a canonical form.
 
+Elements are conjugate under finitary permutations exactly when their parts
+agree in kind and size; :func:`conjugacy_invariant` counts those sizes into
+the plain tuple ``(q_partition, c_partition, trivial_count)``, the one class
+key, under which a :class:`ClassFunction` keeps its values.
+
 >>> decompose(parse_element("[2,3,_,4,_]")).literal()
 '(1 2 3)e{3} e{5}'
 """
@@ -72,11 +77,6 @@ class QuasiCycleDecomposition(Record):
     def __init__(self, parts: tuple[QuasiCycle, ...]):
         self._set(parts)
 
-    @property
-    def invariant(self) -> ConjugacyInvariant:
-        """The conjugacy invariant of the element, counted when asked for."""
-        return conjugacy_invariant(self.element())
-
     def element(self) -> PartialBijection:
         """The product of the parts: quasi and trivial parts are chains."""
         return from_orbits(
@@ -91,39 +91,11 @@ class QuasiCycleDecomposition(Record):
         return iter(self.parts)
 
 
-class ConjugacyInvariant(Record):
-    """Orbit sizes of the quasi-cycles and plain cycles, plus the trivial count."""
-
-    __slots__ = _fields = ("q_partition", "c_partition", "trivial_count")
-
-    def __init__(self, q_partition: tuple[int, ...], c_partition: tuple[int, ...],
-                 trivial_count: int):
-        self._set(q_partition, c_partition, trivial_count)
-
-    def product(self, cycle: Callable[[int], Any], quasi: Callable[[int], Any]) -> Any:
-        """``cycle(n)`` multiplied over the plain cycles of n points and
-        ``quasi(n)`` over the quasi-cycles, a trivial part counting as ``quasi(1)``.
-
-        >>> inv = conjugacy_invariant(parse_element("(1 2 3)e{3}(4 5)e{6}"))
-        >>> inv.literal(), inv.product(cycle=lambda n: 10 * n, quasi=lambda n: n + 1)
-        ('((3),(2),1)', 160)
-        """
-        value = quasi(1) ** self.trivial_count
-        for n in self.c_partition:
-            value *= cycle(n)
-        for n in self.q_partition:
-            value *= quasi(n)
-        return value
-
-    def literal(self) -> str:
-        q = ",".join(map(str, self.q_partition))
-        c = ",".join(map(str, self.c_partition))
-        return f"(({q}),({c}),{self.trivial_count})"
-
-
 def images_invariant(images: tuple[int | None, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """The conjugacy class of the element with these images, as the key
-    ``(q_partition, c_partition, trivial_count)`` of :class:`ConjugacyInvariant`.
+    ``(q_partition, c_partition, trivial_count)``: the orbit sizes of the
+    quasi-cycles and of the plain cycles, each nonincreasing, and the number
+    of trivial parts.
 
     Counts orbit lengths on a scratch copy of the image tuple, clearing each
     point as its orbit is walked: quasi-cycles start at the points outside
@@ -170,15 +142,17 @@ MAX_MEMO_ELEMENTS = 65536
 
 
 class ClassFunction:
-    """The class function ``invariant.product(cycle, quasi)``, memoised twice.
+    """The class function that multiplies ``cycle(n)`` over the plain cycles
+    of n points and ``quasi(n)`` over the quasi-cycles, a trivial part
+    counting as ``quasi(1)``; memoised twice.
 
     ``f(r)`` reads an element, ``f.of_images(images)`` an image tuple.
     ``by_images`` maps each image tuple met so far (an element's, or one
     padded to n by a sweep) to its value; on a miss, the orbit-length key
     that :func:`images_invariant` counts from the images is looked up in
-    ``by_class``, and a new class builds its :class:`ConjugacyInvariant` once
-    to take the ``product``.  Each dict is emptied when it reaches
-    ``MAX_MEMO_ELEMENTS`` entries; until then a class has one value object.
+    ``by_class``, and a new class multiplies its factors once.  Each dict is
+    emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries; until then a class
+    has one value object.
     ``cycle`` and ``quasi`` are memoised by length under the same bound, so a
     new class multiplies factors already computed for other classes.
 
@@ -209,7 +183,13 @@ class ClassFunction:
         if value is None:
             if len(self.by_class) >= MAX_MEMO_ELEMENTS:
                 self.by_class.clear()
-            value = self.by_class[key] = ConjugacyInvariant(*key).product(self.cycle, self.quasi)
+            q_partition, c_partition, trivial = key
+            value = self.quasi(1) ** trivial
+            for n in c_partition:
+                value *= self.cycle(n)
+            for n in q_partition:
+                value *= self.quasi(n)
+            self.by_class[key] = value
         if len(self.by_images) >= MAX_MEMO_ELEMENTS:
             self.by_images.clear()
         self.by_images[images] = value
@@ -220,11 +200,8 @@ class ClassFunction:
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
 
-    The result gives r's :class:`ConjugacyInvariant` as its ``invariant``
-    property, counted from the parts' product when read.
-
-    >>> decompose(parse_element("(1 2)e{3}")).invariant.literal()
-    '((),(2),1)'
+    >>> decompose(parse_element("(1 2)e{3}")).literal()
+    '(1 2) e{3}'
     """
     images = r.images
 
@@ -250,17 +227,16 @@ def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     return QuasiCycleDecomposition(tuple(parts))
 
 
-def conjugacy_invariant(r: PartialBijection) -> ConjugacyInvariant:
-    """The complete invariant of conjugation by finitary permutations.
-
-    Counted from r's image tuple by :func:`images_invariant`, without
-    building the decomposition.
+def conjugacy_invariant(r: PartialBijection) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """The complete invariant of conjugation by finitary permutations: the key
+    ``(q_partition, c_partition, trivial_count)`` of :func:`images_invariant`,
+    counted from r's image tuple without building the decomposition.
 
     >>> a, b = parse_element("(1 2)e{3}"), parse_element("(2 3)e{1}")
-    >>> conjugacy_invariant(a) == conjugacy_invariant(b)
-    True
+    >>> conjugacy_invariant(a), conjugacy_invariant(a) == conjugacy_invariant(b)
+    (((), (2,), 1), True)
     """
-    return ConjugacyInvariant(*images_invariant(r.images))
+    return images_invariant(r.images)
 
 
 def find_conjugator(

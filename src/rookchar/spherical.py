@@ -77,7 +77,9 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:
-    """l (l-1) ... (l-b+1) / (n (n-1) ... (n-b+1)); zero when b > l."""
+    """l (l-1) ... (l-b+1) / (n (n-1) ... (n-b+1)) for 0 <= l <= n; zero when b > l."""
+    if min(n, l, killed) < 0 or l > n:
+        raise ValueError(f"need 0 <= l <= n and killed >= 0, got n={n}, l={l}, killed={killed}")
     if killed > l:
         return Fraction(0)
     return Fraction(math.perm(l, killed), math.perm(n, killed))

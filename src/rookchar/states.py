@@ -16,11 +16,11 @@ the constant 1.
 
 Values are memoised per conjugacy class.  The states are S_infinity-invariant,
 f(s r s^-1) = f(r) for every finitary permutation s, so a value depends only on
-the element's :class:`~rookchar.quasicycles.ConjugacyInvariant` (the orbit
-sizes of its quasi-cycles and plain cycles and its trivial count).  Each
-parameter set keeps one table (:class:`ValueTable`), a
+the element's class key :func:`~rookchar.quasicycles.conjugacy_invariant`
+(the orbit sizes of its quasi-cycles and plain cycles and its trivial count).
+Each parameter set keeps one table, a plain
 :class:`~rookchar.quasicycles.ClassFunction` with bounded memos from image
-tuple and from orbit-length key to value, the same table type that holds the tensor
+tuple and from class key to value, the same table type that holds the tensor
 model's closed form; ``state.table(r)`` is the value on r.  An element met
 before costs one dictionary lookup; a new one costs an orbit-length count of
 its image tuple plus a class lookup, and no decomposition is built.
@@ -30,9 +30,9 @@ star symmetry) run on image tuples padded to length n
 (:func:`~rookchar.elements.padded_rn`), and so does :func:`gram_matrix`, on
 its elements padded to their largest bound.  Products are gathers over those
 tuples (:func:`~rookchar.elements.gather`), stars are
-:func:`~rookchar.elements.invert_images`, and values are read with
-:meth:`ValueTable.of_images`; any other value function is a callable handed
-the element with those images.  An element is built only to name a violation.
+:func:`~rookchar.elements.invert_images`, and a table's values are read with
+``of_images``; any other value function is a callable handed the element
+with those images.  An element is built only to name a violation.
 A class function takes the same value on r and r*, so its Gram matrix is
 evaluated on one triangle and mirrored.
 """
@@ -47,7 +47,6 @@ from . import linalg  # through the module, so linalg runs only when a Gram is b
 from .elements import MAX_ENUMERATION_GROUND_SET, PartialBijection, gather, invert_images, padded_rn
 from .errors import (
     I_STAR_J,
-    MAX_PAIR_SWEEP_N,
     STAR_JI,
     CheckReport,
     ParseError,
@@ -67,6 +66,11 @@ MAX_GRAM_ELEMENTS = 1024
 # Its m^2 products are image tuples padded to the largest bound w, so m^2 w
 # is guarded too; any 1024 elements of R_7 pass.
 MAX_GRAM_IMAGES = MAX_GRAM_ELEMENTS**2 * MAX_ENUMERATION_GROUND_SET
+
+# The largest n the pair sweeps (centrality, conjugation invariance,
+# multiplicativity) check.  They compare |R_n| * n! or ~|R_n|^2 / 2 pairs:
+# 9.6 M centrality cases at n = 6, 660 M at n = 7.
+MAX_PAIR_SWEEP_N = 6
 
 TYPE_I_INF = "TypeIinf"
 TYPE_II_INF = "TypeIIinf"
@@ -111,27 +115,21 @@ def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int
     )
 
 
-class ValueTable(ClassFunction):
+def _value_table(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
+                 mark: tuple[int, Fraction] | None) -> ClassFunction:
     """The family's value function for one parameter set: a memoised class function.
 
-    A class's value is the product of the cycle factors and ``t * base**n``
+    A class's value is the product of the cycle factors and ``t * alpha_i**n``
     for a quasi-cycle of n points.  The mark ``(i, t)`` must name an alpha
-    entry, and ``base`` is that entry ``alpha_i``; with no mark, t and base
-    are 0.
+    entry; with no mark, every quasi-cycle factor is 0.
     """
-
-    __slots__ = ("alpha", "beta", "t", "base")
-
-    def __init__(self, alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
-                 mark: tuple[int, Fraction] | None):
-        t, base = Fraction(0), Fraction(0)
-        if mark is not None:
-            i, t = mark
-            if not 1 <= i <= len(alpha):
-                raise ValueError(f"marked index {i} out of range")
-            base = alpha[i - 1]
-        self.alpha, self.beta, self.t, self.base = alpha, beta, t, base
-        super().__init__(lambda n: _cycle_value(alpha, beta, n), lambda n: t * base**n)
+    t, base = Fraction(0), Fraction(0)
+    if mark is not None:
+        i, t = mark
+        if not 1 <= i <= len(alpha):
+            raise ValueError(f"marked index {i} out of range")
+        base = alpha[i - 1]
+    return ClassFunction(lambda n: _cycle_value(alpha, beta, n), lambda n: t * base**n)
 
 
 class State(Record):
@@ -146,20 +144,21 @@ class State(Record):
     __slots__ = _fields + ("table",)
 
     def __init__(self, thoma: ThomaParams, mark: tuple[int, Fraction] | None = None):
-        table = ValueTable(thoma.alpha, thoma.beta, mark)
-        if not 0 <= table.t <= 1:
-            raise ValueError(f"weight t={table.t} outside [0, 1]")
+        table = _value_table(thoma.alpha, thoma.beta, mark)  # checks the mark's index
+        if mark is not None and not 0 <= mark[1] <= 1:
+            raise ValueError(f"weight t={mark[1]} outside [0, 1]")
         self._set(thoma, mark)
         object.__setattr__(self, "table", table)
 
     @property
     def quasi_base(self) -> Fraction:
         """alpha_i of the marked entry, or 0 with no mark."""
-        return self.table.base
+        return Fraction(0) if self.mark is None else self.thoma.alpha[self.mark[0] - 1]
 
     @property
     def weight(self) -> Fraction:
-        return self.table.t
+        """t of the mark, or 0 with no mark."""
+        return Fraction(0) if self.mark is None else self.mark[1]
 
     def to_json(self) -> dict:
         mark = None
@@ -225,7 +224,7 @@ def evaluate(state: State, r: PartialBijection) -> Fraction:
     return state.table(r)
 
 
-def unchecked_value_fn(data: dict) -> ValueTable:
+def unchecked_value_fn(data: dict) -> ClassFunction:
     """The family's value formula on JSON parameters, with no validation.
 
     A testing aid: parameters outside the state conditions (say mass > 1)
@@ -233,7 +232,7 @@ def unchecked_value_fn(data: dict) -> ValueTable:
     certifier answers with a genuine NotPSD witness.  A mark must still name
     an alpha entry, since the formula reads it.
     """
-    return ValueTable(*_json_params(data))
+    return _value_table(*_json_params(data))
 
 
 class FactorTypeVerdict(Record):
@@ -310,10 +309,11 @@ def gram_matrix(
     m^2 w > ``MAX_GRAM_IMAGES``, raise ResourceGuardError before any padding.
 
     Products are gathers over the image tuples padded to the largest bound.
-    When the values come from a class function (a ``State``, a ``ValueTable``
-    or a model's table), entry (j, i) is the value of the star of entry
-    (i, j)'s product, which has the same conjugacy invariant, so each
-    unordered pair is evaluated once and the matrix is mirrored.  Any other
+    When the values come from a class function (a ``State``'s table, an
+    ``unchecked_value_fn`` table or a model's), entry (j, i) is the value of
+    the star of entry (i, j)'s product, which has the same conjugacy
+    invariant, so each unordered pair is evaluated once and the matrix is
+    mirrored.  Any other
     value function is evaluated on both triangles, and the certificate's
     symmetry check sees its own values.
     """
@@ -352,7 +352,7 @@ def gram_matrix(
 
 
 def _class_table(state) -> ClassFunction | None:
-    """The table a State or a ClassFunction (such as a ValueTable) reads, else None."""
+    """The table a State or a ClassFunction reads, else None."""
     table = state.table if isinstance(state, State) else state
     return table if isinstance(table, ClassFunction) else None
 

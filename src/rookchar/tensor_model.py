@@ -9,9 +9,10 @@ instance is valid and nothing downstream checks them again.
 
 Two independent evaluation routes are provided:
 
-* :func:`phi_closed_form` reads the parameters' class-function table, whose
-  value on a class is the conjugacy invariant's ``product`` of per-part
-  traces over the part lengths -- exact rationals throughout;
+* :func:`phi_closed_form` reads the parameters' class-function table, a
+  plain :class:`~rookchar.quasicycles.ClassFunction` whose value on a class
+  is the product of per-part traces over the part lengths of the class key
+  -- exact rationals throughout;
 * :func:`phi_model` takes a :class:`TensorEmbedding`, which holds its
   parameters, and applies the generator images on the N-fold tensor
   power along a generator word (a slot swap with a sign twist over the
@@ -200,7 +201,7 @@ def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
 
     The value is a product over the parts of r's quasi-cycle decomposition,
     and each factor depends only on a part's kind and length, so it is the
-    product over r's conjugacy invariant: Tr(q |A|) for each trivial point,
+    product over r's class key (its part sizes): Tr(q |A|) for each trivial point,
     Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
     plain cycle.  Each class's value is computed once per parameter set and
     kept in ``p.table``, a :class:`~rookchar.quasicycles.ClassFunction`.

@@ -14,7 +14,11 @@ from __future__ import annotations
 import itertools
 
 from .elements import PartialBijection, compose, idempotent, identity, transposition
-from .errors import MAX_POPOVA_N, CheckReport, ResourceGuardError, tally
+from .errors import CheckReport, ResourceGuardError, tally
+
+# The largest generator index the Popova relation sweep checks.  Its O(n^2)
+# relations each compose elements of bound ~n, so the sweep grows as n^3.
+MAX_POPOVA_N = 128
 
 EPS1 = 0
 Word = tuple[int, ...]

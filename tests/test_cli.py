@@ -15,7 +15,8 @@ from rookchar import algebra, cli, elements, states, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
 from rookchar.elements import MAX_ENUMERATION_GROUND_SET
-from rookchar.errors import MAX_PAIR_SWEEP_N, MAX_POPOVA_N
+from rookchar.states import MAX_PAIR_SWEEP_N
+from rookchar.words import MAX_POPOVA_N
 from conftest import SUITE_STATES
 
 RUNNING_STATE = {
@@ -779,7 +780,6 @@ PUBLIC_NAMES = {
     ),
     "errors": ("CheckReport", "ParseError", "ResourceGuardError"),
     "quasicycles": (
-        "ConjugacyInvariant",
         "QuasiCycle",
         "QuasiCycleDecomposition",
         "conjugacy_invariant",
@@ -954,7 +954,7 @@ class TestImportBoundary:
             "          for g, (m, n) in zip(got, pairs)))\n"
         )
         pairs = [f"{module}:{name}" for module, names in PUBLIC_NAMES.items() for name in names]
-        assert len(pairs) == 54
+        assert len(pairs) == 53
         assert fresh_python(script, *pairs) == ["True", "True", "False", "True"]
 
     def test_import_registers_every_module_but_cli(self):
@@ -1031,6 +1031,14 @@ class TestImportBoundary:
         assert not hasattr(rookchar.quasicycles.ClassFunction, "value")
         assert not hasattr(rookchar.PartialBijection, "identity")
         assert not hasattr(tensor_model, "load_params")
+        # One class key, the orbit-length tuple, and one table type, ClassFunction.
+        assert not hasattr(rookchar, "ConjugacyInvariant")
+        assert not hasattr(rookchar.quasicycles, "ConjugacyInvariant")
+        assert not hasattr(states, "ValueTable")
+        assert not hasattr(rookchar.QuasiCycleDecomposition, "invariant")
+        # Each guard lives in the one module that reads it.
+        for name in ("MAX_POPOVA_N", "MAX_PAIR_SWEEP_N"):
+            assert not hasattr(rookchar.errors, name)
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"

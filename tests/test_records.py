@@ -9,7 +9,7 @@ import pytest
 from rookchar.elements import parse_element
 from rookchar.errors import CheckReport
 from rookchar.linalg import RationalMatrix, psd_certificate
-from rookchar.quasicycles import QuasiCycle, decompose
+from rookchar.quasicycles import QuasiCycle, QuasiCycleDecomposition, decompose
 from rookchar.spherical import SphericalModel
 from rookchar.states import ThomaParams, evaluate, make_state
 from rookchar.tensor_model import ModelParams, TensorEmbedding, okounkov_check
@@ -22,7 +22,6 @@ RECORDS = {
     "PartialBijection": (RUNNING, "images"),
     "QuasiCycle": (QuasiCycle("quasi", (1, 2, 3)), "orbit"),
     "QuasiCycleDecomposition": (decompose(RUNNING), "parts"),
-    "ConjugacyInvariant": (decompose(RUNNING).invariant, "trivial_count"),
     "ThomaParams": (ThomaParams.of(["1/2", "1/3"], ["1/6"]), "alpha"),
     "State": (make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2")), "mark"),
     "CheckReport": (CheckReport("gelfand", 3, 6, (), basis=34, distinct_products=4), "basis"),
@@ -78,13 +77,12 @@ def test_equality_is_by_class_and_values():
     assert QuasiCycle("cycle", (1, 2)) == QuasiCycle("cycle", (1, 2))
     assert QuasiCycle("cycle", (1, 2)) != QuasiCycle("cycle", (2, 1))
     assert ThomaParams.of(["1/2"]) != SphericalModel(1, 1)
-    assert decompose(RUNNING).invariant == decompose(parse_element("(2 3 4)e{4}e{1}")).invariant
+    parts = (QuasiCycle("quasi", (1, 2, 3)), QuasiCycle("trivial", (5,)))
+    assert decompose(RUNNING) == QuasiCycleDecomposition(parts)
+    assert decompose(RUNNING) != decompose(parse_element("(2 3 4)e{4}e{1}"))
 
 
 def test_repr_names_the_fields():
     assert repr(QuasiCycle("trivial", (5,))) == "QuasiCycle(kind='trivial', orbit=(5,))"
-    assert repr(decompose(RUNNING).invariant) == (
-        "ConjugacyInvariant(q_partition=(3,), c_partition=(), trivial_count=1)"
-    )
     assert repr(STATE).startswith("State(thoma=ThomaParams(alpha=(Fraction(1, 2),")
     assert "table" not in repr(STATE)

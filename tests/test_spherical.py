@@ -133,6 +133,16 @@ class TestFiniteCoefficients:
         assert len(r.domain_gaps()) == b
         assert spherical_coeff(model, r) == oracles.spherical_coeff(model, r)
 
+    @pytest.mark.parametrize("n, l, killed", [(2, 5, 3), (4, 2, -1), (-1, 0, 0), (3, -1, 0)])
+    def test_closed_form_rejects_bad_arguments(self, n, l, killed):
+        with pytest.raises(ValueError, match=f"n={n}, l={l}, killed={killed}"):
+            spherical_coeff_closed_form(n, l, killed)
+
+    @pytest.mark.parametrize("n, l, killed", [(4, 2, 3), (2, 1, 5), (0, 0, 1)])
+    def test_closed_form_is_zero_past_the_subset(self, n, l, killed):
+        # The limit table asks for n below the kill count.
+        assert spherical_coeff_closed_form(n, l, killed) == 0
+
     def test_model_reads_integers(self):
         assert SphericalModel("3", 1) == SphericalModel(3, 1)
         with pytest.raises(ParseError, match="n must be an integer, got 3.5"):

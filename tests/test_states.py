@@ -15,7 +15,15 @@ from rookchar.elements import (
 )
 from rookchar import quasicycles
 from rookchar.errors import MAX_VIOLATIONS
-from rookchar.quasicycles import CYCLE, QUASI, TRIVIAL, decompose, images_invariant
+from rookchar.quasicycles import (
+    CYCLE,
+    QUASI,
+    TRIVIAL,
+    ClassFunction,
+    conjugacy_invariant,
+    decompose,
+    images_invariant,
+)
 from rookchar.states import (
     I_STAR_J,
     STAR_JI,
@@ -99,6 +107,24 @@ class TestMakeState:
             make_state(alpha=["1/2"], mark=(2, "1/2"))
         with pytest.raises(ValueError):
             make_state(mark=(1, "1/2"))
+
+    def test_index_is_checked_before_weight(self):
+        with pytest.raises(ValueError, match="marked index 2 out of range"):
+            make_state(alpha=["1/2"], mark=(2, "3/2"))
+
+    @pytest.mark.parametrize("t", ["3/2", "-1/2"])
+    def test_weight_message(self, t):
+        with pytest.raises(ValueError, match=r"weight t=.* outside \[0, 1\]"):
+            make_state(alpha=["1/2"], mark=(1, t))
+
+    def test_unchecked_value_fn_accepts_any_weight(self):
+        f = unchecked_value_fn({"alpha": ["1/2"], "mark": {"i": 1, "t": "3/2"}})
+        assert isinstance(f, ClassFunction)
+        assert f(parse_element("e{1}")) == Fraction(3, 4)
+
+    def test_no_mark_has_zero_weight_and_base(self):
+        st = make_state(alpha=["1/2"], beta=["1/4"])
+        assert st.weight == 0 and st.quasi_base == 0
 
     def test_rejects_nonpositive_entries(self):
         with pytest.raises(ValueError):
@@ -367,12 +393,14 @@ class TestFactorMemo:
         # R_n lands in both tables, with values that differ on most classes.
         running = make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
         overweight = unchecked_value_fn(self.OVERWEIGHT)
+        alpha = tuple(Fraction(a) for a in self.OVERWEIGHT["alpha"])
+        beta = tuple(Fraction(b) for b in self.OVERWEIGHT["beta"])
         elems = list(enumerate_rn(n))
         for r in elems:
             assert evaluate(running, r) == uncached_value(
                 running.thoma.alpha, running.thoma.beta, Fraction(1, 2), Fraction(1, 2), r)
             assert overweight(r) == uncached_value(
-                overweight.alpha, overweight.beta, Fraction(1, 3), Fraction(1, 2), r)
+                alpha, beta, Fraction(1, 3), Fraction(1, 2), r)
         classes = {images_invariant(r.images) for r in elems}
         assert running.table.by_class.keys() == overweight.by_class.keys() == classes
         differing = [inv for inv in classes
@@ -387,7 +415,7 @@ class TestFactorMemo:
         table = st.table
         params = (st.thoma.alpha, st.thoma.beta, st.weight, st.quasi_base)
         elems = list(enumerate_rn(5))
-        assert (len(elems), len({decompose(r).invariant for r in elems})) == (1546, 36)
+        assert (len(elems), len({conjugacy_invariant(r) for r in elems})) == (1546, 36)
         for r in elems:
             for x in (r, r.star(), r):
                 assert evaluate(st, x) == uncached_value(*params, x), x.literal()
