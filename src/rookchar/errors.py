@@ -101,10 +101,26 @@ def json_array(value, what: str) -> list:
     return value
 
 
-def json_object(value, what: str) -> dict:
-    """A JSON object from JSON input; anything but a dict raises ParseError naming ``what``."""
+def json_object(value, what: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object from JSON input whose keys are among ``keys``.
+
+    Anything but a dict raises ParseError naming ``what``; so does a key
+    outside ``keys``, which would otherwise be ignored (a misspelled
+    ``"alpah"`` read as no alpha at all).
+
+    >>> json_object({"i": 1, "weight": "1/3"}, "mark", ("i", "t"))
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ParseError: mark has unknown key 'weight'; allowed keys are i, t
+    """
     if not isinstance(value, dict):
         raise ParseError(f"{what} must be a JSON object, got {type(value).__name__}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ParseError(
+            f"{what} has unknown key{'s' * (len(unknown) > 1)} {', '.join(map(repr, unknown))}; "
+            f"allowed keys are {', '.join(keys)}"
+        )
     return value
 
 

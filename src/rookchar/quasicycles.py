@@ -136,8 +136,8 @@ def images_invariant(images: tuple[int | None, ...]) -> tuple[tuple[int, ...], t
     return tuple(quasi), tuple(cycles), trivial
 
 
-# Entries each memo of a ClassFunction holds before it starts over; the same
-# bound as decompose's cache.  Each image-tuple entry keeps its tuple alive.
+# Entries each memo of a ClassFunction holds before it starts over, and the
+# size of decompose's LRU cache.  Each image-tuple entry keeps its tuple alive.
 MAX_MEMO_ELEMENTS = 65536
 
 
@@ -196,7 +196,7 @@ class ClassFunction:
         return value
 
 
-@functools.lru_cache(maxsize=65536)
+@functools.lru_cache(maxsize=MAX_MEMO_ELEMENTS)
 def decompose(r: PartialBijection) -> QuasiCycleDecomposition:
     """Factor r into disjoint quasi-cycles, plain cycles, and trivial parts.
 

@@ -181,11 +181,11 @@ def _json_params(
 ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[int, Fraction] | None]:
     """alpha, beta and the mark (i, t) of state JSON; ParseError on a malformed value."""
     try:
-        data = json_object(data, "the top level")
+        data = json_object(data, "the top level", ("alpha", "beta", "mark"))
         alpha, beta = (json_array(data.get(key, []), key) for key in ("alpha", "beta"))
         mark = data.get("mark")
         if mark is not None:
-            mark = json_object(mark, "mark")
+            mark = json_object(mark, "mark", ("i", "t"))
             mark = (json_int(mark["i"], "mark 'i'"), json_fraction(mark["t"], "mark 't'"))
         return (
             tuple(json_fraction(a, "alpha entry") for a in alpha),

@@ -149,7 +149,7 @@ class ModelParams(Record):
     @staticmethod
     def from_json(data: dict) -> "ModelParams":
         try:
-            data = json_object(data, "the top level")
+            data = json_object(data, "the top level", ("a_diag", "v", "regular", "N"))
             a_diag, v = (json_array(data[key], key) for key in ("a_diag", "v"))
             a_diag = tuple(json_fraction(a, "a_diag entry") for a in a_diag)
             v_sq = tuple(_parse_sqrt(tok) for tok in v)

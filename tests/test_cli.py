@@ -516,6 +516,21 @@ JSON_SHAPES = [
      "malformed state JSON: mark must be a JSON object, got list"),
     ("oracle", "--params", {"a_diag": [None], "v": ["1"], "N": 2},
      "malformed model parameters: a_diag entry must be a rational number, got None"),
+    # A key outside the format was ignored: "alpah" read as no alpha at all.
+    ("eval", "--state", {"alpah": ["1/2"], "beta": ["1/4"]},
+     "malformed state JSON: the top level has unknown key 'alpah'; "
+     "allowed keys are alpha, beta, mark"),
+    ("eval", "--state", {"alpha": ["1/2"], "Mark": {"i": 1, "t": "1/2"}},
+     "malformed state JSON: the top level has unknown key 'Mark'; "
+     "allowed keys are alpha, beta, mark"),
+    ("eval", "--state", {"alpha": ["1/2"], "mark": {"i": 1, "t": "1/2", "weight": "1/4"}},
+     "malformed state JSON: mark has unknown key 'weight'; allowed keys are i, t"),
+    ("oracle", "--params", dict(ORACLE_PARAMS, slots=9),
+     "malformed model parameters: the top level has unknown key 'slots'; "
+     "allowed keys are a_diag, v, regular, N"),
+    ("gram", "--state", ORACLE_PARAMS,
+     "malformed state JSON: the top level has unknown keys 'a_diag', 'v', 'regular', 'N'; "
+     "allowed keys are alpha, beta, mark"),
 ]
 
 
@@ -533,10 +548,15 @@ def test_json_shapes_are_checked(capsys, tmp_path, command, flag, data, message)
 
 def test_unchecked_state_shape_is_checked(capsys, tmp_path):
     path = tmp_path / "state.json"
-    path.write_text(json.dumps({"alpha": "3/4"}))
-    code, out, err = run(capsys, "gram", "--n", "2", "--state", str(path), "--unchecked")
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err == "error: malformed state JSON: alpha must be a JSON array, got '3/4'\n"
+    for data, message in [
+        ({"alpha": "3/4"}, "alpha must be a JSON array, got '3/4'"),
+        ({"alpah": ["3/4"]},
+         "the top level has unknown key 'alpah'; allowed keys are alpha, beta, mark"),
+    ]:
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "gram", "--n", "2", "--state", str(path), "--unchecked")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: malformed state JSON: {message}\n"
 
 
 def test_numeric_v_entries_are_squared(capsys, tmp_path):
@@ -705,32 +725,38 @@ class TestSpherical:
         )
         assert (code, out, err) == (EXIT_OK, SPHERICAL_CSV_N4_L2, "")
 
+    def test_rows_print_each_coefficient_once(self, capsys):
+        code, out, _ = run(capsys, "spherical", "--n", "5", "--l", "2", "--all-idempotents")
+        data = json.loads(out)
+        assert code == EXIT_OK and data["all_match"] is True and len(data["rows"]) == 31
+        assert all(set(row) == {"coefficient", "element", "killed"} for row in data["rows"])
+
     def test_json_bytes(self, capsys):
         code, out, err = run(capsys, "spherical", "--n", "6", "--l", "3", "--elem", "e{1,2}")
         assert (code, out, err) == (EXIT_OK, SPHERICAL_JSON_N6_L3 + "\n", "")
 
 
 SPHERICAL_CSV_N4_L2 = """\
-closed_form,coefficient,element,killed,match
-1/2,1/2,[_],1,True
-1/2,1/2,[1,_],1,True
-1/2,1/2,[1,2,_],1,True
-1/2,1/2,[1,2,3,_],1,True
-1/6,1/6,[_,_],2,True
-1/6,1/6,[_,2,_],2,True
-1/6,1/6,[_,2,3,_],2,True
-1/6,1/6,[1,_,_],2,True
-1/6,1/6,[1,_,3,_],2,True
-1/6,1/6,[1,2,_,_],2,True
-0,0,[_,_,_],3,True
-0,0,[_,_,3,_],3,True
-0,0,[_,2,_,_],3,True
-0,0,[1,_,_,_],3,True
-0,0,[_,_,_,_],4,True
+coefficient,element,killed
+1/2,[_],1
+1/2,[1,_],1
+1/2,[1,2,_],1
+1/2,[1,2,3,_],1
+1/6,[_,_],2
+1/6,[_,2,_],2
+1/6,[_,2,3,_],2
+1/6,[1,_,_],2
+1/6,[1,_,3,_],2
+1/6,[1,2,_,_],2
+0,[_,_,_],3
+0,[_,_,3,_],3
+0,[_,2,_,_],3
+0,[1,_,_,_],3
+0,[_,_,_,_],4
 """
 SPHERICAL_JSON_N6_L3 = (
-    '{"all_match": true, "l": 3, "n": 6, "rows": [{"closed_form": "1/5", "coefficient": "1/5", '
-    '"element": "[_,_]", "killed": 2, "match": true}]}'
+    '{"all_match": true, "l": 3, "n": 6, "rows": [{"coefficient": "1/5", '
+    '"element": "[_,_]", "killed": 2}]}'
 )
 
 
@@ -752,6 +778,18 @@ class TestOkounkov:
         code, out, err = run(capsys, "okounkov", "--params", str(path), "--k", k)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"slot index {k} out of range" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "okounkov"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_tolerance_is_finite_and_nonnegative(capsys, params_file, command, tol):
+    # NaN and a negative tolerance reported a violation (exit 3); inf passed anything.
+    code, out, err = run(capsys, command, "--params", params_file, *COMMAND_TAIL[command], "--tol", tol)
+    if tol == "0":
+        assert code in (EXIT_OK, EXIT_VIOLATION) and json.loads(out)["tolerance"] == 0.0
+    else:
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"argument --tol: must be a finite number >= 0, got '{tol}'" in err
 
 
 class TestUsage:
