@@ -50,7 +50,7 @@ def check_gelfand_pair(n: int) -> CheckReport:
         ab, ba = product_ranks(xs, times_b), product_ranks(ys, times_a)
         if {r: c * len(ys) for r, c in ab.items()} == {r: c * len(xs) for r, c in ba.items()}:
             return None
-        a, b = (PartialBijection._canonical(m[0][1:]) for m in (xs, ys))
+        a, b = (PartialBijection(m[0][1:]) for m in (xs, ys))
         return f"p {a.literal()} p vs p {b.literal()} p"
 
     return tally("gelfand", n, map(failure, itertools.combinations(classes, 2)),

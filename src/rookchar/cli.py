@@ -2,10 +2,11 @@
 
 Exit codes: 0 success, 2 usage or parse error, 3 property violation,
 4 resource guard tripped.  Output is deterministic: JSON with sorted keys and
-rationals as "p/q" strings.  The oracle's ``model`` strings and CSV float
-cells carry 12 significant digits; the other JSON floats (``diff``,
-``max_diff``, ``tolerance``, ``target``, ``values``, ``max_deviation``) print
-as their ``repr``.
+rationals as "p/q" strings.  CSV goes through the ``csv`` module, so a cell
+holding a comma (an element such as ``[1,_]``) is quoted.  The oracle's
+``model`` strings and CSV float cells carry 12 significant digits; the other
+JSON floats (``diff``, ``max_diff``, ``tolerance``, ``target``, ``values``,
+``max_deviation``) print as their ``repr``.
 """
 
 from __future__ import annotations
@@ -34,12 +35,16 @@ DEFAULT_STATE = {"alpha": ["1/2", "1/3"], "beta": ["1/6"], "mark": {"i": 1, "t":
 
 def _emit(payload, fmt: str = "json"):
     if fmt == "csv":
+        import csv  # here, so no other output pays for the import
+
         rows = payload.get("rows", [])
         if rows:
             cols = sorted(rows[0])
-            print(",".join(cols))
-            for row in rows:
-                print(",".join(_csv_cell(row[c]) for c in cols))
+            # Made per call, so it writes to the sys.stdout of the moment.
+            # An element cell such as [1,_] holds commas and is quoted.
+            out = csv.writer(sys.stdout, lineterminator="\n")
+            out.writerow(cols)
+            out.writerows([_csv_cell(row[c]) for c in cols] for row in rows)
         return
     print(json.dumps(payload, sort_keys=True))
 

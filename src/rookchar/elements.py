@@ -5,6 +5,8 @@ that fixes every point outside a finite set.  It is stored as the tuple of
 images of 1..bound, with ``None`` marking points outside the domain; every
 point beyond ``bound`` is an implicit fixed point, and ``bound`` is minimal
 (no trailing fixed point), so equality is structural and values are hashable.
+Every element, products and stars included, comes from the one constructor
+``PartialBijection(images)``, which checks the image list before it trims it.
 
 The product follows the 0-1 matrix realization: the matrix of ``r`` has entry
 (l, k) equal to 1 exactly when r(k) = l, and the product is the matrix
@@ -61,53 +63,21 @@ class PartialBijection(Record):
     """A finitary partial bijection in canonical (trimmed) form.
 
     ``images[x-1]`` is the image of x for x <= bound, ``None`` when x is not
-    in the domain.  All points above ``bound`` are fixed.  Use
-    :meth:`from_images` to build values; the raw constructor insists on
-    canonical input.
+    in the domain.  All points above ``bound`` are fixed.  The constructor is
+    the one way to build an element: it takes any image sequence, checks it
+    with :func:`_check_images` and then trims trailing fixed points, so
+    ``PartialBijection([2, 1, 3])`` is ``[2,1]`` and ``[True]`` is an error.
     """
 
     __slots__ = _fields = ("images",)
 
-    def __init__(self, images: tuple[int | None, ...]):
-        _check_images(images)
-        if images and images[-1] == len(images):
-            raise ValueError("not canonical: trailing fixed point")
-        object.__setattr__(self, "images", images)
-
-    # Written out because elements are dict and set keys: decompose's cache
-    # and gram_matrix's distinctness check.  The hash is the one a frozen
-    # dataclass gives, so a set of elements iterates in the order it did.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    @staticmethod
-    def from_images(images: Sequence[int | None]) -> "PartialBijection":
-        """Build an element from an image list, checked, then trimmed of trailing fixed points."""
+    def __init__(self, images: Sequence[int | None]):
         images = tuple(images)
         _check_images(images)
-        return PartialBijection._canonical(images)
-
-    @classmethod
-    def _canonical(cls, images: Sequence[int | None]) -> "PartialBijection":
-        """Trim trailing fixed points and wrap ``images`` without validation.
-
-        Only for image lists that are injective partial maps of 1..len by
-        construction (products and inverses of valid elements, the listing of
-        R_n); outside input goes through :meth:`from_images`.
-        """
         bound = len(images)
-        if bound and images[-1] == bound:
-            while bound and images[bound - 1] == bound:
-                bound -= 1
-            images = images[:bound]
-        element = object.__new__(cls)
-        object.__setattr__(element, "images", tuple(images))
-        return element
+        while bound and images[bound - 1] == bound:
+            bound -= 1
+        self._set(images[:bound])
 
     @property
     def bound(self) -> int:
@@ -157,7 +127,7 @@ class PartialBijection(Record):
 
     def star(self) -> "PartialBijection":
         """The involution: matrix transposition, i.e. the inverse partial map."""
-        return PartialBijection._canonical(invert_images(self.images))
+        return PartialBijection(invert_images(self.images))
 
     def __mul__(self, other: "PartialBijection") -> "PartialBijection":
         if not isinstance(other, PartialBijection):
@@ -183,7 +153,7 @@ def compose(r1: PartialBijection, r2: PartialBijection) -> PartialBijection:
         outer += tuple(range(n1 + 1, n2 + 1))
     elif n2 < n1:
         inner += tuple(range(n2 + 1, n1 + 1))
-    return PartialBijection._canonical([None if y is None else outer[y - 1] for y in inner])
+    return PartialBijection([None if y is None else outer[y - 1] for y in inner])
 
 
 def gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -223,7 +193,7 @@ def identity() -> PartialBijection:
 
 
 def _check_points(lowest: int, highest: int) -> None:
-    """Refuse an orbit or kill set that names a point below 1 or above MAX_POINT.
+    """Refuse an orbit, kill set or word that names a point below 1 or above MAX_POINT.
 
     Called before the image list, which holds one entry per point up to the
     largest, is built.
@@ -259,7 +229,7 @@ def from_orbits(chains: Iterable[Sequence[int]] = (),
     images: list[int | None] = list(range(1, max(points) + 1))
     for x, y in zip(points, targets):
         images[x - 1] = y
-    return PartialBijection.from_images(images)
+    return PartialBijection(images)
 
 
 def idempotent(points: Iterable[int]) -> PartialBijection:
@@ -275,8 +245,7 @@ def idempotent(points: Iterable[int]) -> PartialBijection:
     images: list[int | None] = list(range(1, kills[-1] + 1))
     for p in kills:
         images[p - 1] = None
-    # The largest point is killed, so the list has no trailing fixed point.
-    return PartialBijection._canonical(images)
+    return PartialBijection(images)
 
 
 def cycle(points: Sequence[int]) -> PartialBijection:
@@ -294,7 +263,7 @@ def transposition(a: int, b: int) -> PartialBijection:
 def symmetric_group(n: int) -> Iterator[PartialBijection]:
     """All permutations of {1..n}, in lexicographic one-line order."""
     for perm in itertools.permutations(range(1, n + 1)):
-        yield PartialBijection.from_images(perm)
+        yield PartialBijection(perm)
 
 
 # --- literals ---------------------------------------------------------------
@@ -355,7 +324,7 @@ def _parse_image_list(s: str) -> PartialBijection:
             images.append(int(tok))
         else:
             raise ParseError(f"bad image entry {tok!r} in {s!r}")
-    return PartialBijection.from_images(images)
+    return PartialBijection(images)
 
 
 def _parse_product(s: str) -> PartialBijection:
@@ -389,8 +358,7 @@ def _parse_product(s: str) -> PartialBijection:
                 pos += 1
         else:
             raise ParseError(f"unexpected character {ch!r} in {s!r}")
-    if not factors:
-        raise ParseError(f"no factors in {s!r}")
+    # s is stripped and nonempty, so the first pass appended a factor or raised.
     out = factors[0]
     for f in factors[1:]:
         out = compose(out, f)
@@ -438,4 +406,4 @@ def padded_rn(n: int) -> Iterator[tuple[int | None, ...]]:
 
 def enumerate_rn(n: int) -> Iterator[PartialBijection]:
     """Every element of R_n exactly once, in :func:`padded_rn`'s order."""
-    return map(PartialBijection._canonical, padded_rn(n))
+    return map(PartialBijection, padded_rn(n))

@@ -270,4 +270,4 @@ def find_conjugator(
     for p in range(1, n + 1):
         if images[p - 1] is None:
             images[p - 1] = next(free_targets)
-    return PartialBijection.from_images(images)
+    return PartialBijection(images)

@@ -363,11 +363,11 @@ def _images_fn(state) -> Callable[[tuple[int | None, ...]], Fraction]:
     table = _class_table(state)
     if table is not None:
         return table.of_images
-    return lambda images: state(PartialBijection._canonical(images))
+    return lambda images: state(PartialBijection(images))
 
 
 def _literal(images: tuple[int | None, ...]) -> str:
-    return PartialBijection._canonical(images).literal()
+    return PartialBijection(images).literal()
 
 
 def _zero_padded(images: tuple[int | None, ...]) -> tuple[int, ...]:

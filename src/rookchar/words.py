@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import itertools
 
-from .elements import PartialBijection, compose, idempotent, identity, transposition
+from .elements import PartialBijection, _check_points
 from .errors import CheckReport, ResourceGuardError, tally
 
 # The largest generator index the Popova relation sweep checks.  Its O(n^2)
-# relations each compose elements of bound ~n, so the sweep grows as n^3.
+# relations each build image lists of length ~n, so the sweep grows as n^3.
 MAX_POPOVA_N = 128
 
 EPS1 = 0
@@ -31,17 +31,29 @@ def S(i: int) -> int:
     return i
 
 
-def letter_element(letter: int) -> PartialBijection:
-    if letter == EPS1:
-        return idempotent((1,))
-    return transposition(letter, letter + 1)
-
-
 def word_to_element(word: Word) -> PartialBijection:
-    out = identity()
+    """The product of the word's letters, built from one image list.
+
+    The list is read left to right as ``out = out * letter``: s_i swaps
+    entries i and i+1, and e{1} clears entry 1.  Every letter must be an
+    ``int >= 0`` (a bool is refused) and the largest point it names at most
+    MAX_POINT; both are checked before the list is built.
+
+    >>> word_to_element((S(1), EPS1)).literal()
+    '[_,1]'
+    """
     for letter in word:
-        out = compose(out, letter_element(letter))
-    return out
+        if type(letter) is not int or letter < 0:  # isinstance would admit True
+            raise ValueError(f"letter {letter!r} is not an int >= 0")
+    top = max(word, default=0) + 1
+    _check_points(1, top)
+    images: list[int | None] = list(range(1, top + 1))
+    for letter in word:
+        if letter == EPS1:
+            images[0] = None
+        else:
+            images[letter - 1], images[letter] = images[letter], images[letter - 1]
+    return PartialBijection(images)
 
 
 def _permutation_word(images: list[int]) -> list[int]:
@@ -63,7 +75,7 @@ def _permutation_word(images: list[int]) -> list[int]:
 def element_to_word(r: PartialBijection) -> Word:
     """A word evaluating back to r (word_to_element round-trips exactly).
 
-    >>> element_to_word(idempotent((1,)))
+    >>> element_to_word(PartialBijection([None]))
     (0,)
     """
     word = _permutation_word(r.one_line(r.bound))

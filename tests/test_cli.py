@@ -1,5 +1,6 @@
 """CLI surface: subcommands, exit codes, deterministic output."""
 
+import csv
 import json
 import os
 import pathlib
@@ -14,7 +15,7 @@ import rookchar
 from rookchar import algebra, cli, elements, states, tensor_model
 from rookchar.quasicycles import decompose
 from rookchar.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, VERIFY_SUITES, main
-from rookchar.elements import MAX_ENUMERATION_GROUND_SET
+from rookchar.elements import MAX_ENUMERATION_GROUND_SET, parse_element
 from rookchar.states import MAX_PAIR_SWEEP_N
 from rookchar.words import MAX_POPOVA_N
 from conftest import SUITE_STATES
@@ -531,6 +532,8 @@ JSON_SHAPES = [
     ("gram", "--state", ORACLE_PARAMS,
      "malformed state JSON: the top level has unknown keys 'a_diag', 'v', 'regular', 'N'; "
      "allowed keys are alpha, beta, mark"),
+    ("oracle", "--params", dict(ORACLE_PARAMS, v=["sqrt(x)", "0", "sqrt(1/2)", "0"]),
+     "malformed model parameters: bad vector entry 'sqrt(x)'"),
 ]
 
 
@@ -736,23 +739,40 @@ class TestSpherical:
         assert (code, out, err) == (EXIT_OK, SPHERICAL_JSON_N6_L3 + "\n", "")
 
 
+@pytest.mark.parametrize("command", ["spherical", "oracle"])
+def test_csv_rows_have_one_cell_per_column(capsys, params_file, command):
+    # An element cell such as [1,_] holds commas; unquoted, csv.reader split
+    # it into more cells than the header names.
+    argv = {
+        "spherical": ["spherical", "--n", "4", "--l", "2", "--all-idempotents"],
+        "oracle": ["oracle", "--params", params_file, "--n", "2"],
+    }[command]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(out.splitlines())
+    assert code == EXIT_OK and rows
+    column = header.index("element")
+    for row in rows:
+        assert len(row) == len(header), row
+        assert parse_element(row[column]).literal() == row[column]
+
+
 SPHERICAL_CSV_N4_L2 = """\
 coefficient,element,killed
 1/2,[_],1
-1/2,[1,_],1
-1/2,[1,2,_],1
-1/2,[1,2,3,_],1
-1/6,[_,_],2
-1/6,[_,2,_],2
-1/6,[_,2,3,_],2
-1/6,[1,_,_],2
-1/6,[1,_,3,_],2
-1/6,[1,2,_,_],2
-0,[_,_,_],3
-0,[_,_,3,_],3
-0,[_,2,_,_],3
-0,[1,_,_,_],3
-0,[_,_,_,_],4
+1/2,"[1,_]",1
+1/2,"[1,2,_]",1
+1/2,"[1,2,3,_]",1
+1/6,"[_,_]",2
+1/6,"[_,2,_]",2
+1/6,"[_,2,3,_]",2
+1/6,"[1,_,_]",2
+1/6,"[1,_,3,_]",2
+1/6,"[1,2,_,_]",2
+0,"[_,_,_]",3
+0,"[_,_,3,_]",3
+0,"[_,2,_,_]",3
+0,"[1,_,_,_]",3
+0,"[_,_,_,_]",4
 """
 SPHERICAL_JSON_N6_L3 = (
     '{"all_match": true, "l": 3, "n": 6, "rows": [{"coefficient": "1/5", '
@@ -781,9 +801,10 @@ class TestOkounkov:
 
 
 @pytest.mark.parametrize("command", ["oracle", "okounkov"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc", "0"])
 def test_tolerance_is_finite_and_nonnegative(capsys, params_file, command, tol):
     # NaN and a negative tolerance reported a violation (exit 3); inf passed anything.
+    # A value float() cannot read is refused the same way.
     code, out, err = run(capsys, command, "--params", params_file, *COMMAND_TAIL[command], "--tol", tol)
     if tol == "0":
         assert code in (EXIT_OK, EXIT_VIOLATION) and json.loads(out)["tolerance"] == 0.0
@@ -1046,6 +1067,10 @@ class TestImportBoundary:
         assert not hasattr(rookchar.errors, "MAX_GELFAND_N")
         assert not hasattr(rookchar.RationalMatrix, "is_symmetric")
         assert not hasattr(rookchar.elements, "permutation_from_images")
+        # One checked constructor builds every element, and words walk one image list.
+        for name in ("from_images", "_canonical"):
+            assert not hasattr(rookchar.PartialBijection, name)
+        assert not hasattr(rookchar.words, "letter_element")
         assert not hasattr(rookchar.states, "load_state")
         assert not hasattr(rookchar.RationalMatrix, "from_json_rows")
         assert not hasattr(tensor_model, "ModelValidation")

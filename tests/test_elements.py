@@ -37,7 +37,7 @@ def partial_bijections(draw, max_n=6):
     images = [None] * n
     for x, y in zip(sorted(dom), img):
         images[x - 1] = y
-    return PartialBijection.from_images(images)
+    return PartialBijection(images)
 
 
 class TestLiterals:
@@ -64,7 +64,8 @@ class TestLiterals:
             assert parse_element(once).literal() == once
 
     def test_canonical_trims_trailing_fixed_points(self):
-        assert PartialBijection.from_images([2, 1, 3, 4]).bound == 2
+        assert PartialBijection([2, 1, 3, 4]).bound == 2
+        assert PartialBijection((2, 1, 3)) == parse_element("[2,1]")
         assert parse_element("(1 2)(3)").literal() == "[2,1]"
 
     @pytest.mark.parametrize(
@@ -72,7 +73,7 @@ class TestLiterals:
         [([1, 2, 3], "e"), ([2, 1, 3], "[2,1]"), ([2, None, 3, 4], "[2,_]")],
     )
     def test_from_images_trims_valid_lists(self, images, literal):
-        assert PartialBijection.from_images(images).literal() == literal
+        assert PartialBijection(images).literal() == literal
 
     @pytest.mark.parametrize(
         "images, kind", [([True], "bool"), ([1.0], "float"), ([2, 1, 3.0], "float")]
@@ -80,7 +81,11 @@ class TestLiterals:
     def test_from_images_checks_before_trimming(self, images, kind):
         # Each point would be trimmed as a trailing fixed point (True == 1 == 1.0).
         with pytest.raises(ValueError, match=f"is a {kind}, not an int"):
-            PartialBijection.from_images(images)
+            PartialBijection(images)
+
+    @pytest.mark.parametrize("spaced, packed", [("(1 2) e{3}", "(1 2)e{3}"), ("e (1 2)", "e(1 2)")])
+    def test_space_between_factors(self, spaced, packed):
+        assert parse_element(spaced) == parse_element(packed)
 
     def test_syntax_errors(self):
         for bad in ["", "[2,", "(1 2", "e{", "[x]", "frob", "e{}", "( )"]:
@@ -100,7 +105,7 @@ class TestLiterals:
         [
             lambda: PartialBijection((True, None)),
             lambda: cycle((True, 2)),
-            lambda: PartialBijection.from_images([True, None]),
+            lambda: PartialBijection([True, None]),
         ],
         ids=["constructor", "cycle", "from_images"],
     )
@@ -208,7 +213,7 @@ def reference_compose(r1, r2):
     for x in range(1, bound + 1):
         y = r2(x)
         images.append(None if y is None else r1(y))
-    return PartialBijection.from_images(images)
+    return PartialBijection(images)
 
 
 def r5_sample_pairs(count=5000, seed=20250818):
@@ -218,7 +223,8 @@ def r5_sample_pairs(count=5000, seed=20250818):
 
 
 class TestTrustedConstructor:
-    """compose and star skip validation; their results must still be canonical."""
+    """compose and star build through the one checking constructor; their
+    results must equal the pointwise reference and be canonical."""
 
     def test_compose_matches_validated_reference_r3(self):
         for a, b in itertools.product(enumerate_rn(3), repeat=2):
@@ -271,6 +277,20 @@ class TestStar:
         assert rr == idempotent(r.domain_gaps())
 
 
+class TestPointwise:
+    def test_point_zero_is_refused(self):
+        r = parse_element("[2,_,1]")
+        assert (r(1), r(2), r(4)) == (2, None, 4)
+        with pytest.raises(ValueError, match="point 0 out of range"):
+            r(0)
+
+    def test_one_line_needs_the_whole_support(self):
+        r = parse_element("[2,_,1]")
+        assert r.one_line(3) == [2, 3, 1]
+        with pytest.raises(ValueError, match=r"exceeds the ground set 1\.\.2"):
+            r.one_line(2)
+
+
 class TestSupport:
     def test_examples(self):
         assert identity().support() == frozenset()
@@ -316,9 +336,9 @@ class TestEnumeration:
         assert all(r.bound <= 3 for r in enumerate_rn(3))
 
     def test_stream_matches_validated_reference_r5(self):
-        # enumerate_rn skips validation; the same listing through
-        # from_images must give the same sequence, and every element must
-        # pass the validating constructor.
+        # enumerate_rn trims padded_rn's tuples; the same listing built
+        # point by point must give the same sequence, and every element must
+        # rebuild from its own images.
         def reference(n):
             points = range(1, n + 1)
             for k in range(n + 1):
@@ -328,7 +348,7 @@ class TestEnumeration:
                             images = [None] * n
                             for x, y in zip(dom, assignment):
                                 images[x - 1] = y
-                            yield PartialBijection.from_images(images)
+                            yield PartialBijection(images)
 
         elems = list(enumerate_rn(5))
         assert elems == list(reference(5))
@@ -340,7 +360,7 @@ class TestEnumeration:
         # One enumeration: enumerate_rn trims padded_rn's tuples, in order.
         padded = list(padded_rn(n))
         assert all(len(images) == n for images in padded)
-        assert [PartialBijection.from_images(images) for images in padded] == list(enumerate_rn(n))
+        assert [PartialBijection(images) for images in padded] == list(enumerate_rn(n))
 
     def test_padded_guard(self):
         with pytest.raises(ResourceGuardError):
@@ -361,13 +381,13 @@ class TestImageTupleKernels:
         padded = list(padded_rn(n))
         for r in padded:
             rz = tuple(0 if y is None else y for y in r)
-            element = PartialBijection.from_images(r)
-            assert PartialBijection.from_images(invert_images(r)) == element.star()
+            element = PartialBijection(r)
+            assert PartialBijection(invert_images(r)) == element.star()
             for s in padded:
-                other = PartialBijection.from_images(s)
-                assert PartialBijection.from_images(gather(rz)((None,) + s)) == compose(other, element)
+                other = PartialBijection(s)
+                assert PartialBijection(gather(rz)((None,) + s)) == compose(other, element)
                 if None not in s:  # r s by a gather over the permutation s
-                    assert PartialBijection.from_images(gather([y - 1 for y in s])(r)) == compose(
+                    assert PartialBijection(gather([y - 1 for y in s])(r)) == compose(
                         element, other)
 
 

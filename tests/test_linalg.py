@@ -469,6 +469,25 @@ class TestVerifyCertificate:
                                   lower=cert.lower)
         assert not verify_certificate(m, tampered)
 
+    def test_psd_without_pivots_fails(self):
+        m, cert = self.certified(34)
+        assert not verify_certificate(m, PsdCertificate(PSD, permutation=cert.permutation,
+                                                        lower=cert.lower))
+
+    def test_non_symmetric_matrix_fails(self):
+        # The identity's certificate fits every entry of a triangular matrix
+        # but the one below the diagonal.
+        m = RationalMatrix.from_rows([[1, 0], [0, 1]])
+        cert = psd_certificate(m)
+        assert verify_certificate(m, cert)
+        assert not verify_certificate(RationalMatrix.from_rows([[1, 1], [0, 1]]), cert)
+
+    def test_quadratic_form_needs_a_vector_of_matching_length(self):
+        m = RationalMatrix.from_rows([[1, 0], [0, 1]])
+        assert m.quadratic_form((Fraction(1), Fraction(2))) == 5
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            m.quadratic_form((Fraction(1),))
+
     @staticmethod
     def replaced(cert, pivots=None, permutation=None, lower=None):
         return PsdCertificate(

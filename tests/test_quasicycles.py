@@ -68,7 +68,7 @@ class TestDecompose:
 
     def test_roundtrip_is_linear_in_the_bound(self):
         # [2,1,_,...,_] at bound 10,000: one cycle and 9,998 trivial parts.
-        r = PartialBijection.from_images([2, 1] + [None] * 9998)
+        r = PartialBijection([2, 1] + [None] * 9998)
         start = time.perf_counter()
         d = decompose(r)
         assert d.element() == r
@@ -82,6 +82,8 @@ class TestDecompose:
             QuasiCycle(TRIVIAL, (1, 2))
         with pytest.raises(ValueError):
             QuasiCycle("weird", (1, 2))
+        with pytest.raises(ValueError, match="orbit points must be distinct"):
+            QuasiCycle(QUASI, (1, 1))
 
 
 class TestInvariant:
@@ -106,7 +108,7 @@ class TestInvariant:
             bound = rng.randint(0, 12)
             images = [None if rng.random() < 0.3 else y
                       for y in rng.sample(range(1, bound + 1), bound)]
-            randoms.append(PartialBijection.from_images(images))
+            randoms.append(PartialBijection(images))
         elems = itertools.chain.from_iterable(enumerate_rn(n) for n in range(7))
         cycle, quasi = (lambda n: 10 * n), (lambda n: n + 1)
         f = quasicycles.ClassFunction(cycle, quasi)

@@ -106,6 +106,22 @@ class TestValidation:
     def test_failing_condition_is_rejected(self, code, a_diag, v_sq, regular):
         rejects(code, a_diag, v_sq, regular)
 
+    # Checked before the conditions (a)-(f): each makes one of them meaningless.
+    @pytest.mark.parametrize(
+        "a_diag, v_sq, regular, slots, message",
+        [
+            (["1", "0"], ["1"], [], 2, "v and a_diag must have the same dimension"),
+            (["1", "0"], ["1", "0"], [], 0, "need at least one tensor slot"),
+            (["1/2", "0"], ["1", "0"], [2, 2], 2, "regular coordinates must be distinct indices"),
+            (["1/2", "0"], ["1", "0"], [3], 2, "regular coordinates must be distinct indices"),
+            (["1", "0"], ["2", "-1"], [], 2, "squared vector entries must be nonnegative"),
+        ],
+        ids=["dimension", "slots", "repeated-regular", "regular-out-of-range", "negative-v_sq"],
+    )
+    def test_shape_is_checked_first(self, a_diag, v_sq, regular, slots, message):
+        with pytest.raises(ValueError, match=message):
+            ModelParams.of(a_diag, v_sq, regular, slots)
+
     def test_weight_on_negative_block_fails(self):
         rejects("e", ["1/2", "-1/3", "0", "0"], ["1/2", "1/2", "0", "0"], [4], 4)
 

@@ -1,10 +1,13 @@
 """Generator words: evaluation, the encoder round-trip, defining relations."""
 
+import random
+import tracemalloc
+
 import pytest
 
 from rookchar import words
-from rookchar.elements import enumerate_rn, idempotent, parse_element, transposition
-from rookchar.errors import MAX_VIOLATIONS
+from rookchar.elements import compose, enumerate_rn, idempotent, identity, parse_element, transposition
+from rookchar.errors import MAX_POINT, MAX_VIOLATIONS, ResourceGuardError
 from rookchar.words import (
     EPS1,
     S,
@@ -80,3 +83,34 @@ def test_popova_violations_are_capped(monkeypatch):
     assert report.checked == 39
     assert len(report.violations) == MAX_VIOLATIONS == 20
     assert report.violations[0] == "involution s_1: (1, 1) != ()"
+
+
+def test_walk_matches_composed_letters():
+    # word_to_element walks one image list; composing one element per letter,
+    # left to right, is the reference.
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        word = tuple(rng.randrange(8) for _ in range(rng.randrange(12)))
+        expected = identity()
+        for letter in word:
+            factor = idempotent([1]) if letter == EPS1 else transposition(letter, letter + 1)
+            expected = compose(expected, factor)
+        assert word_to_element(word) == expected, word
+
+
+@pytest.mark.parametrize("letter", [-1, True, False, 1.5, "1"])
+def test_letters_are_nonnegative_ints(letter):
+    with pytest.raises(ValueError, match="is not an int >= 0"):
+        word_to_element((1, letter))
+
+
+def test_point_guard_before_any_list_is_built():
+    assert word_to_element((MAX_POINT - 1,)).bound == MAX_POINT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match=f"MAX_POINT = {MAX_POINT}"):
+            word_to_element((70000,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
