@@ -61,7 +61,8 @@ def json_fraction(value, what: str) -> Fraction:
     arguments (alpha, beta, a mark weight, a_diag, squared v) is read here.
     Anything ``Fraction()`` cannot read raises ParseError naming ``what``: a
     value that is not a real number or a string (``None``, a list, an
-    object), a string such as ``"x"`` or ``"1/0"``, and a JSON ``NaN`` or
+    object), a real of a type ``Fraction()`` does not take (numpy's
+    ``float32``), a string such as ``"x"`` or ``"1/0"``, and a JSON ``NaN`` or
     ``Infinity``.  So does a bool, which ``Fraction()`` would read as 1 or 0.
 
     >>> json_fraction("1/3", "t"), json_fraction(2, "t"), json_fraction(0.5, "t")
@@ -78,7 +79,7 @@ def json_fraction(value, what: str) -> Fraction:
     if not isinstance(value, bool) and isinstance(value, (Real, str)):
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except (ValueError, ZeroDivisionError, OverflowError, TypeError):
             pass
     raise ParseError(f"{what} must be a rational number, got {value!r}")
 
@@ -131,20 +132,30 @@ class ResourceGuardError(RuntimeError):
 class Record:
     """An immutable value with named fields, like a frozen dataclass.
 
-    A subclass names its fields in ``_fields``, keeps them in ``__slots__``
-    (no instance ``__dict__``) and sets them once in ``__init__`` through
-    :meth:`_set`.  Equality, the hash and the repr are those of the field
-    values, as a frozen dataclass's are, and pickling and copying call the
-    constructor again.  This avoids importing :mod:`dataclasses`, whose
-    import and per-class code generation cost more than the exact commands'
-    own work at small sizes.
+    A subclass names its fields in ``_fields`` and keeps them in
+    ``__slots__`` (no instance ``__dict__``), followed by any derived slot
+    such as a state's ``table``.  The default constructor takes one value
+    per field, in order; a subclass that checks its values defines its own
+    ``__init__`` and ends it with :meth:`_set`, which writes every slot, the
+    derived ones included, once.  Equality, the hash and the repr are those
+    of the field values, as a frozen dataclass's are, and pickling and
+    copying call the constructor again.  This avoids importing
+    :mod:`dataclasses`, whose import and per-class code generation cost more
+    than the exact commands' own work at small sizes.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes {len(self._fields)} values "
+                            f"({', '.join(self._fields)}), got {len(values)}")
+        self._set(*values)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+        """Write the slots in ``__slots__`` order: the fields, then any derived slot."""
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:

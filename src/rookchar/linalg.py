@@ -94,11 +94,12 @@ class PsdCertificate(Record):
     ``psd_certificate`` passes ``columns`` instead of ``lower``: for each
     elimination step k, its integer pivot row (the pivot d first) and the
     original indices of the rows below k.  The row's entries over d are
-    column k of L, and ``lower`` is built from them on first read.
+    column k of L, and ``lower`` is built from them on first read, the one
+    write after the constructor's ``_set`` (its slots follow its arguments).
     """
 
     _fields = ("verdict", "pivots", "permutation", "lower", "witness")
-    __slots__ = ("verdict", "pivots", "permutation", "witness", "_lower", "_columns")
+    __slots__ = ("verdict", "pivots", "permutation", "_lower", "witness", "_columns")
 
     def __init__(
         self,
@@ -110,9 +111,7 @@ class PsdCertificate(Record):
         *,
         columns: tuple[tuple[list[int], tuple[int, ...]], ...] | None = None,
     ):
-        values = (verdict, pivots, permutation, witness, lower, columns)
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        self._set(verdict, pivots, permutation, lower, witness, columns)
 
     @property
     def lower(self) -> tuple[tuple[Fraction, ...], ...] | None:

@@ -74,9 +74,6 @@ class QuasiCycleDecomposition(Record):
 
     __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts: tuple[QuasiCycle, ...]):
-        self._set(parts)
-
     def element(self) -> PartialBijection:
         """The product of the parts: quasi and trivial parts are chains."""
         return from_orbits(
@@ -244,28 +241,25 @@ def find_conjugator(
 ) -> PartialBijection | None:
     """A finitary permutation s with r1 = s r2 s*, if the invariants agree.
 
-    Parts of equal kind and size are matched greedily (largest first) and
-    their orbits are relabelled pointwise; leftover points pair up ascending.
+    Each element's parts are sorted by kind, size (largest first) and
+    smallest point, so equal invariants align the lists part for part, and
+    paired orbits are relabelled pointwise; leftover points pair up ascending.
     Any valid conjugator is acceptable, so only existence is canonical.
     """
     if conjugacy_invariant(r1) != conjugacy_invariant(r2):
         return None
     n = max(r1.bound, r2.bound)
     images: list[int | None] = [None] * n
-    used_targets: set[int] = set()
 
-    def sort_key(part: QuasiCycle) -> tuple[int, int]:
-        return (-part.length, min(part.orbit))
+    def sort_key(part: QuasiCycle) -> tuple[int, int, int]:
+        return ((QUASI, CYCLE, TRIVIAL).index(part.kind), -part.length, min(part.orbit))
 
-    parts1, parts2 = decompose(r1).parts, decompose(r2).parts
-    for kind in (QUASI, CYCLE, TRIVIAL):
-        sources = sorted((p for p in parts2 if p.kind == kind), key=sort_key)
-        targets = sorted((p for p in parts1 if p.kind == kind), key=sort_key)
-        for src, dst in zip(sources, targets):
-            for p, q in zip(src.orbit, dst.orbit):
-                images[p - 1] = q
-                used_targets.add(q)
+    targets, sources = (sorted(decompose(r).parts, key=sort_key) for r in (r1, r2))
+    for src, dst in zip(sources, targets):
+        for p, q in zip(src.orbit, dst.orbit):
+            images[p - 1] = q
 
+    used_targets = set(images)
     free_targets = iter(q for q in range(1, n + 1) if q not in used_targets)
     for p in range(1, n + 1):
         if images[p - 1] is None:

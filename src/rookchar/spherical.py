@@ -27,8 +27,10 @@ from typing import Sequence
 from .elements import PartialBijection
 from .errors import MAX_POINT, Record, ResourceGuardError, json_int
 
-# Bounds the basis C(n, l) of a model, and the 2^n - 1 rows that
-# ``spherical --all-idempotents`` lists.
+# Bounds C(n, l), and so the printed coefficient: C(n-b, l-b) / C(n, l) in
+# lowest terms has a denominator that divides C(n, l) and a numerator no
+# larger, so both have at most 5 digits.  No subset is listed.  It also bounds
+# the 2^n - 1 rows that ``spherical --all-idempotents`` lists.
 MAX_BASIS = 20000
 
 
@@ -69,7 +71,8 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
         # Python will not print an int of more than 4,300 digits.
         shown = f"= {size}" if size.bit_length() <= 64 else f">= 2^{size.bit_length() - 1}"
         raise ResourceGuardError(
-            f"basis of size C({n},{l}) {shown} exceeds the guard MAX_BASIS = {MAX_BASIS}"
+            f"coefficient denominator bound C({n},{l}) {shown} exceeds the guard "
+            f"MAX_BASIS = {MAX_BASIS}"
         )
     if len(r.images) > n:
         raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
@@ -99,10 +102,6 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
 
 class LimitReport(Record):
     __slots__ = _fields = ("element", "killed", "infinite_value", "rows", "converging_scaling")
-
-    def __init__(self, element: str, killed: int, infinite_value: Fraction,
-                 rows: tuple[dict, ...], converging_scaling: str):
-        self._set(element, killed, infinite_value, rows, converging_scaling)
 
     def to_json(self) -> dict:
         return {

@@ -147,8 +147,7 @@ class State(Record):
         table = _value_table(thoma.alpha, thoma.beta, mark)  # checks the mark's index
         if mark is not None and not 0 <= mark[1] <= 1:
             raise ValueError(f"weight t={mark[1]} outside [0, 1]")
-        self._set(thoma, mark)
-        object.__setattr__(self, "table", table)
+        self._set(thoma, mark, table)
 
     @property
     def quasi_base(self) -> Fraction:
@@ -194,7 +193,7 @@ def _json_params(
         )
     except KeyError as exc:  # only the mark's fields are looked up by key
         raise ParseError(f"malformed state JSON: mark needs {exc}") from exc
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except ParseError as exc:
         raise ParseError(f"malformed state JSON: {exc}") from exc
 
 
@@ -238,9 +237,6 @@ def unchecked_value_fn(data: dict) -> ClassFunction:
 class FactorTypeVerdict(Record):
     __slots__ = _fields = ("kind", "note")
 
-    def __init__(self, kind: str, note: str):
-        self._set(kind, note)
-
 
 def classify_factor_type(state: State) -> FactorTypeVerdict:
     """Factor type of the generated representation, per parameter case."""
@@ -265,10 +261,6 @@ def classify_factor_type(state: State) -> FactorTypeVerdict:
 
 class GramReport(Record):
     __slots__ = _fields = ("elements", "ordering", "matrix", "certificate")
-
-    def __init__(self, elements: tuple[PartialBijection, ...], ordering: str,
-                 matrix: linalg.RationalMatrix, certificate: linalg.PsdCertificate):
-        self._set(elements, ordering, matrix, certificate)
 
     def to_json(self) -> dict:
         return {

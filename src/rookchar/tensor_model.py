@@ -117,9 +117,9 @@ class ModelParams(Record):
         failures = [f"({code}) {detail}" for code, ok, detail in conditions if not ok]
         if failures:
             raise ValueError("invalid model parameters: " + "; ".join(failures))
-        self._set(a_diag, v_sq, regular, slots)
-        table = ClassFunction(lambda n: _tr_cycle(self, n), lambda n: _tr_q_pow_abs(self, n - 1))
-        object.__setattr__(self, "table", table)
+        # The lambdas read ``self`` only when called, after every slot is set.
+        self._set(a_diag, v_sq, regular, slots,
+                  ClassFunction(lambda n: _tr_cycle(self, n), lambda n: _tr_q_pow_abs(self, n - 1)))
 
     @staticmethod
     def of(a_diag: Iterable, v_sq: Iterable, regular: Iterable[int] = (), slots: int = 4) -> "ModelParams":
@@ -151,16 +151,13 @@ class ModelParams(Record):
         try:
             data = json_object(data, "the top level", ("a_diag", "v", "regular", "N"))
             a_diag, v = (json_array(data[key], key) for key in ("a_diag", "v"))
-            a_diag = tuple(json_fraction(a, "a_diag entry") for a in a_diag)
-            v_sq = tuple(_parse_sqrt(tok) for tok in v)
-            regular = tuple(sorted(json_int(j, "regular coordinate")
-                                   for j in json_array(data.get("regular", []), "regular")))
+            regular = json_array(data.get("regular", []), "regular")
             slots = json_int(data["N"], "'N'")
+            return ModelParams.of(a_diag, map(_parse_sqrt, v), regular, slots)
         except KeyError as exc:
             raise ParseError(f"malformed model parameters: missing {exc}") from exc
-        except (AttributeError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except ParseError as exc:
             raise ParseError(f"malformed model parameters: {exc}") from exc
-        return ModelParams(a_diag, v_sq, regular, slots)
 
 
 def _format_sqrt(q: Fraction) -> str:
@@ -360,10 +357,6 @@ def phi_model(embedding: TensorEmbedding, r: PartialBijection) -> float:
 
 class OkounkovReport(Record):
     __slots__ = _fields = ("slot", "x", "y", "target", "values", "max_deviation")
-
-    def __init__(self, slot: int, x: str, y: str, target: float,
-                 values: tuple[tuple[int, float], ...], max_deviation: float):
-        self._set(slot, x, y, target, values, max_deviation)
 
     def to_json(self) -> dict:
         return {

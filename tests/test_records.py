@@ -6,24 +6,38 @@ from fractions import Fraction
 
 import pytest
 
-from rookchar.elements import parse_element
+from rookchar.elements import enumerate_rn, parse_element
 from rookchar.errors import CheckReport
 from rookchar.linalg import RationalMatrix, psd_certificate
 from rookchar.quasicycles import QuasiCycle, QuasiCycleDecomposition, decompose
-from rookchar.spherical import SphericalModel
-from rookchar.states import ThomaParams, evaluate, make_state
-from rookchar.tensor_model import ModelParams, TensorEmbedding, okounkov_check
+from rookchar.spherical import LimitReport, SphericalModel, spherical_limit_check
+from rookchar.states import (
+    FactorTypeVerdict, GramReport, ThomaParams, classify_factor_type, evaluate, gram_matrix,
+    make_state)
+from rookchar.tensor_model import ModelParams, OkounkovReport, TensorEmbedding, okounkov_check
 
 RUNNING = parse_element("[2,3,_,4,_]")
 MATRIX = RationalMatrix.from_rows([[1, Fraction(1, 4)], [Fraction(1, 4), Fraction(1, 4)]])
-PARAMS = ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [4], 4)
+
+
+def build_params():
+    return ModelParams.of(["1/2", "-1/3", "0", "0"], ["1/2", "0", "1/2", "0"], [4], 4)
+
+
+def build_state():
+    return make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2"))
+
+
+PARAMS, STATE = build_params(), build_state()
 # Each record with the name of one of its fields.
 RECORDS = {
     "PartialBijection": (RUNNING, "images"),
     "QuasiCycle": (QuasiCycle("quasi", (1, 2, 3)), "orbit"),
     "QuasiCycleDecomposition": (decompose(RUNNING), "parts"),
     "ThomaParams": (ThomaParams.of(["1/2", "1/3"], ["1/6"]), "alpha"),
-    "State": (make_state(alpha=["1/2", "1/3"], beta=["1/6"], mark=(1, "1/2")), "mark"),
+    "State": (STATE, "mark"),
+    "FactorTypeVerdict": (classify_factor_type(STATE), "kind"),
+    "GramReport": (gram_matrix(STATE, list(enumerate_rn(1))), "certificate"),
     "CheckReport": (CheckReport("gelfand", 3, 6, (), basis=34, distinct_products=4), "basis"),
     "SphericalModel": (SphericalModel(11, 5), "l"),
     "RationalMatrix": (MATRIX, "entries"),
@@ -34,7 +48,8 @@ RECORDS = {
         "values",
     ),
 }
-STATE = RECORDS["State"][0]
+# Its rows are dicts, so it has no hash and stays out of RECORDS.
+LIMIT = spherical_limit_check(Fraction(1, 2), RUNNING, [8, 16])
 
 
 @pytest.fixture(params=sorted(RECORDS))
@@ -42,18 +57,35 @@ def case(request):
     return RECORDS[request.param]
 
 
-@pytest.mark.parametrize(
+ROUNDTRIPS = pytest.mark.parametrize(
     "roundtrip", [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
     ids=["copy", "deepcopy", "pickle"],
 )
+
+
+@ROUNDTRIPS
 def test_copies_equal_the_original(case, roundtrip):
     record, _ = case
     got = roundtrip(record)
     assert got == record and hash(got) == hash(record) and repr(got) == repr(record)
 
 
+@ROUNDTRIPS
+def test_limit_report_copies_equal_the_original(roundtrip):
+    got = roundtrip(LIMIT)
+    assert got == LIMIT and repr(got) == repr(LIMIT)
+    assert got != spherical_limit_check(Fraction(1, 3), RUNNING, [8, 16])
+
+
 def test_fields_are_read_only(case):
-    record, name = case
+    assert_read_only(*case)
+
+
+def test_limit_report_fields_are_read_only():
+    assert_read_only(LIMIT, "rows")
+
+
+def assert_read_only(record, name):
     with pytest.raises(AttributeError):
         setattr(record, name, None)
     with pytest.raises(AttributeError):
@@ -64,6 +96,24 @@ def test_fields_are_read_only(case):
 
 def test_pickled_state_evaluates():
     assert evaluate(pickle.loads(pickle.dumps(STATE)), RUNNING) == Fraction(1, 64)
+
+
+@pytest.mark.parametrize("build", [build_state, build_params], ids=["State", "ModelParams"])
+def test_table_is_not_a_field(build):
+    one, two = build(), build()
+    assert one.table is not two.table
+    assert one == two and hash(one) == hash(two) and "table" not in repr(one)
+    assert pickle.loads(pickle.dumps(one)).table(RUNNING) == two.table(RUNNING)
+
+
+def test_default_constructor_takes_one_value_per_field():
+    with pytest.raises(TypeError, match=r"^GramReport takes 4 values "
+                                        r"\(elements, ordering, matrix, certificate\), got 3$"):
+        GramReport(1, 2, 3)
+    with pytest.raises(TypeError, match="^FactorTypeVerdict takes 2 values"):
+        FactorTypeVerdict("II_1", "note", "extra")
+    for cls in (QuasiCycleDecomposition, FactorTypeVerdict, GramReport, OkounkovReport, LimitReport):
+        assert "__init__" not in vars(cls), cls.__name__
 
 
 def test_element_hash_is_the_frozen_dataclass_hash():

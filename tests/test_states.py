@@ -1,6 +1,7 @@
 """The central state family: values, classification, Gram matrices, sweeps."""
 
 import math
+import numbers
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from rookchar.elements import (
     symmetric_group,
 )
 from rookchar import quasicycles
-from rookchar.errors import MAX_VIOLATIONS
+from rookchar.errors import MAX_VIOLATIONS, ParseError
 from rookchar.quasicycles import (
     CYCLE,
     QUASI,
@@ -156,6 +157,17 @@ class TestMakeState:
     def test_booleans_are_not_rationals(self, kwargs, field):
         with pytest.raises(ValueError, match=f"{field} must be a rational number, got (True|False)"):
             make_state(**kwargs)
+
+    def test_a_real_that_fraction_cannot_read_is_a_parse_error(self):
+        # numpy's float32 is such a Real: Fraction() raises TypeError on it.
+        class Opaque:
+            pass
+
+        numbers.Real.register(Opaque)
+        with pytest.raises(ParseError, match="alpha entry must be a rational number"):
+            make_state(alpha=[Opaque()])
+        with pytest.raises(ParseError, match="^malformed state JSON: alpha entry must be"):
+            State.from_json({"alpha": [Opaque()]})
 
     def test_thoma_params_reject_booleans(self):
         with pytest.raises(ValueError, match="alpha entry must be a rational number, got True"):

@@ -21,7 +21,7 @@ from rookchar.elements import (
     transposition,
 )
 from rookchar import quasicycles, tensor_model
-from rookchar.errors import ResourceGuardError
+from rookchar.errors import ParseError, ResourceGuardError
 from rookchar.quasicycles import CYCLE, decompose, images_invariant
 from rookchar.states import evaluate
 from rookchar.tensor_model import (
@@ -162,6 +162,16 @@ class TestValidation:
         assert ModelParams.from_json(one).v_sq == (1, 0)
         with pytest.raises(ValueError, match="v entry must be a rational number, got False"):
             ModelParams.from_json(dict(one, v=[1, False]))
+
+    def test_json_messages_name_the_fault(self):
+        # A file whose values parse but fail a condition keeps the
+        # constructor's own message; a value that does not parse names its key.
+        with pytest.raises(ValueError, match=r"^invalid model parameters: \(b\) .*; \(d\) "):
+            ModelParams.from_json({"a_diag": [], "v": [], "N": 2})
+        with pytest.raises(ParseError, match="^malformed model parameters: 'N' must be an integer"):
+            ModelParams.from_json({"a_diag": ["1"], "v": ["1"], "N": 1.5})
+        with pytest.raises(ParseError, match="^malformed model parameters: regular coordinate"):
+            ModelParams.from_json({"a_diag": ["1", "0"], "v": ["1", "0"], "regular": [1.5], "N": 2})
 
     def test_json_roundtrip(self):
         again = ModelParams.from_json(RUNNING.to_json())
