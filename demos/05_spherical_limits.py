@@ -37,7 +37,7 @@ print("infinite value, two kills:", infinite_spherical_value(kappa, idempotent([
 report = spherical_limit_check(kappa, idempotent([1, 2]), [25, 50, 100, 200])
 print(f"\ninfinite value: {report.infinite_value}  (killed = {report.killed})")
 print(f"{'n':>5s} {'l=kn':>6s} {'coeff':>10s} {'err':>10s} {'l=k2n':>6s} {'coeff':>10s} {'err':>10s}")
-for row in report.rows:
+for row in map(dict, report.rows):
     print(
         f"{row['n']:5d} {row['l_kappa']:6d} {row['coeff_kappa']:10.6f} "
         f"{row['error_kappa']:10.6f} {row['l_kappa_squared']:6d} "

@@ -1,5 +1,6 @@
 """Shared by every layer: exceptions, JSON number reading, the record base, the sweep report and its tally, guard limits."""
 
+import re
 from fractions import Fraction
 from numbers import Real
 
@@ -17,6 +18,12 @@ MAX_VIOLATIONS = 20
 # largest, so without it a short literal such as "(1 4000000)" would build a
 # list of millions.
 MAX_POINT = 2**16
+
+# The largest decimal exponent of a rational string, int(str)'s digit limit:
+# Fraction("1e-N") builds 10^N, so "1e-99999999" would run for minutes.  The
+# pattern skips leading zeros, so five digits of an exponent exceed the limit.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?[0_]*([\d_]*)")
 
 
 class ParseError(ValueError):
@@ -64,6 +71,8 @@ def json_fraction(value, what: str) -> Fraction:
     object), a real of a type ``Fraction()`` does not take (numpy's
     ``float32``), a string such as ``"x"`` or ``"1/0"``, and a JSON ``NaN`` or
     ``Infinity``.  So does a bool, which ``Fraction()`` would read as 1 or 0.
+    A string whose decimal exponent exceeds ``MAX_DECIMAL_EXPONENT`` in
+    magnitude raises before ``Fraction()`` builds its power of 10.
 
     >>> json_fraction("1/3", "t"), json_fraction(2, "t"), json_fraction(0.5, "t")
     (Fraction(1, 3), Fraction(2, 1), Fraction(1, 2))
@@ -76,6 +85,9 @@ def json_fraction(value, what: str) -> Fraction:
     ...
     rookchar.errors.ParseError: t must be a rational number, got None
     """
+    exp = isinstance(value, str) and _EXPONENT.search(value)
+    if exp and int(exp[1].replace("_", "")[:5] or 0) > MAX_DECIMAL_EXPONENT:
+        raise ParseError(f"{what} has a decimal exponent over {MAX_DECIMAL_EXPONENT}, got {value!r}")
     if not isinstance(value, bool) and isinstance(value, (Real, str)):
         try:
             return Fraction(value)

@@ -26,7 +26,8 @@ key, under which a :class:`ClassFunction` keeps its values.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Iterator
+from fractions import Fraction
+from typing import Any, Callable, Iterator, Sequence
 
 from .elements import PartialBijection, from_orbits
 from .elements import parse_element  # for the doctests
@@ -191,6 +192,16 @@ class ClassFunction:
             self.by_images.clear()
         self.by_images[images] = value
         return value
+
+
+def power_sums(alpha: Sequence, beta: Sequence = (), marked: Sequence = ()) -> ClassFunction:
+    """The class function of Thoma's power sums: a plain cycle of n points
+    gives p_n(alpha|beta) = sum a^n + (-1)^(n-1) sum b^n, a quasi-cycle of n
+    points sum w a^n over the ``marked`` pairs (a, w)."""
+    return ClassFunction(
+        lambda n: (sum((a**n for a in alpha), Fraction(0))
+                   + (-1) ** (n - 1) * sum((b**n for b in beta), Fraction(0))),
+        lambda n: sum((w * a**n for a, w in marked), Fraction(0)))
 
 
 @functools.lru_cache(maxsize=MAX_MEMO_ELEMENTS)

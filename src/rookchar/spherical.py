@@ -101,6 +101,9 @@ def infinite_spherical_value(kappa: Fraction, r: PartialBijection) -> Fraction:
 
 
 class LimitReport(Record):
+    """The two-scaling limit table; each row is a tuple of (key, value) pairs,
+    so the report hashes, and ``dict(row)`` is the row ``to_json`` prints."""
+
     __slots__ = _fields = ("element", "killed", "infinite_value", "rows", "converging_scaling")
 
     def to_json(self) -> dict:
@@ -108,7 +111,7 @@ class LimitReport(Record):
             "element": self.element,
             "killed": self.killed,
             "infinite_value": str(self.infinite_value),
-            "rows": list(self.rows),
+            "rows": [dict(row) for row in self.rows],
             "converging_scaling": self.converging_scaling,
         }
 
@@ -138,8 +141,8 @@ def spherical_limit_check(
             row[f"l_{label}"] = l
             row[f"coeff_{label}"] = float(coeff)
             row[f"error_{label}"] = abs(float(coeff) - float(infinite))
-        rows.append(row)
-    last = rows[-1]
+        rows.append(tuple(row.items()))
+    last = dict(rows[-1])
     winner = (
         "kappa_squared"
         if last["error_kappa_squared"] <= last["error_kappa"]

@@ -5,8 +5,8 @@ A state is determined by two nonincreasing positive rational sequences
 ``(i, t)`` selecting one alpha entry and a weight t in [0, 1].  Its value on
 an element is the product over the quasi-cycle decomposition:
 
-* a plain cycle of length n contributes
-  ``sum(alpha_j^n) + (-1)^(n-1) sum(beta_j^n)``;
+* a plain cycle of length n contributes Thoma's power sum
+  ``p_n(alpha|beta) = sum(alpha_j^n) + (-1)^(n-1) sum(beta_j^n)``;
 * a quasi-cycle with an orbit of n points (a trivial one counts as n = 1)
   contributes ``t * alpha_i^n`` when the mark is present and 0 otherwise.
 
@@ -14,16 +14,15 @@ With the mark absent this covers the zero-extension states (including the
 sign state alpha=(), beta=(1,)); with alpha=(1,) and t=1 it degenerates to
 the constant 1.
 
-Values are memoised per conjugacy class.  The states are S_infinity-invariant,
+Values are memoised per conjugacy class: the states are S_infinity-invariant,
 f(s r s^-1) = f(r) for every finitary permutation s, so a value depends only on
-the element's class key :func:`~rookchar.quasicycles.conjugacy_invariant`
-(the orbit sizes of its quasi-cycles and plain cycles and its trivial count).
-Each parameter set keeps one table, a plain
+the element's class key :func:`~rookchar.quasicycles.conjugacy_invariant`.
+Each parameter set keeps one :func:`~rookchar.quasicycles.power_sums` table, a
 :class:`~rookchar.quasicycles.ClassFunction` with bounded memos from image
-tuple and from class key to value, the same table type that holds the tensor
-model's closed form; ``state.table(r)`` is the value on r.  An element met
-before costs one dictionary lookup; a new one costs an orbit-length count of
-its image tuple plus a class lookup, and no decomposition is built.
+tuple and from class key to value, as the tensor model's closed form does;
+``state.table(r)`` is the value on r.  An element met before costs one
+dictionary lookup; a new one an orbit-length count of its image tuple plus a
+class lookup, and no decomposition is built.
 
 The four state sweeps (centrality, conjugation invariance, multiplicativity,
 star symmetry) run on image tuples padded to length n
@@ -58,7 +57,7 @@ from .errors import (
     json_object,
     tally,
 )
-from .quasicycles import ClassFunction
+from .quasicycles import ClassFunction, power_sums
 
 # The dense Gram route builds and certifies an m x m matrix of Fractions, so
 # m is guarded: R_4's 209 elements pass, R_5's 1546 would run for hours.
@@ -102,34 +101,24 @@ class ThomaParams(Record):
 
 
 def thoma_character(p: ThomaParams, n: int) -> Fraction:
-    """Value of the character on a plain cycle of length n >= 2."""
+    """The character's value on a plain cycle of length n >= 2: the power sum p_n(alpha|beta)."""
     if n < 2:
         raise ValueError("cycle length must be >= 2")
-    return _cycle_value(p.alpha, p.beta, n)
-
-
-def _cycle_value(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...], n: int) -> Fraction:
-    return (
-        sum((a**n for a in alpha), Fraction(0))
-        + (-1) ** (n - 1) * sum((b**n for b in beta), Fraction(0))
-    )
+    return power_sums(p.alpha, p.beta).cycle(n)
 
 
 def _value_table(alpha: tuple[Fraction, ...], beta: tuple[Fraction, ...],
                  mark: tuple[int, Fraction] | None) -> ClassFunction:
-    """The family's value function for one parameter set: a memoised class function.
-
-    A class's value is the product of the cycle factors and ``t * alpha_i**n``
-    for a quasi-cycle of n points.  The mark ``(i, t)`` must name an alpha
-    entry; with no mark, every quasi-cycle factor is 0.
-    """
-    t, base = Fraction(0), Fraction(0)
+    """The family's value function for one parameter set: the power sums of
+    (alpha, beta) with the one marked pair (alpha_i, t) of the mark ``(i, t)``,
+    which must name an alpha entry, or none with no mark."""
+    marked = ()
     if mark is not None:
         i, t = mark
         if not 1 <= i <= len(alpha):
             raise ValueError(f"marked index {i} out of range")
-        base = alpha[i - 1]
-    return ClassFunction(lambda n: _cycle_value(alpha, beta, n), lambda n: t * base**n)
+        marked = ((alpha[i - 1], t),)
+    return power_sums(alpha, beta, marked)
 
 
 class State(Record):

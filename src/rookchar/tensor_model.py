@@ -9,10 +9,9 @@ instance is valid and nothing downstream checks them again.
 
 Two independent evaluation routes are provided:
 
-* :func:`phi_closed_form` reads the parameters' class-function table, a
-  plain :class:`~rookchar.quasicycles.ClassFunction` whose value on a class
-  is the product of per-part traces over the part lengths of the class key
-  -- exact rationals throughout;
+* :func:`phi_closed_form` reads the parameters' table: Thoma's power sums
+  (:func:`~rookchar.quasicycles.power_sums`) of the signed eigenvalues, with
+  the positive ones weighted by v_a^2 for quasi-cycles -- exact rationals;
 * :func:`phi_model` takes a :class:`TensorEmbedding`, which holds its
   parameters, and applies the generator images on the N-fold tensor
   power along a generator word (a slot swap with a sign twist over the
@@ -41,7 +40,7 @@ from typing import Iterable, Sequence
 
 from . import states  # for an annotation only: its body does not run
 from .elements import PartialBijection, transposition
-from .quasicycles import ClassFunction
+from .quasicycles import power_sums
 from .words import EPS1, element_to_word
 from .errors import (
     ParseError, Record, ResourceGuardError, json_array, json_fraction, json_int, json_object)
@@ -117,9 +116,9 @@ class ModelParams(Record):
         failures = [f"({code}) {detail}" for code, ok, detail in conditions if not ok]
         if failures:
             raise ValueError("invalid model parameters: " + "; ".join(failures))
-        # The lambdas read ``self`` only when called, after every slot is set.
-        self._set(a_diag, v_sq, regular, slots,
-                  ClassFunction(lambda n: _tr_cycle(self, n), lambda n: _tr_q_pow_abs(self, n - 1)))
+        table = power_sums([a for a in a_diag if a > 0], [-a for a in a_diag if a < 0],
+                           [(a, q) for a, q in zip(a_diag, v_sq) if a > 0 and q])
+        self._set(a_diag, v_sq, regular, slots, table)
 
     @staticmethod
     def of(a_diag: Iterable, v_sq: Iterable, regular: Iterable[int] = (), slots: int = 4) -> "ModelParams":
@@ -172,36 +171,23 @@ def _parse_sqrt(token) -> Fraction:
     if not isinstance(token, str):
         return json_fraction(token, "v entry") ** 2
     token = token.strip()
+    root = token.startswith("sqrt(") and token.endswith(")")
     try:
-        if token.startswith("sqrt(") and token.endswith(")"):
-            return Fraction(token[5:-1])
-        return Fraction(token) ** 2
-    except (ValueError, ZeroDivisionError) as exc:
+        q = json_fraction(token[5:-1] if root else token, "v entry")
+    except ParseError as exc:
         raise ParseError(f"bad vector entry {token!r}") from exc
+    return q if root else q**2
 
 
 # --- closed-form route --------------------------------------------------------
 
 
-def _tr_q_pow_abs(p: ModelParams, m: int) -> Fraction:
-    """Tr(q A^m |A|) = <A^m |A| v, v>."""
-    return sum((a**m * abs(a) * q for a, q in zip(p.a_diag, p.v_sq)), Fraction(0))
-
-
-def _tr_cycle(p: ModelParams, k: int) -> Fraction:
-    """Tr(A^{k-1} |A|): the plain k-cycle value."""
-    return sum((a ** (k - 1) * abs(a) for a in p.a_diag), Fraction(0))
-
-
 def phi_closed_form(p: ModelParams, r: PartialBijection) -> Fraction:
-    """Exact state value from the per-part trace formulas.
-
-    The value is a product over the parts of r's quasi-cycle decomposition,
-    and each factor depends only on a part's kind and length, so it is the
-    product over r's class key (its part sizes): Tr(q |A|) for each trivial point,
-    Tr(q A^{len-1} |A|) for each quasi-cycle, Tr(A^{len-1} |A|) for each
-    plain cycle.  Each class's value is computed once per parameter set and
-    kept in ``p.table``, a :class:`~rookchar.quasicycles.ClassFunction`.
+    """Exact state value: the product over r's class key (its part sizes) of
+    Tr(q |A|) per trivial point, Tr(q A^{len-1} |A|) per quasi-cycle and
+    Tr(A^{len-1} |A|) per plain cycle.  For a = -b < 0, a^(n-1) |a| =
+    (-1)^(n-1) b^n, and condition (e) puts no v-weight on it, so these traces
+    are the power sums that ``p.table`` holds.
     """
     return p.table(r)
 
@@ -246,18 +232,22 @@ class TensorEmbedding:
         self.params = params
         self.d = d = params.d
         self.slots = params.slots
-        self._a = [float(a) for a in params.a_diag]
+        a = [float(x) for x in params.a_diag]
         v = [math.sqrt(float(q)) for q in params.v_sq]
-        self._neg = [a < 0 for a in params.a_diag] + [False]
+        self._neg = [x < 0 for x in params.a_diag] + [False]
         # _inner[i][j] = <f_i, f_j> over factor labels; row and column d are v.
         self._inner = [[float(i == j) for j in range(d)] + [v[i]] for i in range(d)]
         self._inner.append(v + [1.0])
-        self._v = v
+        # _a_inner[i][j] = <f_i, A f_j>, pair_value_diag's slot table.
+        self._a_inner = [[a[i] if i == j else 0.0 for j in range(d)] + [a[i] * v[i]]
+                         for i in range(d)]
+        self._a_inner.append([a[i] * v[i] for i in range(d)]
+                             + [sum(x * w * w for x, w in zip(a, v))])
 
         leftover = 1.0 - float(params.spectral_mass)
         slot_weights = []
         for k in range(1, self.slots + 1):
-            rho = [abs(a) for a in self._a]
+            rho = [abs(x) for x in a]
             if params.regular and leftover:
                 j = params.regular[(k - 1) % len(params.regular)]
                 rho[j - 1] += leftover
@@ -334,16 +324,10 @@ class TensorEmbedding:
             z = self.apply(m, z)
         return self._psi(ty, z, [self._inner] * self.slots)
 
-    def pair_value_diag(self, k: int, values: Sequence[float], tx: list, ty: list) -> float:
-        """psi(T(y)^T D T(x)) for D = diag(values) acting in slot k."""
-        d, v = self.d, self._v
-        # table[i][j] = <f_i, D f_j> over factor labels, as _inner is for D = 1.
-        table = [[values[i] if i == j else 0.0 for j in range(d)] + [values[i] * v[i]]
-                 for i in range(d)]
-        table.append([values[i] * v[i] for i in range(d)]
-                     + [sum(x * w * w for x, w in zip(values, v))])
+    def pair_value_diag(self, k: int, tx: list, ty: list) -> float:
+        """psi(T(y)^T A T(x)) for A acting in slot k."""
         tables = [self._inner] * self.slots
-        tables[k - 1] = table
+        tables[k - 1] = self._a_inner
         return self._psi(ty, tx, tables)
 
 
@@ -379,7 +363,7 @@ def _okounkov_setup(emb: TensorEmbedding, k: int, x: PartialBijection,
         raise ValueError("supports of x, y and the slot must stay below N")
     admissible = [n for n in range(1, emb.slots + 1) if n not in blocked]
     tx, ty = emb.image(x), emb.image(y)
-    target = emb.pair_value_diag(k, emb._a, tx, ty)
+    target = emb.pair_value_diag(k, tx, ty)
     return admissible, tx, ty, target
 
 

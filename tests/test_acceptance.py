@@ -223,7 +223,7 @@ def test_criterion_11_spherical_coefficients():
         report = spherical_limit_check(
             Fraction(1, 2), idempotent([1, 2]), [50, 100, 200]
         )
-        last = report.rows[-1]
+        last = dict(report.rows[-1])
         assert last["n"] == 200
         assert last["error_kappa_squared"] < 0.02
         assert report.converging_scaling == "kappa_squared"

@@ -81,6 +81,11 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "[3,3,_]")
         assert code == EXIT_USAGE and "two points map to 3" in err
 
+    def test_repeated_cycle_point_exits_2(self, capsys):
+        code, out, err = run(capsys, "decompose", "(1 2 1)")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "cycle points must be distinct" in err
+
     def test_point_guard_exits_4(self, capsys):
         code, out, err = run(capsys, "decompose", "(1 4000000)")
         assert (code, out) == (EXIT_GUARD, "")
@@ -244,6 +249,28 @@ def test_directory_input_exits_2(tmp_path, argv):
     )
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert proc.stderr.startswith("error: [Errno 21] Is a directory:")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["eval", "--elem", "(1 2)", "--state"], {"alpha": ["1e-10000000"]}),
+        (["oracle", "--params"], dict(ORACLE_PARAMS, v=["sqrt(1e-99999999)", "0", "sqrt(1/2)", "0"])),
+    ],
+    ids=["state", "params"],
+)
+def test_huge_decimal_exponent_exits_2_at_once(tmp_path, argv, data):
+    # Fraction("1e-N") builds 10^N: seconds at N = 10^7, minutes at N = 10^8.
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rookchar.cli", *argv, str(path)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+    assert "exponent" in proc.stderr or "bad vector entry" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

@@ -100,6 +100,12 @@ class TestLiterals:
         with pytest.raises(ParseError, match="out of range"):
             parse_element("[3,1]")
 
+    def test_repeated_cycle_point(self):
+        with pytest.raises(ValueError, match="cycle points must be distinct"):
+            cycle((1, 2, 1))
+        with pytest.raises(ParseError, match="cycle points must be distinct"):
+            parse_element("(1 2 1)")
+
     @pytest.mark.parametrize(
         "build",
         [
@@ -204,6 +210,10 @@ class TestCompose:
     @given(partial_bijections(), partial_bijections(), partial_bijections())
     def test_associativity_random(self, a, b, c):
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+    def test_product_with_a_non_element(self):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            parse_element("(1 2)") * 3
 
 
 def reference_compose(r1, r2):

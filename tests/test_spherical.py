@@ -190,14 +190,14 @@ class TestLimit:
         )
         assert report.killed == 2
         assert report.converging_scaling == "kappa_squared"
-        last = report.rows[-1]
+        last = dict(report.rows[-1])
         assert last["n"] == 200
         assert last["error_kappa_squared"] < 0.02
         assert last["error_kappa"] > 0.1
 
     def test_b_one_is_exact_under_squared_scaling(self):
         report = spherical_limit_check(Fraction(1, 2), idempotent([3]), [100])
-        row = report.rows[0]
+        row = dict(report.rows[0])
         # kappa^2 * 100 is an integer here, so the coefficient is exact.
         assert row["error_kappa_squared"] == 0
 
@@ -220,5 +220,5 @@ class TestLimit:
     def test_unit_interval_ends(self):
         zero = spherical_limit_check(Fraction(0), idempotent([1]), [0, 4])
         one = spherical_limit_check(Fraction(1), idempotent([1]), [0, 4])
-        assert [row["l_kappa"] for row in zero.rows + one.rows] == [0, 0, 0, 4]
+        assert [dict(row)["l_kappa"] for row in zero.rows + one.rows] == [0, 0, 0, 4]
         assert (zero.infinite_value, one.infinite_value) == (0, 1)

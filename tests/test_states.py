@@ -169,6 +169,14 @@ class TestMakeState:
         with pytest.raises(ParseError, match="^malformed state JSON: alpha entry must be"):
             State.from_json({"alpha": [Opaque()]})
 
+    def test_decimal_exponents_are_bounded(self):
+        # Fraction("1e-N") builds 10^N, so a long exponent is refused unread.
+        st = make_state(alpha=["2.5E-1", "1e-3", "1e-04300"], beta=["1/3"], mark=(1, "5e-1"))
+        assert st.thoma.alpha == (Fraction(1, 4), Fraction(1, 1000), Fraction(1, 10**4300))
+        for text in ("1e4301", "1e-99999999", "2.5E+000012345"):
+            with pytest.raises(ParseError, match="alpha entry has a decimal exponent over 4300"):
+                make_state(alpha=[text])
+
     def test_thoma_params_reject_booleans(self):
         with pytest.raises(ValueError, match="alpha entry must be a rational number, got True"):
             ThomaParams.of(alpha=[True])
@@ -398,6 +406,14 @@ class TestFactorMemo:
             for r in enumerate_rn(n):
                 for f, a, b, t, base in fns:
                     assert f(r) == uncached_value(a, b, t, base, r), r.literal()
+
+    def test_unchecked_entries_of_either_sign_are_raw_power_sums(self):
+        # For a < 0, a^n differs from the model's trace form a^(n-1) |a|; the
+        # unchecked formula must keep the power.
+        f = unchecked_value_fn({"alpha": ["-1/2", "1/3"], "beta": ["-1/4"], "mark": {"i": 1, "t": 2}})
+        alpha, beta = (Fraction(-1, 2), Fraction(1, 3)), (Fraction(-1, 4),)
+        for r in enumerate_rn(4):
+            assert f(r) == uncached_value(alpha, beta, Fraction(2), alpha[0], r), r.literal()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_tables_sharing_invariants_keep_their_own_values(self, n):
