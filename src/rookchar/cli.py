@@ -21,7 +21,7 @@ import sys
 # bodies it uses (the package registers its submodules lazily).
 from . import algebra, quasicycles, spherical, states, tensor_model, words
 from .elements import PartialBijection, enumerate_rn, idempotent, literal_bound, parse_element, rn_size
-from .errors import I_STAR_J, STAR_JI, ParseError, ResourceGuardError
+from .errors import I_STAR_J, STAR_JI, ParseError, ResourceGuardError, fraction_text
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,7 +99,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_eval(args) -> int:
     state = _load_state(args)
-    print(states.evaluate(state, parse_element(args.element)))
+    print(fraction_text(states.evaluate(state, parse_element(args.element)), "the element's value"))
     return EXIT_OK
 
 
@@ -143,7 +143,7 @@ def cmd_oracle(args) -> int:
         rows.append(
             {
                 "element": r.literal(),
-                "closed_form": str(exact),
+                "closed_form": fraction_text(exact, "closed_form"),
                 "model": _csv_cell(model),
                 "diff": diff,
             }

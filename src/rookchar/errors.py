@@ -19,10 +19,12 @@ MAX_VIOLATIONS = 20
 # list of millions.
 MAX_POINT = 2**16
 
-# The largest decimal exponent of a rational string, int(str)'s digit limit:
+# The most decimal digits of an integer that Python turns into a string or
+# reads from one.  It bounds the decimal exponent of a rational string:
 # Fraction("1e-N") builds 10^N, so "1e-99999999" would run for minutes.  The
 # pattern skips leading zeros, so five digits of an exponent exceed the limit.
-MAX_DECIMAL_EXPONENT = 4300
+MAX_DIGITS = 4300
+_DIGIT_BOUND = 10**MAX_DIGITS
 _EXPONENT = re.compile(r"[eE][-+]?[0_]*([\d_]*)")
 
 
@@ -71,8 +73,8 @@ def json_fraction(value, what: str) -> Fraction:
     object), a real of a type ``Fraction()`` does not take (numpy's
     ``float32``), a string such as ``"x"`` or ``"1/0"``, and a JSON ``NaN`` or
     ``Infinity``.  So does a bool, which ``Fraction()`` would read as 1 or 0.
-    A string whose decimal exponent exceeds ``MAX_DECIMAL_EXPONENT`` in
-    magnitude raises before ``Fraction()`` builds its power of 10.
+    A string whose decimal exponent exceeds ``MAX_DIGITS`` in magnitude
+    raises before ``Fraction()`` builds its power of 10.
 
     >>> json_fraction("1/3", "t"), json_fraction(2, "t"), json_fraction(0.5, "t")
     (Fraction(1, 3), Fraction(2, 1), Fraction(1, 2))
@@ -86,14 +88,33 @@ def json_fraction(value, what: str) -> Fraction:
     rookchar.errors.ParseError: t must be a rational number, got None
     """
     exp = isinstance(value, str) and _EXPONENT.search(value)
-    if exp and int(exp[1].replace("_", "")[:5] or 0) > MAX_DECIMAL_EXPONENT:
-        raise ParseError(f"{what} has a decimal exponent over {MAX_DECIMAL_EXPONENT}, got {value!r}")
+    if exp and int(exp[1].replace("_", "")[:5] or 0) > MAX_DIGITS:
+        raise ParseError(f"{what} has a decimal exponent over {MAX_DIGITS}, got {value!r}")
     if not isinstance(value, bool) and isinstance(value, (Real, str)):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError, OverflowError, TypeError):
             pass
     raise ParseError(f"{what} must be a rational number, got {value!r}")
+
+
+def fraction_text(value, what: str) -> str:
+    """``str(value)`` of an exact rational whose numerator and denominator
+    have at most ``MAX_DIGITS`` digits; past that ResourceGuardError names
+    ``what``, where Python's own ValueError would name no input.
+
+    >>> fraction_text(Fraction(-1, 3), "pivot")
+    '-1/3'
+    >>> fraction_text(Fraction(1, 10**4300), "pivot")
+    Traceback (most recent call last):
+    ...
+    rookchar.errors.ResourceGuardError: pivot has a numerator or denominator of 14285 bits, over MAX_DIGITS = 4300 digits
+    """
+    if -_DIGIT_BOUND < value.numerator < _DIGIT_BOUND and value.denominator < _DIGIT_BOUND:
+        return str(value)
+    bits = max(abs(value.numerator), value.denominator).bit_length()
+    raise ResourceGuardError(f"{what} has a numerator or denominator of {bits} bits, "
+                             f"over MAX_DIGITS = {MAX_DIGITS} digits")
 
 
 def json_array(value, what: str) -> list:

@@ -43,7 +43,7 @@ from itertools import accumulate, islice
 from math import gcd, lcm
 from typing import Sequence
 
-from .errors import Record
+from .errors import Record, fraction_text
 
 PSD = "PSD"
 NOT_PSD = "NotPSD"
@@ -80,7 +80,7 @@ class RationalMatrix(Record):
         )
 
     def to_json_rows(self) -> list[list[str]]:
-        return [[str(x) for x in row] for row in self.entries]
+        return [[fraction_text(x, "Gram entry") for x in row] for row in self.entries]
 
 
 class PsdCertificate(Record):
@@ -125,11 +125,14 @@ class PsdCertificate(Record):
         return self.verdict == PSD
 
     def to_json(self) -> dict:
+        def texts(values, what):
+            return None if values is None else [fraction_text(x, what) for x in values]
+
         return {
             "verdict": self.verdict,
-            "pivots": None if self.pivots is None else [str(p) for p in self.pivots],
+            "pivots": texts(self.pivots, "pivot"),
             "permutation": None if self.permutation is None else list(self.permutation),
-            "witness": None if self.witness is None else [str(w) for w in self.witness],
+            "witness": texts(self.witness, "witness entry"),
         }
 
 

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .elements import PartialBijection, from_orbits
 from .elements import parse_element  # for the doctests
-from .errors import Record
+from .errors import MAX_DIGITS, Record, ResourceGuardError
 
 QUASI = "quasi"
 CYCLE = "cycle"
@@ -138,6 +138,40 @@ def images_invariant(images: tuple[int | None, ...]) -> tuple[tuple[int, ...], t
 # size of decompose's LRU cache.  Each image-tuple entry keeps its tuple alive.
 MAX_MEMO_ELEMENTS = 65536
 
+# The most bits of an exact power, power sum or class value: 64 times the
+# MAX_DIGITS digits that print, so a value of seven points (the sweeps'
+# largest) of a parameter of MAX_DIGITS digits passes.  Past it the time
+# grows as the bits to the power 1.6 or more: on a 2-core host with Python
+# 3.11, a^1024 at a = 1e-4300 took 2.4 s, and the power sum of 50 such
+# parameters at n = 9 took 52 s.
+MAX_VALUE_BITS = 64 * MAX_DIGITS
+
+
+def _bits(x) -> int:
+    """The bit length of the longer of a rational's numerator and denominator."""
+    return max(x.numerator.bit_length(), x.denominator.bit_length())
+
+
+def _check_bits(bits: int, what: str) -> None:
+    if bits > MAX_VALUE_BITS:
+        raise ResourceGuardError(f"{what} reaches {bits} bits, over the guard "
+                                 f"MAX_VALUE_BITS = 64 MAX_DIGITS = {MAX_VALUE_BITS}")
+
+
+def _power_sum(terms: Iterable, n: int, what: str) -> Fraction:
+    """sum w a^n over the pairs (a, w) of ``terms``.
+
+    A power a^n has at least n (``_bits(a)`` - 1) bits, so 0, 1 and -1 grow
+    by nothing.  ResourceGuardError is raised before a power past
+    ``MAX_VALUE_BITS`` is taken, and as soon as a partial sum passes it.
+    """
+    total = Fraction(0)
+    for a, w in terms:
+        _check_bits(n * (_bits(a) - 1), f"a power a^{n}")
+        total += w * a**n
+        _check_bits(_bits(total), what)
+    return total
+
 
 class ClassFunction:
     """The class function that multiplies ``cycle(n)`` over the plain cycles
@@ -152,7 +186,9 @@ class ClassFunction:
     emptied when it reaches ``MAX_MEMO_ELEMENTS`` entries; until then a class
     has one value object.
     ``cycle`` and ``quasi`` are memoised by length under the same bound, so a
-    new class multiplies factors already computed for other classes.
+    new class multiplies factors already computed for other classes.  A
+    nonzero product whose factors' bits sum past ``MAX_VALUE_BITS`` raises
+    ResourceGuardError before it is multiplied.
 
     >>> f = ClassFunction(cycle=lambda n: 10 * n, quasi=lambda n: n + 1)
     >>> f(parse_element("(1 2 3)e{3}(4 5)e{6}")), len(f.by_class)
@@ -182,11 +218,13 @@ class ClassFunction:
             if len(self.by_class) >= MAX_MEMO_ELEMENTS:
                 self.by_class.clear()
             q_partition, c_partition, trivial = key
-            value = self.quasi(1) ** trivial
-            for n in c_partition:
-                value *= self.cycle(n)
-            for n in q_partition:
-                value *= self.quasi(n)
+            base = self.quasi(1)
+            factors = [self.cycle(n) for n in c_partition] + [self.quasi(n) for n in q_partition]
+            if (base or not trivial) and all(factors):
+                _check_bits(trivial * _bits(base) + sum(map(_bits, factors)), "a class value's product")
+            value = base ** trivial
+            for factor in factors:
+                value *= factor
             self.by_class[key] = value
         if len(self.by_images) >= MAX_MEMO_ELEMENTS:
             self.by_images.clear()
@@ -197,11 +235,15 @@ class ClassFunction:
 def power_sums(alpha: Sequence, beta: Sequence = (), marked: Sequence = ()) -> ClassFunction:
     """The class function of Thoma's power sums: a plain cycle of n points
     gives p_n(alpha|beta) = sum a^n + (-1)^(n-1) sum b^n, a quasi-cycle of n
-    points sum w a^n over the ``marked`` pairs (a, w)."""
+    points sum w a^n over the ``marked`` pairs (a, w), each read by
+    :func:`_power_sum` under ``MAX_VALUE_BITS``."""
+    def cycle(n: int) -> Fraction:
+        sign = (-1) ** (n - 1)
+        return _power_sum([(a, 1) for a in alpha] + [(b, sign) for b in beta], n,
+                          f"the power sum for a cycle of {n} points")
+
     return ClassFunction(
-        lambda n: (sum((a**n for a in alpha), Fraction(0))
-                   + (-1) ** (n - 1) * sum((b**n for b in beta), Fraction(0))),
-        lambda n: sum((w * a**n for a, w in marked), Fraction(0)))
+        cycle, lambda n: _power_sum(marked, n, f"the power sum for a quasi-cycle of {n} points"))
 
 
 @functools.lru_cache(maxsize=MAX_MEMO_ELEMENTS)

@@ -25,12 +25,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .elements import PartialBijection
-from .errors import MAX_POINT, Record, ResourceGuardError, json_int
+from .errors import MAX_DIGITS, MAX_POINT, Record, ResourceGuardError, json_int
 
-# Bounds C(n, l), and so the printed coefficient: C(n-b, l-b) / C(n, l) in
-# lowest terms has a denominator that divides C(n, l) and a numerator no
-# larger, so both have at most 5 digits.  No subset is listed.  It also bounds
-# the 2^n - 1 rows that ``spherical --all-idempotents`` lists.
+# The most rows (2^n - 1) that ``spherical --all-idempotents`` lists.
 MAX_BASIS = 20000
 
 
@@ -43,6 +40,12 @@ class SphericalModel(Record):
             raise ValueError(f"need 0 <= l <= n, got l={l}, n={n}")
         if n > MAX_POINT:
             raise ResourceGuardError(f"ground set n = {n} exceeds the guard MAX_POINT = {MAX_POINT}")
+        # A coefficient C(n-b, l-b) / C(n, l) in lowest terms has a numerator
+        # and a denominator no larger than C(n, l), so each one prints.
+        size = math.comb(n, l)
+        if size >= 10**MAX_DIGITS:
+            raise ResourceGuardError(f"coefficient denominator bound C({n},{l}) >= 2^{size.bit_length() - 1} "
+                                     f"exceeds MAX_DIGITS = {MAX_DIGITS} digits")
         self._set(n, l)
 
 
@@ -58,6 +61,8 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     3. so the count is that of the l-subsets holding the b kills, C(n-b, l-b),
        and C(n-b, l-b) / C(n, l) is the falling ratio the closed form returns.
 
+    The model has C(n, l) under ``MAX_DIGITS`` digits, so the coefficient prints.
+
     The independent checks build the action: ``tests/oracles.py::spherical_coeff``
     per subset, ``tests/test_spherical.py::dense_spherical_coeff`` as a matrix.
 
@@ -65,18 +70,10 @@ def spherical_coeff(model: SphericalModel, r: PartialBijection) -> Fraction:
     >>> spherical_coeff(SphericalModel(4, 2), idempotent([1]))
     Fraction(1, 2)
     """
-    n, l = model.n, model.l
-    size = math.comb(n, l)
-    if size > MAX_BASIS:
-        # Python will not print an int of more than 4,300 digits.
-        shown = f"= {size}" if size.bit_length() <= 64 else f">= 2^{size.bit_length() - 1}"
-        raise ResourceGuardError(
-            f"coefficient denominator bound C({n},{l}) {shown} exceeds the guard "
-            f"MAX_BASIS = {MAX_BASIS}"
-        )
+    n = model.n
     if len(r.images) > n:
         raise ValueError(f"support of {r.literal()} exceeds the ground set 1..{n}")
-    return spherical_coeff_closed_form(n, l, r.images.count(None))
+    return spherical_coeff_closed_form(n, model.l, r.images.count(None))
 
 
 def spherical_coeff_closed_form(n: int, l: int, killed: int) -> Fraction:

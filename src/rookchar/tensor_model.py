@@ -78,10 +78,11 @@ class ModelParams(Record):
             raise ValueError("regular coordinates must be distinct indices in 1..d")
         if any(q < 0 for q in v_sq):
             raise ValueError("squared vector entries must be nonnegative")
-        mass = sum((abs(a) for a in a_diag), Fraction(0))
+        mass, norm = sum((abs(a) for a in a_diag), Fraction(0)), sum(v_sq)
+        # Formatted only on failure: a valid mass may be too long to print.
         conditions = (
-            ("a", mass <= 1, f"trace norm of A is {mass}"),
-            ("b", sum(v_sq) == 1, f"v has squared norm {sum(v_sq)}"),
+            ("a", mass <= 1, "trace norm of A is {mass}"),
+            ("b", norm == 1, "v has squared norm {norm}"),
             (
                 "c",
                 mass < 1 or not regular,
@@ -113,7 +114,8 @@ class ModelParams(Record):
                 "regular coordinates must carry eigenvalue 0",
             ),
         )
-        failures = [f"({code}) {detail}" for code, ok, detail in conditions if not ok]
+        failures = [f"({code}) " + detail.format(mass=mass, norm=norm)
+                    for code, ok, detail in conditions if not ok]
         if failures:
             raise ValueError("invalid model parameters: " + "; ".join(failures))
         table = power_sums([a for a in a_diag if a > 0], [-a for a in a_diag if a < 0],

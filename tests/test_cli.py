@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import types
+from fractions import Fraction
 
 import pytest
 
@@ -111,6 +112,23 @@ class TestEval:
         path.write_text(json.dumps({"alpha": [], "beta": ["1"], "mark": None}))
         code, out, _ = run(capsys, "eval", "--state", str(path), "--elem", "e{1}")
         assert code == EXIT_OK and out.strip() == "0"
+
+    def test_the_longest_printable_cycle_prints(self, capsys):
+        # 5,528 points is the longest cycle whose value has at most 4,300 digits.
+        for n in (5527, 5528):
+            code, out, _ = run(capsys, "eval", "--elem", cycle_literal(n))
+            value = Fraction(1, 2**n) + Fraction(1, 3**n) + (-1) ** (n - 1) * Fraction(1, 6**n)
+            assert (code, out) == (EXIT_OK, f"{value}\n"), n
+        code, out, err = run(capsys, "eval", "--elem", cycle_literal(5529))
+        assert (code, out) == (EXIT_GUARD, "") and "MAX_DIGITS = 4300" in err
+
+    def test_a_long_cycle_of_unit_parameters_prints_at_once(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"alpha": ["1"]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "eval", "--state", str(path), "--elem", cycle_literal(20000))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_OK, "1\n")
 
     def test_point_guard_exits_4(self, capsys):
         code, out, err = run(capsys, "eval", "--elem", "e{3000000}")
@@ -272,6 +290,39 @@ def test_huge_decimal_exponent_exits_2_at_once(tmp_path, argv, data):
     assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
     assert "exponent" in proc.stderr or "bad vector entry" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def cycle_literal(n):
+    return "(" + " ".join(map(str, range(1, n + 1))) + ")"
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (["eval", "--elem", cycle_literal(5530)], {}),
+        (["gram", "--elems", "{elems}"], {"elems": "e\n" + cycle_literal(3000) + "\n"}),
+        (["eval", "--elem", "(1 2)", "--state", "{state}"], {"state": '{"alpha": ["1e-4300"]}'}),
+        (["oracle", "--n", "2", "--params", "{params}"],
+         {"params": json.dumps(dict(ORACLE_PARAMS, a_diag=["1/2", "1e-4300", "0", "0"], regular=[4]))}),
+    ],
+    ids=["eval-5530-cycle", "gram-3000-cycle-pivot", "eval-tiny-alpha", "oracle-tiny-eigenvalue"],
+)
+def test_a_value_too_long_to_print_exits_4_at_once(tmp_path, argv, files):
+    # Python turns no integer of more than 4,300 digits into text; the value
+    # 1/6^5530 + ..., the pivot 1 - f(c)^2 and the power 10^-8600 each have more.
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: str(tmp_path / name) for name in files}) for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(rookchar.__file__).parent.parent))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rookchar.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (proc.returncode, proc.stdout) == (EXIT_GUARD, "")
+    assert proc.stderr.startswith("resource guard: ") and "MAX_DIGITS = 4300" in proc.stderr
+
 
 
 class TestVerify:
@@ -734,16 +785,28 @@ class TestSpherical:
         assert "n = 2000000" in err and "MAX_POINT = 65536" in err
 
     def test_basis_guard_exits_4(self, capsys):
-        code, out, err = run(capsys, "spherical", "--n", "20", "--l", "10", "--elem", "e")
+        # The least l with C(14292, l) >= 10^4300.
+        code, out, err = run(capsys, "spherical", "--n", "14292", "--l", "7098", "--elem", "e")
         assert (code, out) == (EXIT_GUARD, "")
-        assert "C(20,10) = 184756" in err and "MAX_BASIS = 20000" in err
+        assert "C(14292,7098) >= 2^14284" in err and "MAX_DIGITS = 4300" in err
 
     @pytest.mark.parametrize("n, l, bits", [("20000", "10000", 19992), ("65536", "32768", 65527)])
     def test_basis_guard_names_a_huge_size_by_bit_length(self, capsys, n, l, bits):
         # C(n, l) has more than the 4,300 digits Python prints.
         code, out, err = run(capsys, "spherical", "--n", n, "--l", l, "--elem", "e")
         assert (code, out) == (EXIT_GUARD, "")
-        assert f"C({n},{l}) >= 2^{bits}" in err and "MAX_BASIS = 20000" in err
+        assert f"C({n},{l}) >= 2^{bits}" in err and "MAX_DIGITS = 4300" in err
+
+    def test_a_model_past_the_old_basis_cap_prints(self, capsys):
+        # C(30, 15) = 155,117,520, over the former cap of 20,000 on C(n, l).
+        code, out, _ = run(capsys, "spherical", "--n", "30", "--l", "15", "--elem", "e")
+        assert code == EXIT_OK
+        assert json.loads(out)["rows"] == [{"coefficient": "1", "element": "e", "killed": 0}]
+
+    def test_model_guard_comes_before_the_row_guard(self, capsys):
+        code, out, err = run(capsys, "spherical", "--n", "20000", "--l", "10000", "--all-idempotents")
+        assert (code, out) == (EXIT_GUARD, "")
+        assert "MAX_DIGITS = 4300" in err and "MAX_BASIS" not in err
 
     def test_needs_target(self, capsys):
         code, _, err = run(capsys, "spherical", "--n", "4", "--l", "2")

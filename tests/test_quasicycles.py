@@ -4,6 +4,7 @@ import collections
 import itertools
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from rookchar.elements import (
     symmetric_group,
 )
 from rookchar import quasicycles
+from rookchar.errors import MAX_POINT, ResourceGuardError
 from rookchar.quasicycles import (
     CYCLE,
     QUASI,
@@ -225,3 +227,59 @@ class TestClassFunction:
             for im in images
         ]
         assert values == expected
+
+
+def pairs(k):
+    """The product of the k transpositions (1 2)(3 4)...(2k-1 2k)."""
+    return parse_element("".join(f"({2 * i + 1} {2 * i + 2})" for i in range(k)))
+
+
+TINY = Fraction(1, 10**4300)  # the smallest parameter json_fraction reads, 14,285 bits
+
+
+class TestValueGuard:
+    def test_a_power_past_the_guard_is_refused_before_it_is_taken(self):
+        # a^1024 has 14.6 M bits and took 3.5 s.
+        f = quasicycles.power_sums([TINY], marked=[(TINY, Fraction(1, 2))])
+        for factor in (f.cycle, f.quasi):
+            start = time.perf_counter()
+            with pytest.raises(ResourceGuardError, match="MAX_VALUE_BITS = 64 MAX_DIGITS = 275200"):
+                factor(1024)
+            assert time.perf_counter() - start < 0.1
+
+    def test_a_power_sum_past_the_guard_is_refused_as_it_grows(self):
+        # 50 parameters of 14,286 bits with coprime denominators: the sum at
+        # n = 9 has 6.4 M bits and took 52 s.
+        alpha = [Fraction(1, 10**4300 - 2 * k - 1) for k in range(50)]
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="the power sum for a cycle of 9 points reaches"):
+            quasicycles.power_sums(alpha).cycle(9)
+        assert time.perf_counter() - start < 0.5
+
+    def test_zero_and_unit_parameters_grow_by_nothing(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        f = quasicycles.power_sums([one, Fraction(0)], [one], [(one, half), (Fraction(0), half)])
+        n = MAX_POINT
+        assert (f.cycle(n), f.cycle(n - 1), f.quasi(n)) == (0, 2, half)
+
+    def test_a_class_value_past_the_guard_is_refused_before_it_is_multiplied(self):
+        # 300 factors a^2 of 28,569 bits: an 8.6 M-bit product.
+        f = quasicycles.power_sums([TINY])
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match="a class value's product reaches 8570700 bits"):
+            f(pairs(300))
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ResourceGuardError, match="MAX_VALUE_BITS"):
+            quasicycles.power_sums([], marked=[(Fraction(1, 3), TINY)])(idempotent(range(1, 21)))
+
+    def test_seven_points_of_the_smallest_parameter_pass(self):
+        # The sweeps' largest elements; the value is 100,000 bits and never printed.
+        f = quasicycles.power_sums([TINY], marked=[(TINY, TINY)])
+        for text in ("(1 2 3 4 5 6 7)", "(1 2 3 4 5 6 7)e{7}", "e{1,2,3,4,5,6,7}"):
+            value = f(parse_element(text))
+            assert value and value.denominator.bit_length() > 7 * 14284, text
+
+    def test_a_zero_product_is_not_refused(self):
+        # Every cycle of even length has the factor a^n - a^n = 0.
+        f = quasicycles.power_sums([TINY], [TINY])
+        assert f(pairs(300)) == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from rookchar.elements import (
     parse_element,
     symmetric_group,
 )
-from rookchar.errors import MAX_POINT, ParseError, ResourceGuardError
+from rookchar.errors import MAX_DIGITS, MAX_POINT, ParseError, ResourceGuardError
 from rookchar.spherical import (
     SphericalModel,
     infinite_spherical_value,
@@ -83,8 +84,24 @@ class TestFiniteCoefficients:
             SphericalModel(MAX_POINT + 1, 0)
 
     def test_basis_guard(self):
-        with pytest.raises(ResourceGuardError):
-            spherical_coeff(SphericalModel(40, 20), idempotent([1]))
+        # C(14292, 7097) < 10^4300 <= C(14292, 7098): the model, not the
+        # coefficient, is refused, and the largest model left still prints.
+        assert str(spherical_coeff(SphericalModel(14292, 7097), idempotent([1]))) == "7097/14292"
+        with pytest.raises(ResourceGuardError, match=rf"C\(14292,7098\) >= 2\^14284 .* MAX_DIGITS = {MAX_DIGITS}"):
+            SphericalModel(14292, 7098)
+
+    def test_models_past_the_old_basis_cap_print(self):
+        # C(18, 9) = 48,620 subsets, over the former cap of 20,000 on C(n, l).
+        model = SphericalModel(18, 9)
+        for b in range(10):
+            r = idempotent(range(1, b + 1))
+            assert spherical_coeff(model, r) == oracles.spherical_coeff(model, r), b
+
+    def test_digit_guard_answers_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ResourceGuardError, match=f"MAX_DIGITS = {MAX_DIGITS}"):
+            SphericalModel(20000, 10000)
+        assert time.perf_counter() - start < 1.0
 
     def test_equals_dense_matrix_sum_on_r4(self):
         elems = list(enumerate_rn(4))
